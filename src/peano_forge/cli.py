@@ -46,10 +46,12 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("parse", help="parse a formula and print its AST")
+    q.set_defaults(handler=_cmd_parse)
     q.add_argument("text")
     q.add_argument("--json", action="store_true")
 
     q = sub.add_parser("encode", help="Goedel-encode a formula, seq, set, or partition")
+    q.set_defaults(handler=_cmd_encode)
     kinds = q.add_subparsers(dest="kind", required=True)
     k = kinds.add_parser("formula")
     k.add_argument("text")
@@ -61,6 +63,7 @@ def _build_parser():
     k.add_argument("file")
 
     q = sub.add_parser("decode", help="decode a Goedel code")
+    q.set_defaults(handler=_cmd_decode)
     kinds = q.add_subparsers(dest="kind", required=True)
     k = kinds.add_parser("formula")
     k.add_argument("code")
@@ -76,34 +79,41 @@ def _build_parser():
     k.add_argument("r", type=int)
 
     q = sub.add_parser("pr-eval", help="evaluate a recursive-function definition file")
+    q.set_defaults(handler=_cmd_pr_eval)
     q.add_argument("file")
     q.add_argument("args", nargs="*")
     q.add_argument("--fuel", type=int, default=1_000_000)
 
     for name in ("ramsey", "ph"):
         q = sub.add_parser(name, help=f"decide the {name} arrow relation")
+        q.set_defaults(handler=_cmd_arrow, large=name == "ph")
         q.add_argument("--m", type=int)
         q.add_argument("--k", type=int, required=True)
         q.add_argument("--r", type=int, required=True)
         q.add_argument("--n", type=int, required=True)
         q.add_argument("--find-min", action="store_true")
         q.add_argument("--max-m", type=int)
-        q.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        q.add_argument("--jobs", type=int, default=1,
+                       help="accepted without effect: the search runs in one process")
         q.add_argument("--counterexample", metavar="FILE",
                        help="write the first counterexample partition here")
 
     q = sub.add_parser("check-homog", help="report homogeneity of a set for a partition file")
+    q.set_defaults(handler=_cmd_check_homog)
     q.add_argument("file")
     q.add_argument("elements", nargs="+", type=int)
 
     q = sub.add_parser("pair")
+    q.set_defaults(handler=_cmd_pair)
     q.add_argument("x")
     q.add_argument("y")
 
     q = sub.add_parser("unpair")
+    q.set_defaults(handler=_cmd_unpair)
     q.add_argument("z")
 
     q = sub.add_parser("fastgrow", help="evaluate the fast-growing hierarchy")
+    q.set_defaults(handler=_cmd_fastgrow)
     q.add_argument("n", type=int)
     q.add_argument("x", type=int)
     q.add_argument("--max-iterations", type=int,
@@ -165,7 +175,7 @@ def _cmd_pr_eval(args):
     return CommandResult(1, "budget-exhausted\n")
 
 
-def _cmd_arrow(args, large):
+def _cmd_arrow(args):
     if args.n > args.k:
         raise UsageError(f"need n <= k, got n={args.n}, k={args.k}")
     cap = _enum_cap()
@@ -173,13 +183,13 @@ def _cmd_arrow(args, large):
         if args.max_m is None:
             raise UsageError("--find-min needs --max-m")
         m = ramsey.min_witness(args.k, args.r, args.n,
-                               relation="ph" if large else "ramsey",
+                               relation="ph" if args.large else "ramsey",
                                max_m=args.max_m, jobs=args.jobs, cap=cap)
         return CommandResult(0, ("none" if m is None else str(m)) + "\n")
     if args.m is None:
         raise UsageError("give --m, or --find-min with --max-m")
     cex = ramsey.find_counterexample(args.m, args.k, args.r, args.n,
-                                     large=large, jobs=args.jobs, cap=cap)
+                                     large=args.large, jobs=args.jobs, cap=cap)
     if cex is None:
         return CommandResult(0, "true\n")
     if args.counterexample:
@@ -208,40 +218,37 @@ def _cmd_fastgrow(args):
     return CommandResult(0, f"{ramsey.fast_growing(args.n, args.x, budget)}\n")
 
 
-def _dispatch(args):
-    cmd = args.command
-    if cmd == "parse":
-        return _cmd_parse(args)
-    if cmd == "encode":
-        return _cmd_encode(args)
-    if cmd == "decode":
-        return _cmd_decode(args)
-    if cmd == "pr-eval":
-        return _cmd_pr_eval(args)
-    if cmd == "ramsey":
-        return _cmd_arrow(args, large=False)
-    if cmd == "ph":
-        return _cmd_arrow(args, large=True)
-    if cmd == "check-homog":
-        return _cmd_check_homog(args)
-    if cmd == "pair":
-        return CommandResult(0, f"{godel.pair(_nat(args.x), _nat(args.y))}\n")
-    if cmd == "unpair":
-        x, y = godel.unpair(_nat(args.z))
-        return CommandResult(0, f"{x} {y}\n")
-    if cmd == "fastgrow":
-        return _cmd_fastgrow(args)
-    raise UsageError(f"unknown command {cmd!r}")
+def _cmd_pair(args):
+    return CommandResult(0, f"{godel.pair(_nat(args.x), _nat(args.y))}\n")
+
+
+def _cmd_unpair(args):
+    x, y = godel.unpair(_nat(args.z))
+    return CommandResult(0, f"{x} {y}\n")
 
 
 def main(argv=None):
+    # codes are exact decimals of any length, so the interpreter's int/str
+    # digit limit is lifted while a command runs and restored afterwards
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is None:
+        return _main(argv)
+    old = sys.get_int_max_str_digits()
+    set_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        set_digits(old)
+
+
+def _main(argv):
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        result = _dispatch(args)
+        result = args.handler(args)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,7 @@ from .formula import (
     Or,
     Var,
     Zero,
+    _fresh_index,
     term_vars,
 )
 
@@ -124,14 +125,6 @@ def code_token(code):
 # ---------------------------------------------------------------------------
 
 
-def _fresh_for(t1, t2):
-    used = term_vars(t1) | term_vars(t2)
-    i = 0
-    while i in used:
-        i += 1
-    return i
-
-
 def desugar(f):
     """Rewrite a formula into the coding alphabet (=, ->, !, forall only):
     t1<t2 becomes !forall xk !(t1+(xk+1) = t2) with xk fresh, exists v phi
@@ -139,7 +132,7 @@ def desugar(f):
     if isinstance(f, Eq):
         return f
     if isinstance(f, Lt):
-        k = _fresh_for(f.left, f.right)
+        k = _fresh_index(term_vars(f.left) | term_vars(f.right))
         return Not(ForAll(k, Not(Eq(Add(f.left, Add(Var(k), One())), f.right))))
     if isinstance(f, Not):
         return Not(desugar(f.body))
@@ -341,32 +334,32 @@ def decode_seq(a):
     return [e - 1 for e in _contiguous_exponents(a)]
 
 
+def _seq_exponents(a):
+    """Exponent list of a sequence code ([] for 1); None when a is not in
+    Seq.  The accessors below all decode through here, once per argument."""
+    try:
+        return _contiguous_exponents(a)
+    except NotACode:
+        return None
+
+
 def is_seq_code(a):
     """Membership in Seq: 1, or a > 1 with contiguous prime support."""
-    if a == 1:
-        return True
-    if a < 1:
-        return False
-    try:
-        _contiguous_exponents(a)
-    except NotACode:
-        return False
-    return True
+    return _seq_exponents(a) is not None
 
 
 def seq_long(a):
     """Last prime index of a sequence code (length-1 for nonempty lists);
     0 for a = 1 and for non-sequence numbers."""
-    if a <= 1 or not is_seq_code(a):
-        return 0
-    return len(_contiguous_exponents(a)) - 1
+    exps = _seq_exponents(a)
+    return len(exps) - 1 if exps else 0
 
 
 def seq_at(a, x):
     """Element x of a sequence code: the exponent of p_x, minus one."""
-    if a <= 1 or not is_seq_code(a):
+    exps = _seq_exponents(a)
+    if not exps:
         raise IndexOutOfRange(f"{a} is not a nonempty sequence code")
-    exps = _contiguous_exponents(a)
     if x >= len(exps):
         raise IndexOutOfRange(f"index {x} out of range for length {len(exps)}")
     return exps[x] - 1
@@ -380,9 +373,12 @@ def seq_concat(a, b):
     if b == 1:
         return a
     la = seq_long(a)
+    exps = _seq_exponents(b)
+    if not exps:
+        raise IndexOutOfRange(f"{b} is not a nonempty sequence code")
     out = a
-    for x in range(seq_long(b) + 1):
-        out *= nth_prime(la + x + 1) ** (seq_at(b, x) + 1)
+    for x, e in enumerate(exps):
+        out *= nth_prime(la + x + 1) ** e
     return out
 
 

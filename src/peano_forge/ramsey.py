@@ -9,14 +9,14 @@ n-subsets in colexicographic order, restricted to canonical colorings (colors
 first appear in increasing order), which preserves the universally quantified
 check while cutting the space by up to r!.  A branch is abandoned as soon as
 some fully colored qualifying set becomes monochromatic, so a completed leaf
-is a counterexample.  The first counterexample in enumeration order is
-canonical and independent of the worker count.
+is a counterexample.  The search runs in one process, and its answer is the
+first counterexample in enumeration order; the jobs argument is accepted
+without effect.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -33,7 +33,6 @@ from .errors import (
 from .godel import decode_seq, encode_seq, pair, unpair
 
 DEFAULT_ENUM_CAP = 2 ** 30
-_PARALLEL_MIN = 4096
 
 
 @lru_cache(maxsize=None)
@@ -216,20 +215,12 @@ def _complete_mono(colors, trigs):
     return False
 
 
-def _scan(r, triggers, prefix, N):
-    """Depth-first search for the first counterexample coloring extending
-    the canonical prefix; None when every extension is pruned."""
+def _scan(r, triggers, N):
+    """Depth-first search for the first counterexample coloring in canonical
+    enumeration order; None when every coloring is pruned."""
     colors = [0] * N
     maxu = [-1] * (N + 1)
-    for i, c in enumerate(prefix):
-        colors[i] = c
-        maxu[i + 1] = c if c > maxu[i] else maxu[i]
-        if _complete_mono(colors, triggers[i]):
-            return None
-    start = len(prefix)
-    if start == N:
-        return tuple(colors)
-    pos = start
+    pos = 0
     trial = 0
     while True:
         limit = maxu[pos] + 1
@@ -237,7 +228,7 @@ def _scan(r, triggers, prefix, N):
             limit = r - 1
         if trial > limit:
             pos -= 1
-            if pos < start:
+            if pos < 0:
                 return None
             trial = colors[pos] + 1
             continue
@@ -252,29 +243,6 @@ def _scan(r, triggers, prefix, N):
         trial = 0
 
 
-def _canonical_prefixes(r, depth):
-    out = [()]
-    for _ in range(depth):
-        nxt = []
-        for pre in out:
-            mu = max(pre, default=-1)
-            for c in range(min(r - 1, mu + 1) + 1):
-                nxt.append(pre + (c,))
-        out = nxt
-    return out
-
-
-def _scan_chunk(params):
-    m, n, r, k, large, prefixes = params
-    N = math.comb(m, n)
-    triggers = _build_triggers(m, n, r, k, large)
-    for pre in prefixes:
-        res = _scan(r, triggers, pre, N)
-        if res is not None:
-            return res
-    return None
-
-
 def _validate_arrow_params(m, k, r, n):
     if n < 1:
         raise ValueError("subset size n must be at least 1")
@@ -287,39 +255,16 @@ def _validate_arrow_params(m, k, r, n):
 def find_counterexample(m, k, r, n, large=False, jobs=1, cap=DEFAULT_ENUM_CAP):
     """The first (in canonical enumeration order) coloring of [m]^n with r
     colors admitting no qualifying homogeneous set, or None when the arrow
-    relation holds.  Identical output for every jobs value."""
+    relation holds.  jobs is accepted without effect: the search is serial."""
     _validate_arrow_params(m, k, r, n)
     N = math.comb(m, n)
     required = r ** N
     if cap is not None and required > cap:
         raise SearchSpaceTooLarge(required, cap)
-    jobs = max(1, jobs or 1)
-    if jobs > 1 and required > _PARALLEL_MIN:
-        colors = _parallel_search(m, n, r, k, large, jobs, N)
-    else:
-        triggers = _build_triggers(m, n, r, k, large)
-        colors = _scan(r, triggers, (), N)
+    colors = _scan(r, _build_triggers(m, n, r, k, large), N)
     if colors is None:
         return None
     return Partition(m, n, r, colors)
-
-
-def _parallel_search(m, n, r, k, large, jobs, N):
-    depth = 1
-    prefixes = _canonical_prefixes(r, depth)
-    while len(prefixes) < 4 * jobs and depth < N:
-        depth += 1
-        prefixes = _canonical_prefixes(r, depth)
-    chunk = max(1, math.ceil(len(prefixes) / (4 * jobs)))
-    params = [
-        (m, n, r, k, large, prefixes[i:i + chunk])
-        for i in range(0, len(prefixes), chunk)
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for res in pool.map(_scan_chunk, params):
-            if res is not None:
-                return res
-    return None
 
 
 def arrow(m, k, r, n, jobs=1, cap=DEFAULT_ENUM_CAP):

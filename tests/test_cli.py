@@ -1,4 +1,5 @@
 import json
+import sys
 
 from peano_forge import Partition, partition_to_text
 from peano_forge.cli import main
@@ -70,6 +71,48 @@ def test_encode_decode_partition(capsys, tmp_path):
     assert code == 0
     value = out.strip()
     code, out, _ = run_cli(capsys, "decode", "partition", value, "4", "1", "2")
+    assert (code, out) == (0, partition_to_text(P))
+
+
+def big_decimal(n):
+    """str(n) past the interpreter's default 4300-digit int/str limit."""
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is None:
+        return str(n)
+    old = sys.get_int_max_str_digits()
+    set_digits(0)
+    try:
+        return str(n)
+    finally:
+        set_digits(old)
+
+
+def digit_limit():
+    get_digits = getattr(sys, "get_int_max_str_digits", None)
+    return get_digits() if get_digits else None
+
+
+def test_encode_decode_seq_beyond_digit_limit(capsys):
+    limit = digit_limit()
+    code, out, err = run_cli(capsys, "encode", "seq", "20000")
+    assert (code, out, err) == (0, big_decimal(2 ** 20001) + "\n", "")
+    assert len(out) == 6022  # 6021 digits and the newline
+    code, out, _ = run_cli(capsys, "decode", "seq", out.strip())
+    assert (code, out) == (0, "20000\n")
+    assert digit_limit() == limit  # restored once main returns
+
+
+def test_encode_decode_partition_beyond_digit_limit(capsys, tmp_path):
+    P = Partition(3, 2, 2, [0, 0, 0])
+    path = tmp_path / "p322.part"
+    path.write_text(partition_to_text(P))
+    # subsets (0,1), (0,2), (1,2) have seq codes 18, 54, 108; paired with
+    # color 0 they give 171, 1485, 5886, each shifted by one as an exponent
+    expected = 2 ** 172 * 3 ** 1486 * 5 ** 5887
+    code, out, err = run_cli(capsys, "encode", "partition", str(path))
+    assert (code, out, err) == (0, big_decimal(expected) + "\n", "")
+    assert len(out.strip()) == 4876
+    code, out, _ = run_cli(capsys, "decode", "partition", out.strip(), "3", "2", "2")
     assert (code, out) == (0, partition_to_text(P))
 
 

@@ -140,6 +140,8 @@ def test_seq_long_values():
     assert seq_long(144) == 1
     assert seq_long(encode_seq([7])) == 0
     assert seq_long(10) == 0  # 10 = 2 * 5 is not in Seq
+    assert seq_long(0) == 0 and seq_long(-3) == 0
+    assert not is_seq_code(10) and not is_seq_code(0) and not is_seq_code(-3)
 
 
 def test_seq_at_values():
@@ -150,12 +152,21 @@ def test_seq_at_values():
         seq_at(144, 2)
     with pytest.raises(IndexOutOfRange):
         seq_at(1, 0)
+    for not_seq in (10, 0, -3):
+        with pytest.raises(IndexOutOfRange, match=f"^{not_seq} is not a nonempty"):
+            seq_at(not_seq, 0)
 
 
 def test_seq_concat():
     assert seq_concat(encode_seq([3]), encode_seq([1])) == 144
     assert seq_concat(1, 144) == 144
     assert seq_concat(144, 1) == 144
+    # a non-sequence left side is multiplied onto as if its Long were 0
+    assert seq_concat(10, 144) == 10 * 3 ** 4 * 5 ** 2
+    assert seq_concat(0, 144) == 0
+    for not_seq in (10, 0):
+        with pytest.raises(IndexOutOfRange, match=f"^{not_seq} is not a nonempty"):
+            seq_concat(144, not_seq)
     rng = random.Random(5)
     for _ in range(200):
         xs = [rng.randrange(20) for _ in range(rng.randrange(5))]

@@ -168,6 +168,23 @@ def test_ph_counterexample_deterministic_across_jobs():
     assert a == b
 
 
+def test_import_loads_no_process_pool():
+    # the search is serial, so importing the package must not pull in the
+    # process-pool machinery (it also costs every CLI start-up)
+    import os
+    import subprocess
+    import sys
+
+    import peano_forge
+    src = os.path.dirname(os.path.dirname(peano_forge.__file__))
+    probe = ("import sys, peano_forge; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
 def test_search_space_cap():
     with pytest.raises(SearchSpaceTooLarge) as ei:
         arrow(6, 3, 2, 2, cap=100)
