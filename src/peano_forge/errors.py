@@ -88,8 +88,10 @@ class EmptySet(DomainError):
 
 class SearchSpaceTooLarge(DomainError):
     def __init__(self, required, cap):
+        # a space of thousands of digits is reported by its power of two
+        size = required if required < 2 ** 64 else f"at least 2^{required.bit_length() - 1}"
         super().__init__(
-            f"search needs {required} colorings but the enumeration cap is {cap}"
+            f"search needs {size} colorings but the enumeration cap is {cap}"
         )
         self.required = required
         self.cap = cap

@@ -331,30 +331,23 @@ def parse_term(text):
 # ---------------------------------------------------------------------------
 
 
+# operator of each binary node, as render prints it
+_BINARY = {Add: "+", Mul: "*", Eq: "=", Lt: "<", And: "&", Or: "|", Implies: "->"}
+
+
 def render(node):
     """Fully parenthesized canonical text; parse(render(f)) == f."""
+    op = _BINARY.get(type(node))
+    if op is not None:
+        return f"({render(node.left)} {op} {render(node.right)})"
     if isinstance(node, Zero):
         return "0"
     if isinstance(node, One):
         return "1"
     if isinstance(node, Var):
         return f"x{node.index}"
-    if isinstance(node, Add):
-        return f"({render(node.left)} + {render(node.right)})"
-    if isinstance(node, Mul):
-        return f"({render(node.left)} * {render(node.right)})"
-    if isinstance(node, Eq):
-        return f"({render(node.left)} = {render(node.right)})"
-    if isinstance(node, Lt):
-        return f"({render(node.left)} < {render(node.right)})"
     if isinstance(node, Not):
         return f"!{render(node.body)}"
-    if isinstance(node, And):
-        return f"({render(node.left)} & {render(node.right)})"
-    if isinstance(node, Or):
-        return f"({render(node.left)} | {render(node.right)})"
-    if isinstance(node, Implies):
-        return f"({render(node.left)} -> {render(node.right)})"
     if isinstance(node, ForAll):
         return f"forall x{node.var} ({render(node.body)})"
     if isinstance(node, Exists):
@@ -368,7 +361,7 @@ def ast_text(node):
         return type(node).__name__
     if isinstance(node, Var):
         return f"Var({node.index})"
-    if isinstance(node, (Add, Mul, Eq, Lt, And, Or, Implies)):
+    if type(node) in _BINARY:
         name = type(node).__name__
         return f"{name}({ast_text(node.left)}, {ast_text(node.right)})"
     if isinstance(node, Not):
@@ -406,40 +399,30 @@ def to_json(node):
 # ---------------------------------------------------------------------------
 
 
+def _vars(node, free):
+    """Variable indices of node: the free ones, or all (bound ones too)."""
+    if isinstance(node, Var):
+        return {node.index}
+    if type(node) in _BINARY:
+        return _vars(node.left, free) | _vars(node.right, free)
+    if isinstance(node, (Zero, One)):
+        return set()
+    if isinstance(node, Not):
+        return _vars(node.body, free)
+    if isinstance(node, (ForAll, Exists)):
+        inner = _vars(node.body, free)
+        return inner - {node.var} if free else inner | {node.var}
+    raise TypeError(f"not an AST node: {node!r}")
+
+
 def term_vars(t):
     """All variable indices occurring in a term."""
-    if isinstance(t, Var):
-        return {t.index}
-    if isinstance(t, (Add, Mul)):
-        return term_vars(t.left) | term_vars(t.right)
-    return set()
+    return _vars(t, True)
 
 
 def free_vars(f):
     """Variable indices with at least one free occurrence; empty iff sentence."""
-    if isinstance(f, Term):
-        return term_vars(f)
-    if isinstance(f, (Eq, Lt)):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (ForAll, Exists)):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not an AST node: {f!r}")
-
-
-def _all_vars(f):
-    if isinstance(f, Term):
-        return term_vars(f)
-    if isinstance(f, (Eq, Lt)):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, Not):
-        return _all_vars(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return _all_vars(f.left) | _all_vars(f.right)
-    return _all_vars(f.body) | {f.var}
+    return _vars(f, True)
 
 
 def _fresh_index(used):
@@ -449,37 +432,29 @@ def _fresh_index(used):
     return i
 
 
-def _term_subst(t, v, repl):
-    if isinstance(t, Var):
-        return repl if t.index == v else t
-    if isinstance(t, Add):
-        return Add(_term_subst(t.left, v, repl), _term_subst(t.right, v, repl))
-    if isinstance(t, Mul):
-        return Mul(_term_subst(t.left, v, repl), _term_subst(t.right, v, repl))
-    return t
-
-
 def substitute(f, v, t):
     """Capture-avoiding substitution of term t for free occurrences of x_v.
 
     When a quantifier would capture a variable of t, its bound variable is
     renamed to the smallest index unused in both operands.
     """
-    if isinstance(f, (Eq, Lt)):
-        return type(f)(_term_subst(f.left, v, t), _term_subst(f.right, v, t))
+    if isinstance(f, Var):
+        return t if f.index == v else f
+    if type(f) in _BINARY:
+        return type(f)(substitute(f.left, v, t), substitute(f.right, v, t))
+    if isinstance(f, (Zero, One)):
+        return f
     if isinstance(f, Not):
         return Not(substitute(f.body, v, t))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(substitute(f.left, v, t), substitute(f.right, v, t))
     if isinstance(f, (ForAll, Exists)):
         if f.var == v or v not in free_vars(f.body):
             return f
         if f.var in term_vars(t):
-            fresh = _fresh_index(_all_vars(f.body) | term_vars(t) | {f.var})
+            fresh = _fresh_index(_vars(f.body, False) | term_vars(t) | {f.var})
             body = substitute(f.body, f.var, Var(fresh))
             return type(f)(fresh, substitute(body, v, t))
         return type(f)(f.var, substitute(f.body, v, t))
-    raise TypeError(f"not a formula: {f!r}")
+    raise TypeError(f"not an AST node: {f!r}")
 
 
 def induction_instance(phi, x, params):
@@ -606,61 +581,30 @@ def _quantifier_free(f):
     return False
 
 
-def _term_upper_bound(t, v, vmax, env):
-    if isinstance(t, Zero):
-        return 0
-    if isinstance(t, One):
-        return 1
-    if isinstance(t, Var):
-        if t.index == v:
-            return vmax
-        try:
-            return env[t.index]
-        except KeyError:
-            raise UnboundVariable(f"x{t.index} is not bound") from None
-    if isinstance(t, Add):
-        return (_term_upper_bound(t.left, v, vmax, env)
-                + _term_upper_bound(t.right, v, vmax, env))
-    return (_term_upper_bound(t.left, v, vmax, env)
-            * _term_upper_bound(t.right, v, vmax, env))
-
-
-def _fits_int64(f, v, vmax, env):
+def _fits_int64(f, env):
+    # env binds the range variable to its largest value; + and * are monotone
+    # on the naturals, so every term's value there bounds it over the range
     if isinstance(f, (Eq, Lt)):
-        return (_term_upper_bound(f.left, v, vmax, env) < _INT64_LIMIT
-                and _term_upper_bound(f.right, v, vmax, env) < _INT64_LIMIT)
+        return (eval_term(f.left, env) < _INT64_LIMIT
+                and eval_term(f.right, env) < _INT64_LIMIT)
     if isinstance(f, Not):
-        return _fits_int64(f.body, v, vmax, env)
-    return (_fits_int64(f.left, v, vmax, env)
-            and _fits_int64(f.right, v, vmax, env))
+        return _fits_int64(f.body, env)
+    return _fits_int64(f.left, env) and _fits_int64(f.right, env)
 
 
-def _vec_term(t, env, v, vals):
-    if isinstance(t, Zero):
-        return 0
-    if isinstance(t, One):
-        return 1
-    if isinstance(t, Var):
-        return vals if t.index == v else env[t.index]
-    if isinstance(t, Add):
-        return _vec_term(t.left, env, v, vals) + _vec_term(t.right, env, v, vals)
-    return _vec_term(t.left, env, v, vals) * _vec_term(t.right, env, v, vals)
-
-
-def _vec_formula(f, env, v, vals):
+def _vec_formula(f, env):
+    # env binds the range variable to an int64 array of its values
     if isinstance(f, Eq):
-        return np.asarray(_vec_term(f.left, env, v, vals)
-                          == _vec_term(f.right, env, v, vals))
+        return np.asarray(eval_term(f.left, env) == eval_term(f.right, env))
     if isinstance(f, Lt):
-        return np.asarray(_vec_term(f.left, env, v, vals)
-                          < _vec_term(f.right, env, v, vals))
+        return np.asarray(eval_term(f.left, env) < eval_term(f.right, env))
     if isinstance(f, Not):
-        return ~_vec_formula(f.body, env, v, vals)
+        return ~_vec_formula(f.body, env)
     if isinstance(f, And):
-        return _vec_formula(f.left, env, v, vals) & _vec_formula(f.right, env, v, vals)
+        return _vec_formula(f.left, env) & _vec_formula(f.right, env)
     if isinstance(f, Or):
-        return _vec_formula(f.left, env, v, vals) | _vec_formula(f.right, env, v, vals)
-    return (~_vec_formula(f.left, env, v, vals)) | _vec_formula(f.right, env, v, vals)
+        return _vec_formula(f.left, env) | _vec_formula(f.right, env)
+    return (~_vec_formula(f.left, env)) | _vec_formula(f.right, env)
 
 
 _VECTOR_CHUNK = 1 << 20
@@ -670,17 +614,18 @@ def _eval_over_range(matrix, v, count, env, budget, universal):
     # Exact check over v in 0..count-1; the numpy path is a fast path only,
     # guarded so that every term value fits in int64 and chunked so memory
     # stays bounded for large bounds.
+    env2 = dict(env)
+    env2[v] = count - 1
     if (count > _VECTORIZE_MIN and _quantifier_free(matrix)
-            and _fits_int64(matrix, v, count - 1, env)):
+            and _fits_int64(matrix, env2)):
         for lo in range(0, count, _VECTOR_CHUNK):
-            vals = np.arange(lo, min(lo + _VECTOR_CHUNK, count), dtype=np.int64)
-            res = np.asarray(_vec_formula(matrix, env, v, vals))
+            env2[v] = np.arange(lo, min(lo + _VECTOR_CHUNK, count), dtype=np.int64)
+            res = np.asarray(_vec_formula(matrix, env2))
             if universal and not bool(res.all()):
                 return False
             if not universal and bool(res.any()):
                 return True
         return universal
-    env2 = dict(env)
     for val in range(count):
         env2[v] = val
         r = eval_nat(matrix, env2, budget)

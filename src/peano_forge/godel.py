@@ -27,7 +27,7 @@ from .formula import (
     Var,
     Zero,
     _fresh_index,
-    term_vars,
+    free_vars,
 )
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def desugar(f):
     if isinstance(f, Eq):
         return f
     if isinstance(f, Lt):
-        k = _fresh_index(term_vars(f.left) | term_vars(f.right))
+        k = _fresh_index(free_vars(f))
         return Not(ForAll(k, Not(Eq(Add(f.left, Add(Var(k), One())), f.right))))
     if isinstance(f, Not):
         return Not(desugar(f.body))

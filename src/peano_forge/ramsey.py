@@ -390,37 +390,30 @@ def fast_growing(n, x, budget=DEFAULT_FAST_BUDGET):
     definition unfolds to, so budgets are machine-independent; exceeding
     either budget raises BudgetExceeded carrying the partial count.
     """
-    steps = [0]
-
-    def out_of_budget():
-        raise BudgetExceeded(
-            f"fast-growing evaluation exceeded its budget after {steps[0]} base steps",
-            iterations=steps[0],
-        )
-
-    def check_value(v):
-        if v.bit_length() > budget.max_result_bits:
-            out_of_budget()
-        return v
-
-    def apply(level, arg):
-        if level == 0:
-            steps[0] += 1
-            if steps[0] > budget.max_iterations:
-                out_of_budget()
-            return check_value(arg + 2)
-        if level == 1:
-            # x applications of the base step from 2 give exactly 2x + 2
-            steps[0] += arg
-            if steps[0] > budget.max_iterations:
-                out_of_budget()
-            return check_value(2 * arg + 2)
-        v = 2
-        for _ in range(arg):
-            v = apply(level - 1, v)
-        return v
-
-    return apply(n, x)
+    if n < 0 or x < 0:
+        raise ValueError("fast_growing is defined on natural numbers")
+    steps = 0
+    stack = []  # [level, applications left] of each f_level being unfolded
+    level, v = n, x  # the pending application f_level(v)
+    while True:
+        if level >= 2:
+            stack.append([level, v])
+            v = 2
+        else:
+            # f_0 is one base step; x base steps from 2 give f_1(x) = 2x + 2
+            steps += 1 if level == 0 else v
+            v = v + 2 if level == 0 else 2 * v + 2
+            if steps > budget.max_iterations or v.bit_length() > budget.max_result_bits:
+                raise BudgetExceeded(
+                    f"fast-growing evaluation exceeded its budget after {steps} base steps",
+                    iterations=steps,
+                )
+        while stack and stack[-1][1] == 0:
+            stack.pop()
+        if not stack:
+            return v
+        stack[-1][1] -= 1
+        level = stack[-1][0] - 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ reported as BudgetExhausted.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -174,24 +175,14 @@ def _ev(d, args, cell):
         for i in range(args[-1]):
             acc = _ev(d.step, xs + (i, acc), cell)
         return acc
-    if tp is BoundedMu:
-        bound = args[-1]
-        for y in range(bound):
+    if tp is BoundedMu or tp is Mu:
+        for y in range(args[-1]) if tp is BoundedMu else itertools.count():
             cell[0] -= 1
             if cell[0] < 0:
                 raise _OutOfFuel
             if _ev(d.g, args + (y,), cell) == 0:
                 return y
-        return bound
-    if tp is Mu:
-        y = 0
-        while True:
-            cell[0] -= 1
-            if cell[0] < 0:
-                raise _OutOfFuel
-            if _ev(d.g, args + (y,), cell) == 0:
-                return y
-            y += 1
+        return args[-1]  # only the bounded search runs out
     raise IllFormed(f"not a definition node: {d!r}")
 
 

@@ -205,6 +205,15 @@ def test_ramsey_cap_exceeded(capsys, monkeypatch):
     assert "32768" in err and "100" in err  # required space and cap printed
 
 
+def test_ramsey_cap_exceeded_huge_space_stays_short(capsys):
+    # 2^C(200,2) has about 6000 digits; it is reported by its power of two
+    code, out, err = run_cli(capsys, "ramsey", "--m", "200", "--k", "3", "--r", "2",
+                             "--n", "2")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert "SearchSpaceTooLarge" in err and "2^19900" in err
+
+
 def test_ramsey_usage_errors(capsys):
     code, out, err = run_cli(capsys, "ramsey", "--k", "3", "--r", "2", "--n", "2")
     assert code == 2
@@ -281,6 +290,13 @@ def test_fastgrow(capsys):
     assert (code, out) == (0, "65534\n")
     code, out, err = run_cli(capsys, "fastgrow", "3", "5")
     assert code == 1 and "BudgetExceeded" in err
+
+
+def test_fastgrow_deep_level_is_a_budget_error(capsys):
+    # level 3000 unfolds 3000 levels deep before its budget runs out
+    code, out, err = run_cli(capsys, "fastgrow", "3000", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: BudgetExceeded: ") and err.count("\n") == 1
 
 
 # --- exit-code contract ---

@@ -274,10 +274,39 @@ def test_vector_and_scalar_paths_agree(monkeypatch):
         f = quant(0, combine(le_guard(0, numeral(rng.randint(33, 80))), body))
         env = {1: rng.randrange(5), 2: rng.randrange(5)}
         cases.append((f, env))
-    fast = [eval_nat(f, env, 5) for f, env in cases]
+    # products of values near 2**31 straddle the int64 guard 2**62, so both
+    # the numpy path and its exact big-integer fallback are compared
+    near = (2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1)
+    body = Or(Lt(Mul(Var(1), Var(2)), Mul(Var(0), Var(1))), Eq(Var(0), numeral(3)))
+    straddle = []
+    for a in near:
+        for b in near:
+            straddle.append((ForAll(0, Implies(le_guard(0, numeral(40)), body)), {1: a, 2: b}))
+            straddle.append((Exists(0, And(le_guard(0, numeral(40)), Not(body))), {1: a, 2: b}))
+    cases += straddle
+    vector = []
+    real = fm._vec_formula
+    monkeypatch.setattr(fm, "_vec_formula", lambda *a: vector.append(a) or real(*a))
+    fast, took_vector = [], []
+    for f, env in cases:
+        before = len(vector)
+        fast.append(eval_nat(f, env, 5))
+        took_vector.append(len(vector) > before)
+    assert took_vector[-len(straddle):] == [env[1] * env[2] < 2 ** 62 for _, env in straddle]
     monkeypatch.setattr(fm, "_VECTORIZE_MIN", 10 ** 9)  # force the exact loop
     slow = [eval_nat(f, env, 5) for f, env in cases]
     assert fast == slow
+
+
+def test_unbound_variable_in_bounded_matrix():
+    # x1 is free in the matrix and missing from env, below and above the
+    # count at which the numpy path is tried
+    import peano_forge.formula as fm
+    for n in (fm._VECTORIZE_MIN // 2, fm._VECTORIZE_MIN * 2):
+        for quant, combine in ((ForAll, Implies), (Exists, And)):
+            f = quant(0, combine(le_guard(0, numeral(n)), Lt(Var(0), Var(1))))
+            with pytest.raises(UnboundVariable):
+                eval_nat(f, {}, 5)
 
 
 def test_eval_nat_big_values_fall_back_exactly():

@@ -190,6 +190,10 @@ def test_search_space_cap():
         arrow(6, 3, 2, 2, cap=100)
     assert ei.value.required == 2 ** 15
     assert ei.value.cap == 100
+    with pytest.raises(SearchSpaceTooLarge) as ei:
+        arrow(200, 3, 2, 2)
+    assert ei.value.required == 2 ** 19900  # exact, though printed as a power of two
+    assert "at least 2^19900 colorings" in str(ei.value)
 
 
 def test_min_witness():
@@ -344,6 +348,12 @@ def test_fast_growing_budget():
                                               max_iterations=10 ** 9))
     with pytest.raises(ValueError):
         FastGrowingBudget(0, 5)
+    with pytest.raises(BudgetExceeded) as ei:
+        fast_growing(3000, 1)  # 3000 levels deep: the budget stops it, not the stack
+    assert ei.value.iterations > 10 ** 6  # the default max_iterations
+    for n, x in ((-1, 3), (1, -5)):
+        with pytest.raises(ValueError):
+            fast_growing(n, x)
 
 
 # --- partition coding ---
