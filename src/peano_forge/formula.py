@@ -8,8 +8,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     BudgetExceeded,
     DivisionByZero,
@@ -131,6 +129,12 @@ def numeral(n):
 # Parsing
 # ---------------------------------------------------------------------------
 
+# Deepest nesting parse accepts.  Each level (a parenthesized formula or
+# term, a negation, a quantifier body, the right side of ->) costs the parser
+# at most seven interpreter frames, so 100 levels stay well inside the default
+# recursion limit of 1000 even when parse is called from deep in a stack.
+_MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(r"forall\b|exists\b|x\d+|->|[01+*=<!&|()]")
 _WS_RE = re.compile(r"\s*")
 _EOF = "<end of input>"
@@ -168,6 +172,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.far_pos = 0
         self.far_expected = set()
 
@@ -191,6 +196,20 @@ class _Parser:
         if self._peek() != tok:
             self._fail({tok})
         self.pos += 1
+
+    def _nested(self, parse, opened_at):
+        # parse one nesting level; opened_at is the index of its opening token
+        if self.depth == _MAX_NESTING:
+            off = self._byte_offset(opened_at)
+            raise ParseError(
+                f"at byte {off}: nesting deeper than {_MAX_NESTING} levels",
+                offset=off,
+            )
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
 
     def error(self):
         found = self.tokens[self.far_pos][0] if self.far_pos < len(self.tokens) else _EOF
@@ -216,7 +235,7 @@ class _Parser:
         left = self._disjunction()
         if self._peek() == "->":
             self.pos += 1
-            return Implies(left, self.formula())
+            return Implies(left, self._nested(self.formula, self.pos - 1))
         return left
 
     def _disjunction(self):
@@ -237,13 +256,14 @@ class _Parser:
         # quantifiers bind tightly: their body is the next unary formula,
         # so binary connectives after a quantified group stay outside it
         tok = self._peek()
+        start = self.pos
         if tok == "!":
             self.pos += 1
-            return Not(self._unary())
+            return Not(self._nested(self._unary, start))
         if tok in ("forall", "exists"):
             self.pos += 1
             v = self._variable()
-            body = self._unary()
+            body = self._nested(self._unary, start)
             return ForAll(v, body) if tok == "forall" else Exists(v, body)
         return self._primary()
 
@@ -253,7 +273,7 @@ class _Parser:
             saved = self.pos
             self.pos += 1
             try:
-                f = self.formula()
+                f = self._nested(self.formula, saved)
                 self._expect(")")
                 return f
             except _Retry:
@@ -296,7 +316,7 @@ class _Parser:
             return Var(int(tok[1:]))
         if tok == "(":
             self.pos += 1
-            t = self.term()
+            t = self._nested(self.term, self.pos - 1)
             self._expect(")")
             return t
         self._fail({"0", "1", "(", "variable"})
@@ -592,6 +612,11 @@ def _fits_int64(f, env):
     return _fits_int64(f.left, env) and _fits_int64(f.right, env)
 
 
+# numpy, imported by _eval_over_range the first time it vectorizes a range:
+# the import costs more than most CLI commands take to run
+np = None
+
+
 def _vec_formula(f, env):
     # env binds the range variable to an int64 array of its values
     if isinstance(f, Eq):
@@ -611,6 +636,7 @@ _VECTOR_CHUNK = 1 << 20
 
 
 def _eval_over_range(matrix, v, count, env, budget, universal):
+    global np
     # Exact check over v in 0..count-1; the numpy path is a fast path only,
     # guarded so that every term value fits in int64 and chunked so memory
     # stays bounded for large bounds.
@@ -618,6 +644,8 @@ def _eval_over_range(matrix, v, count, env, budget, universal):
     env2[v] = count - 1
     if (count > _VECTORIZE_MIN and _quantifier_free(matrix)
             and _fits_int64(matrix, env2)):
+        if np is None:
+            import numpy as np
         for lo in range(0, count, _VECTOR_CHUNK):
             env2[v] = np.arange(lo, min(lo + _VECTOR_CHUNK, count), dtype=np.int64)
             res = np.asarray(_vec_formula(matrix, env2))

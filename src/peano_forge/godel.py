@@ -150,17 +150,26 @@ def desugar(f):
 
 
 def term_tokens(t):
-    if isinstance(t, Zero):
-        return ["0"]
-    if isinstance(t, One):
-        return ["1"]
-    if isinstance(t, Var):
-        return [f"x{t.index}"]
-    if isinstance(t, Add):
-        return ["("] + term_tokens(t.left) + ["+"] + term_tokens(t.right) + [")"]
-    if isinstance(t, Mul):
-        return ["("] + term_tokens(t.left) + ["·"] + term_tokens(t.right) + [")"]
-    raise TypeError(f"not a term: {t!r}")
+    # an explicit stack of nodes and pending tokens, so the depth of a term
+    # such as numeral(1000) costs neither recursion nor list copies
+    tokens = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            tokens.append(t)
+        elif isinstance(t, Zero):
+            tokens.append("0")
+        elif isinstance(t, One):
+            tokens.append("1")
+        elif isinstance(t, Var):
+            tokens.append(f"x{t.index}")
+        elif isinstance(t, (Add, Mul)):
+            tokens.append("(")
+            stack += (")", t.right, "+" if isinstance(t, Add) else "·", t.left)
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return tokens
 
 
 def _formula_tokens(f):

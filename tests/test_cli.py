@@ -33,6 +33,15 @@ def test_parse_json(capsys):
     }
 
 
+def test_parse_deep_nesting_is_a_syntax_error(capsys):
+    # the parser's nesting budget, not the interpreter's recursion limit,
+    # turns these away
+    for text in ("(" * 3000 + "0 = 0" + ")" * 3000, "!" * 3000 + "0 = 0"):
+        code, out, err = run_cli(capsys, "parse", text)
+        assert (code, out) == (1, "")
+        assert err == "error: SyntaxError: at byte 100: nesting deeper than 100 levels\n"
+
+
 # --- encode / decode ---
 
 def test_encode_decode_formula(capsys):

@@ -68,6 +68,27 @@ def test_parse_error_carries_offset_and_expected():
         parse("0 = 0 0")
 
 
+def test_parse_nesting_budget():
+    # every kind of nesting level is accepted up to the budget without a
+    # RecursionError, here deep inside pytest's own stack, and one level
+    # more is a ParseError at the byte offset of the token that opens it
+    import peano_forge.formula as fm
+    n = fm._MAX_NESTING
+    for nest, opened_at in (
+        (lambda k: "(" * k + "0 = 0" + ")" * k, n),
+        (lambda k: "(" * k + "x0" + ")" * k + " = 0", n),
+        (lambda k: "0 = " + "(" * k + "0" + ")" * k, 4 + n),
+        (lambda k: "!" * k + "0 = 0", n),
+        (lambda k: "forall x0 " * k + "0 = 0", 10 * n),
+        (lambda k: "0 = 0 -> " * k + "0 = 0", 9 * n + 6),
+    ):
+        parse(nest(n))
+        with pytest.raises(ParseError) as ei:
+            parse(nest(n + 1))
+        assert ei.value.offset == opened_at
+        assert str(ei.value) == f"at byte {opened_at}: nesting deeper than {n} levels"
+
+
 def test_render_examples():
     assert render(Eq(Zero(), Zero())) == "(0 = 0)"
     assert render(numeral(2)) == "(1 + 1)"
@@ -307,6 +328,25 @@ def test_unbound_variable_in_bounded_matrix():
             f = quant(0, combine(le_guard(0, numeral(n)), Lt(Var(0), Var(1))))
             with pytest.raises(UnboundVariable):
                 eval_nat(f, {}, 5)
+
+
+def test_numpy_is_imported_by_the_first_vectorized_range():
+    # in a fresh process, Prim at x = 31 bounds each range by 32 values and
+    # stays scalar; at x = 97 its divisor search runs on numpy
+    import os
+    import subprocess
+    import sys
+
+    import peano_forge
+    path = [os.path.dirname(os.path.dirname(peano_forge.__file__)),
+            os.path.dirname(__file__)]
+    probe = ("import sys; from helpers import prim_formula; "
+             "from peano_forge import eval_nat; "
+             "print([(eval_nat(prim_formula(), {0: x}, 10), 'numpy' in sys.modules) "
+             "for x in (31, 97)])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    assert (proc.returncode, proc.stdout) == (0, "[(True, False), (True, True)]\n")
 
 
 def test_eval_nat_big_values_fall_back_exactly():

@@ -29,12 +29,14 @@ from peano_forge import (
     encode_term,
     is_seq_code,
     nth_prime,
+    numeral,
     pair,
     seq_at,
     seq_concat,
     seq_long,
     unpair,
 )
+from peano_forge.godel import token_code
 from helpers import random_formula, sieve
 from oracles import factorial_mu_prime_chain
 
@@ -92,6 +94,15 @@ def test_pair_bijection_samples():
 def test_encode_golden_values():
     assert encode_formula(Eq(Zero(), Zero())) == 2430
     assert encode_term(Var(0)) == 2 ** 11
+
+
+def test_encode_term_deep_numeral():
+    # numeral(1000) nests 999 additions; its token string is built here
+    tokens = ["("] * 999 + ["1"] + ["+", "1", ")"] * 999
+    code = 1
+    for i, tok in enumerate(tokens):
+        code *= nth_prime(i) ** token_code(tok)
+    assert encode_term(numeral(1000)) == code
 
 
 def test_lt_encodes_as_its_desugared_form():

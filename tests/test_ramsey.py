@@ -185,6 +185,33 @@ def test_import_loads_no_process_pool():
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
+def test_commands_load_no_numpy():
+    # numpy is imported only when a bounded range is vectorized, so neither
+    # the package import nor these commands pay for it
+    import os
+    import subprocess
+    import sys
+
+    import peano_forge
+    src = os.path.dirname(os.path.dirname(peano_forge.__file__))
+    for args, out in (
+        (["-c", "import peano_forge"], ""),
+        (["-m", "peano_forge", "pair", "1", "2"], "8\n"),
+        (["-m", "peano_forge", "ramsey", "--m", "6", "--k", "3", "--r", "2", "--n", "2"],
+         "true\n"),
+        (["-m", "peano_forge", "parse", "forall x1 (x1 < x0 -> exists x2 (x2 < x1 & x0 = x2))"],
+         "ForAll(1, Implies(Lt(Var(1), Var(0)), Exists(2, And(Lt(Var(2), Var(1)), "
+         "Eq(Var(0), Var(2))))))\n"),
+    ):
+        proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        loaded = {line.rsplit("|", 1)[-1].strip().split(".")[0]
+                  for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        assert (proc.returncode, proc.stdout) == (0, out), args
+        assert "peano_forge" in loaded and "numpy" not in loaded, args
+
+
 def test_search_space_cap():
     with pytest.raises(SearchSpaceTooLarge) as ei:
         arrow(6, 3, 2, 2, cap=100)
