@@ -197,8 +197,8 @@ class _Parser:
             self._fail({tok})
         self.pos += 1
 
-    def _nested(self, parse, opened_at):
-        # parse one nesting level; opened_at is the index of its opening token
+    def _nested(self, rule, opened_at):
+        # run rule for one nesting level; opened_at indexes its opening token
         if self.depth == _MAX_NESTING:
             off = self._byte_offset(opened_at)
             raise ParseError(
@@ -207,7 +207,7 @@ class _Parser:
             )
         self.depth += 1
         try:
-            return parse()
+            return rule()
         finally:
             self.depth -= 1
 
