@@ -6,7 +6,7 @@ propositional connectives, and quantifiers over variables x0, x1, ...
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import (
     BudgetExceeded,
@@ -322,28 +322,25 @@ class _Parser:
         self._fail({"0", "1", "(", "variable"})
 
 
-def parse(text):
-    """Parse formula text into its AST; raises ParseError on bad input."""
+def _parse_with(text, rule):
     p = _Parser(text)
     try:
-        f = p.formula()
+        node = rule(p)
         if p.pos != len(p.tokens):
             p._fail({"end of input"})
-        return f
+        return node
     except _Retry:
         raise p.error() from None
+
+
+def parse(text):
+    """Parse formula text into its AST; raises ParseError on bad input."""
+    return _parse_with(text, _Parser.formula)
 
 
 def parse_term(text):
     """Parse a bare term (used by tooling; formulas go through parse)."""
-    p = _Parser(text)
-    try:
-        t = p.term()
-        if p.pos != len(p.tokens):
-            p._fail({"end of input"})
-        return t
-    except _Retry:
-        raise p.error() from None
+    return _parse_with(text, _Parser.term)
 
 
 # ---------------------------------------------------------------------------
@@ -354,64 +351,60 @@ def parse_term(text):
 # operator of each binary node, as render prints it
 _BINARY = {Add: "+", Mul: "*", Eq: "=", Lt: "<", And: "&", Or: "|", Implies: "->"}
 
+# each node class, with the format render prints it in
+_RENDER = {
+    Zero: "0", One: "1", Var: "x{}", Not: "!{}",
+    ForAll: "forall x{} ({})", Exists: "exists x{} ({})",
+    **{cls: f"({{}} {op} {{}})" for cls, op in _BINARY.items()},
+}
+
+# field names of each node class, in declaration order
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _RENDER}
+
+
+def _fold(node, visit):
+    """Bottom-up fold without recursion: visit(x, args) runs once for every
+    node x, children first, where args lists the fields of x in declaration
+    order with each child node replaced by its result (the variable index of
+    Var and of a quantifier passes through as an int)."""
+    if type(node) not in _FIELDS:
+        raise TypeError(f"not an AST node: {node!r}")
+    done = []
+    stack = [node]
+    while stack:
+        x = stack.pop()
+        if type(x) is int:
+            done.append(x)
+        elif type(x) is tuple:
+            x, n = x
+            args = done[len(done) - n:]
+            del done[len(done) - n:]
+            done.append(visit(x, args))
+        else:
+            names = _FIELDS.get(type(x))
+            if names is None:
+                raise TypeError(f"not an AST node: {x!r}")
+            stack.append((x, len(names)))
+            stack += [getattr(x, name) for name in reversed(names)]
+    return done[0]
+
 
 def render(node):
     """Fully parenthesized canonical text; parse(render(f)) == f."""
-    op = _BINARY.get(type(node))
-    if op is not None:
-        return f"({render(node.left)} {op} {render(node.right)})"
-    if isinstance(node, Zero):
-        return "0"
-    if isinstance(node, One):
-        return "1"
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Not):
-        return f"!{render(node.body)}"
-    if isinstance(node, ForAll):
-        return f"forall x{node.var} ({render(node.body)})"
-    if isinstance(node, Exists):
-        return f"exists x{node.var} ({render(node.body)})"
-    raise TypeError(f"not an AST node: {node!r}")
+    return _fold(node, lambda x, args: _RENDER[type(x)].format(*args))
 
 
 def ast_text(node):
     """Compact constructor-style rendering of an AST, e.g. Eq(Zero, Zero)."""
-    if isinstance(node, (Zero, One)):
-        return type(node).__name__
-    if isinstance(node, Var):
-        return f"Var({node.index})"
-    if type(node) in _BINARY:
-        name = type(node).__name__
-        return f"{name}({ast_text(node.left)}, {ast_text(node.right)})"
-    if isinstance(node, Not):
-        return f"Not({ast_text(node.body)})"
-    if isinstance(node, (ForAll, Exists)):
-        return f"{type(node).__name__}({node.var}, {ast_text(node.body)})"
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-_JSON_KIND = {
-    Zero: "zero", One: "one", Var: "var", Add: "add", Mul: "mul",
-    Eq: "eq", Lt: "lt", Not: "not", And: "and", Or: "or",
-    Implies: "implies", ForAll: "forall", Exists: "exists",
-}
+    def visit(x, args):
+        name = type(x).__name__
+        return f"{name}({', '.join(map(str, args))})" if args else name
+    return _fold(node, visit)
 
 
 def to_json(node):
     """Tagged-union JSON export with fields "kind" and "args"."""
-    kind = _JSON_KIND[type(node)]
-    if isinstance(node, (Zero, One)):
-        args = []
-    elif isinstance(node, Var):
-        args = [node.index]
-    elif isinstance(node, Not):
-        args = [to_json(node.body)]
-    elif isinstance(node, (ForAll, Exists)):
-        args = [node.var, to_json(node.body)]
-    else:
-        args = [to_json(node.left), to_json(node.right)]
-    return {"kind": kind, "args": args}
+    return _fold(node, lambda x, args: {"kind": type(x).__name__.lower(), "args": args})
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,14 @@ from .formula import (
     Eq,
     Exists,
     ForAll,
+    Formula,
     Implies,
     Lt,
     Mul,
     Not,
     One,
     Or,
+    Term,
     Var,
     Zero,
     _fresh_index,
@@ -111,15 +113,6 @@ def token_code(tok):
     raise ValueError(f"unknown symbol {tok!r}")
 
 
-def code_token(code):
-    if code >= 11:
-        return f"x{code - 11}"
-    sym = _CODE_SYMBOLS.get(code)
-    if sym is None:
-        raise NotACode(f"{code} is not a symbol code")
-    return sym
-
-
 # ---------------------------------------------------------------------------
 # Desugaring into the coding alphabet
 # ---------------------------------------------------------------------------
@@ -149,40 +142,47 @@ def desugar(f):
     raise TypeError(f"not a formula: {f!r}")
 
 
-def term_tokens(t):
-    # an explicit stack of nodes and pending tokens, so the depth of a term
-    # such as numeral(1000) costs neither recursion nor list copies
+def _tokens(node):
+    # the token string of a term, or of a desugared formula, from an explicit
+    # stack of nodes and pending tokens: deep trees cost neither recursion nor
+    # list copies.  While a term is being written, anything but a term node is
+    # out of place; None on the stack marks where the sides of an Eq end.
     tokens = []
-    stack = [t]
+    stack = [node]
+    in_term = isinstance(node, Term)
     while stack:
-        t = stack.pop()
-        if isinstance(t, str):
-            tokens.append(t)
-        elif isinstance(t, Zero):
+        x = stack.pop()
+        t = type(x)
+        if t is str:
+            tokens.append(x)
+        elif t is Zero:
             tokens.append("0")
-        elif isinstance(t, One):
+        elif t is One:
             tokens.append("1")
-        elif isinstance(t, Var):
-            tokens.append(f"x{t.index}")
-        elif isinstance(t, (Add, Mul)):
+        elif t is Var:
+            tokens.append(f"x{x.index}")
+        elif t is Add or t is Mul:
             tokens.append("(")
-            stack += (")", t.right, "+" if isinstance(t, Add) else "·", t.left)
+            stack += (")", x.right, "+" if t is Add else "·", x.left)
+        elif x is None:
+            in_term = False
+        elif in_term:
+            raise TypeError(f"not a term: {x!r}")
+        elif t is Eq:
+            stack += (None, x.right, "=", x.left)
+            in_term = True
+        elif t is Not:
+            tokens.append("¬")
+            stack.append(x.body)
+        elif t is Implies:
+            tokens.append("(")
+            stack += (")", x.right, "→", x.left)
+        elif t is ForAll:
+            tokens += ("∀", f"x{x.var}")
+            stack.append(x.body)
         else:
-            raise TypeError(f"not a term: {t!r}")
+            raise TypeError(f"not a desugared formula: {x!r}")
     return tokens
-
-
-def _formula_tokens(f):
-    # caller must desugar first; only the coding alphabet is rendered
-    if isinstance(f, Eq):
-        return term_tokens(f.left) + ["="] + term_tokens(f.right)
-    if isinstance(f, Not):
-        return ["¬"] + _formula_tokens(f.body)
-    if isinstance(f, Implies):
-        return ["("] + _formula_tokens(f.left) + ["→"] + _formula_tokens(f.right) + [")"]
-    if isinstance(f, ForAll):
-        return ["∀", f"x{f.var}"] + _formula_tokens(f.body)
-    raise ValueError(f"node outside the coding alphabet: {f!r}")
 
 
 def _encode_tokens(tokens):
@@ -194,12 +194,14 @@ def _encode_tokens(tokens):
 
 def encode_formula(f):
     """Goedel code of the canonical token string of the desugared formula."""
-    return _encode_tokens(_formula_tokens(desugar(f)))
+    return _encode_tokens(_tokens(desugar(f)))
 
 
 def encode_term(t):
     """Goedel code of a term's token string."""
-    return _encode_tokens(term_tokens(t))
+    if not isinstance(t, Term):
+        raise TypeError(f"not a term: {t!r}")
+    return _encode_tokens(_tokens(t))
 
 
 def _remove_factor(a, p):
@@ -241,83 +243,71 @@ def _contiguous_exponents(a):
     return exps
 
 
-class _NoParse(Exception):
-    pass
-
-
-def _dec_term(toks, i):
-    if i >= len(toks):
-        raise _NoParse
-    tok = toks[i]
-    if tok == "0":
-        return Zero(), i + 1
-    if tok == "1":
-        return One(), i + 1
-    if tok[0] == "x" and len(tok) > 1:
-        return Var(int(tok[1:])), i + 1
-    if tok == "(":
-        t1, j = _dec_term(toks, i + 1)
-        if j >= len(toks) or toks[j] not in ("+", "·"):
-            raise _NoParse
-        op = toks[j]
-        t2, k = _dec_term(toks, j + 1)
-        if k >= len(toks) or toks[k] != ")":
-            raise _NoParse
-        node = Add(t1, t2) if op == "+" else Mul(t1, t2)
-        return node, k + 1
-    raise _NoParse
-
-
-def _dec_atom(toks, i):
-    t1, j = _dec_term(toks, i)
-    if j >= len(toks) or toks[j] != "=":
-        raise _NoParse
-    t2, k = _dec_term(toks, j + 1)
-    return Eq(t1, t2), k
-
-
-def _dec_formula(toks, i):
-    if i >= len(toks):
-        raise _NoParse
-    tok = toks[i]
-    if tok == "¬":
-        f, j = _dec_formula(toks, i + 1)
-        return Not(f), j
-    if tok == "∀":
-        if i + 1 >= len(toks):
-            raise _NoParse
-        vtok = toks[i + 1]
-        if vtok[0] != "x" or len(vtok) < 2:
-            raise _NoParse
-        f, j = _dec_formula(toks, i + 2)
-        return ForAll(int(vtok[1:]), f), j
-    if tok == "(":
-        try:
-            f1, j = _dec_formula(toks, i + 1)
-            if j < len(toks) and toks[j] == "→":
-                f2, k = _dec_formula(toks, j + 1)
-                if k < len(toks) and toks[k] == ")":
-                    return Implies(f1, f2), k + 1
-            raise _NoParse
-        except _NoParse:
-            pass
-    return _dec_atom(toks, i)
+def _close(stack):
+    # the node that ")" completes on top of stack, popping "(" left op right;
+    # None when the top does not read so
+    if len(stack) < 4 or stack[-4] != "(":
+        return None
+    left, op, right = stack[-3:]
+    if op == "→" and isinstance(left, Formula) and isinstance(right, Formula):
+        node = Implies(left, right)
+    elif op == "+" and isinstance(left, Term) and isinstance(right, Term):
+        node = Add(left, right)
+    elif op == "·" and isinstance(left, Term) and isinstance(right, Term):
+        node = Mul(left, right)
+    else:
+        return None
+    del stack[-4:]
+    return node
 
 
 def decode_formula(code):
     """Inverse of encode_formula on the desugared alphabet.  NotACode on a
-    prime-support gap, an unknown symbol code, or an ungrammatical string."""
+    prime-support gap or an ungrammatical string."""
     exps = _contiguous_exponents(code)
     if not exps:
         raise NotACode("the empty string is not a formula")
-    toks = [code_token(e) for e in exps]
-    try:
-        f, j = _dec_formula(toks, 0)
-    except _NoParse:
-        raise NotACode("token string is not a formula") from None
-    if j != len(toks):
+    # Shift-reduce: every term and formula of the alphabet is complete at its
+    # last token, so it is reduced there and nothing is ever retried.  The
+    # stack holds symbols, nodes, and the bare index of a quantifier variable.
+    stack = []
+    tok = None
+    for e in exps:
+        prev, tok = tok, _CODE_SYMBOLS.get(e)
+        if tok is None:  # exponents are >= 1, so this is the variable x_(e-11)
+            if prev == "∀":
+                stack.append(e - 11)
+                continue
+            x = Var(e - 11)
+        elif tok == "0":
+            x = Zero()
+        elif tok == "1":
+            x = One()
+        elif tok != ")" or (x := _close(stack)) is None:
+            stack.append(tok)
+            continue
+        # x is complete: fold it into the constructs that it closes
+        while stack:
+            top = stack[-1]
+            if isinstance(x, Term):
+                if top != "=" or len(stack) < 2 or not isinstance(stack[-2], Term):
+                    break
+                x = Eq(stack[-2], x)
+                del stack[-2:]
+            elif top == "¬":
+                x = Not(x)
+                stack.pop()
+            elif type(top) is int:
+                x = ForAll(top, x)
+                del stack[-2:]
+            else:
+                break
+        stack.append(x)
+    if not isinstance(stack[0], Formula):
+        raise NotACode("token string is not a formula")
+    if len(stack) > 1:
         raise NotACode("trailing symbols after a complete formula")
-    return f
+    return stack[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import json
 import sys
 
-from peano_forge import Partition, partition_to_text
+from peano_forge import Partition, parse, partition_to_text, render
 from peano_forge.cli import main
 
 
@@ -43,6 +43,19 @@ def test_parse_deep_nesting_is_a_syntax_error(capsys):
 
 
 # --- encode / decode ---
+
+def test_deep_flat_sum_parses_encodes_and_decodes(capsys):
+    # flat text, but the parser builds it 1500 levels deep; its code has
+    # about 114000 digits, past the int/str limit that main lifts
+    text = "0 = 1" + " + 1" * 1500
+    code, out, err = run_cli(capsys, "parse", text)
+    assert (code, err) == (0, "")
+    assert out.startswith("Eq(Zero, " + "Add(" * 1500 + "One, One)")
+    code, out, err = run_cli(capsys, "encode", "formula", text)
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, "decode", "formula", out.strip())
+    assert (code, out, err) == (0, render(parse(text)) + "\n", "")
+
 
 def test_encode_decode_formula(capsys):
     code, out, _ = run_cli(capsys, "encode", "formula", "(0 = 0)")

@@ -20,9 +20,11 @@ from peano_forge import (
     Or,
     ParseError,
     QuantClass,
+    Term,
     UnboundVariable,
     Var,
     Zero,
+    ast_text,
     classify_prenex,
     eval_nat,
     eval_term,
@@ -33,6 +35,7 @@ from peano_forge import (
     parse,
     render,
     substitute,
+    to_json,
 )
 from helpers import le_guard, prim_formula, random_formula, sieve
 
@@ -100,6 +103,30 @@ def test_parse_render_round_trip_random():
     for _ in range(300):
         f = random_formula(rng, rng.randint(0, 5))
         assert parse(render(f)) == f
+
+
+def test_printers_walk_deep_trees():
+    # the parser's loop builds this flat sum left-nested, 1500 levels deep;
+    # the printers walk it without recursion (parse(render(f)) would exceed
+    # the nesting budget, and == on such a tree recurses, so no round trip)
+    f = parse("0 = 1" + " + 1" * 1500)
+    assert render(f) == "(0 = " + "(" * 1500 + "1" + " + 1)" * 1500 + ")"
+    assert ast_text(f) == "Eq(Zero, " + "Add(" * 1500 + "One" + ", One)" * 1500 + ")"
+    one = {"kind": "one", "args": []}
+    node = to_json(f)
+    assert node["kind"] == "eq" and node["args"][0] == {"kind": "zero", "args": []}
+    node = node["args"][1]
+    for _ in range(1500):
+        assert node["kind"] == "add" and node["args"][1] == one
+        node = node["args"][0]
+    assert node == one
+
+
+def test_printers_reject_non_nodes():
+    for bad in (3, Term(), Add(One(), "1")):
+        for printer in (render, ast_text, to_json):
+            with pytest.raises(TypeError):
+                printer(bad)
 
 
 # --- numerals ---

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from peano_forge import (
     Add,
@@ -31,6 +32,7 @@ from peano_forge import (
     nth_prime,
     numeral,
     pair,
+    render,
     seq_at,
     seq_concat,
     seq_long,
@@ -136,6 +138,32 @@ def test_formula_codec_round_trip_random():
     for _ in range(200):
         f = random_formula(rng, rng.randint(0, 4))
         assert decode_formula(encode_formula(f)) == desugar(f)
+
+
+def test_decode_deep_formula():
+    # the term nests 999 additions; == on it would recurse, so compare text
+    f = Eq(numeral(1000), Zero())
+    assert render(decode_formula(encode_formula(f))) == render(f)
+
+
+def test_encode_term_rejects_non_terms():
+    for bad in (Eq(Zero(), Zero()), 3, Add(One(), Eq(Zero(), Zero()))):
+        with pytest.raises(TypeError):
+            encode_term(bad)
+
+
+@given(st.lists(st.integers(1, 14), max_size=12))
+def test_decode_formula_accepts_exactly_its_own_codes(symbols):
+    # any string over the symbol codes: either NotACode, or a formula whose
+    # encoding is that very code
+    code = 1
+    for i, e in enumerate(symbols):
+        code *= nth_prime(i) ** e
+    try:
+        f = decode_formula(code)
+    except NotACode:
+        return
+    assert encode_formula(f) == code
 
 
 # --- sequence codes ---
