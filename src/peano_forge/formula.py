@@ -232,11 +232,15 @@ class _Parser:
         return int(tok[1:])
 
     def _implication(self):
-        left = self._disjunction()
-        if self._peek() == "->":
+        # right-associative: read the chain, then fold it from the right
+        parts = [self._disjunction()]
+        while self._peek() == "->":
             self.pos += 1
-            return Implies(left, self._nested(self.formula, self.pos - 1))
-        return left
+            parts.append(self._disjunction())
+        f = parts.pop()
+        while parts:
+            f = Implies(parts.pop(), f)
+        return f
 
     def _disjunction(self):
         f = self._conjunction()

@@ -6,6 +6,19 @@ Fuel accounting: one unit per node visit plus one per minimization step, so
 BudgetExhausted outcomes are machine-independent.  The evaluator never claims
 a function value is undefined; a search that does not finish within fuel is
 reported as BudgetExhausted.
+
+Only exhaustion is observable: the outcome is a Value exactly when the total
+cost is at most the fuel.  So the evaluator charges a computation whose cost
+it knows in one step, and the least sufficient fuel is that of a walk node
+by node.  Each definition object is compiled once into closures, kept on the
+object.  Nodes whose value and cost are affine in their arguments (ZeroFn,
+Succ, Proj and compositions of them) are computed by formula.  A PrimRec
+whose step adds a fixed amount to the accumulator at a fixed cost (add, mul)
+charges its loop at once, and one whose step ignores the accumulator at a
+fixed cost (pred, sg) returns its last step directly.  Inside a loop body,
+the looping functions a composition applies are memoized for the rest of
+the call with the cost they were charged, at most _MEMO_CAP entries at a
+time.
 """
 
 from __future__ import annotations
@@ -13,9 +26,11 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import ArityMismatch, IllFormed, NotCoprime, ParseError, UnknownName
+from .formula import _MAX_NESTING
 
 # ---------------------------------------------------------------------------
 # Definition trees
@@ -24,7 +39,10 @@ from .errors import ArityMismatch, IllFormed, NotCoprime, ParseError, UnknownNam
 
 @dataclass(frozen=True)
 class PRDef:
-    pass
+    def __getstate__(self):
+        # the evaluator keeps each node's compiled form on it; that is a
+        # cache of closures, not part of the definition
+        return {k: v for k, v in self.__dict__.items() if k != "_code"}
 
 
 @dataclass(frozen=True)
@@ -139,51 +157,248 @@ class _OutOfFuel(Exception):
     pass
 
 
+# entries one evaluation may keep in its memo before the memo is cleared
+_MEMO_CAP = 4096
+
+
 def eval_def(d, args, fuel):
-    """Evaluate d on args within the given fuel.
+    """Evaluate d on args (naturals) within the given fuel.
 
     Returns Value(v) when the result is found in time and BudgetExhausted
     otherwise; composition is strict in every argument.
     """
-    k = arity(d)
-    if len(args) != k:
-        raise ArityMismatch(f"definition takes {k} arguments, got {len(args)}")
-    cell = [fuel]
+    code = _code(d, False)
+    args = tuple(args)
+    if len(args) != code.arity:
+        raise ArityMismatch(f"definition takes {code.arity} arguments, got {len(args)}")
+    for x in args:
+        if not isinstance(x, int) or x < 0:
+            raise ValueError(f"arguments must be naturals, got {list(args)}")
+    call = [fuel, {}]  # fuel left, and the memo of this evaluation
     try:
-        return Value(_ev(d, tuple(args), cell))
+        return Value(code.run(args, call))
     except _OutOfFuel:
         return BudgetExhausted()
 
 
-def _ev(d, args, cell):
-    cell[0] -= 1
-    if cell[0] < 0:
-        raise _OutOfFuel
+# The compiled form of a node: its arity; run(args, call), which returns the
+# value and charges the node's cost to call[0]; summary, None or the pair
+# (value, cost) of coefficient tuples (c0, c1, ..., ck), each standing for
+# c0 + c1*x1 + ... + ck*xk over the naturals x1..xk; and loops, whether run
+# can iterate, so that remembering its results can pay.
+_Code = namedtuple("_Code", "arity run summary loops")
+
+
+def _code(d, in_loop):
+    """The compiled form of d, built once per definition object and kept on
+    it.  in_loop says d runs inside a loop body (a PrimRec step or a search
+    predicate), where a composition memoizes a head that loops."""
+    codes = getattr(d, "_code", None)
+    if codes is None:
+        arity(d)  # surfaces IllFormed before anything is compiled
+        codes = d.__dict__["_code"] = [None, None]  # out of and in a loop body
+    code = codes[in_loop]
+    if code is None:
+        code = codes[in_loop] = _compile(d, in_loop)
+        if not code.loops:  # it memoizes nothing, in a loop body or not
+            codes[not in_loop] = code
+    return code
+
+
+def _compile(d, in_loop):
     tp = type(d)
     if tp is ZeroFn:
-        return 0
+        return _summarized(1, (0, 0), (1, 0))
     if tp is Succ:
-        return args[0] + 1
+        return _summarized(1, (1, 1), (1, 0))
     if tp is Proj:
-        return args[d.i - 1]
+        return _summarized(d.n, _unit(d.n, d.i), _unit(d.n, 0))
     if tp is Comp:
-        vals = tuple(_ev(g, args, cell) for g in d.gs)
-        return _ev(d.f, vals, cell)
+        f = _code(d.f, in_loop)
+        gs = [_code(g, in_loop) for g in d.gs]
+        k = gs[0].arity
+        if f.summary and all(g.summary for g in gs):
+            # f's value and cost are affine in the values of the gs, which
+            # are affine in the arguments
+            gv = [g.summary[0] for g in gs]
+            cost = _compose(f.summary[1], gv, k)
+            for g in gs:
+                cost = _plus(cost, g.summary[1])
+            return _summarized(k, _compose(f.summary[0], gv, k),
+                               _plus(cost, _unit(k, 0)))
+        # inside a loop body the head sees the values of the gs, which
+        # recur across iterations where the loop's own arguments do not
+        head = _memoized(f.run) if in_loop and f.loops else f.run
+        run = _comp(head, [g.run for g in gs])
+        return _Code(k, run, None, f.loops or any(g.loops for g in gs))
     if tp is PrimRec:
-        xs = args[:-1]
-        acc = _ev(d.base, xs, cell)
-        for i in range(args[-1]):
-            acc = _ev(d.step, xs + (i, acc), cell)
-        return acc
+        base = _code(d.base, in_loop)
+        step = _code(d.step, True)
+        n = base.arity
+        # step coefficients: constant, xs (n of them), i, acc; a step whose
+        # cost reads neither i nor acc costs the same on every iteration
+        if step.summary and not any(step.summary[1][n + 1:]):
+            sv, sc = step.summary
+            per_step = sc[:n + 1] + (0,)  # over (xs, y)
+            if sv[n + 1] == 0 and sv[n + 2] == 1:
+                # accumulating: h(xs, y) = base(xs) + y*gain(xs)
+                gain = sv[:n + 1] + (0,)
+                if base.summary and not any(gain[1:]) and not any(per_step[1:]):
+                    bv, bc = base.summary
+                    return _summarized(n + 1, bv + (gain[0],),
+                                       (bc[0] + 1,) + bc[1:] + (per_step[0],))
+                run = _accumulate(base.run, gain, per_step)
+                return _Code(n + 1, run, None, base.loops)
+            if sv[n + 2] == 0:
+                # forgetting: h(xs, y) = step(xs, y-1, .) once y > 0
+                last = (sv[0] - sv[n + 1],) + sv[1:n + 2]
+                run = _forget(base.run, last, per_step)
+                return _Code(n + 1, run, None, base.loops)
+        return _Code(n + 1, _primrec(base.run, step.run), None, True)
     if tp is BoundedMu or tp is Mu:
-        for y in range(args[-1]) if tp is BoundedMu else itertools.count():
-            cell[0] -= 1
-            if cell[0] < 0:
-                raise _OutOfFuel
-            if _ev(d.g, args + (y,), cell) == 0:
-                return y
-        return args[-1]  # only the bounded search runs out
+        g = _code(d.g, True)
+        return _Code(g.arity - 1, _search(g.run, tp is BoundedMu), None, True)
     raise IllFormed(f"not a definition node: {d!r}")
+
+
+def _unit(k, j):
+    """Coefficients of x_j over k arguments (j = 0: the constant 1)."""
+    return tuple(int(t == j) for t in range(k + 1))
+
+
+def _plus(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _compose(outer, inner, k):
+    """Coefficients of outer(inner_1(x), ..., inner_m(x)) over x."""
+    out = (outer[0],) + (0,) * k
+    for a, g in zip(outer[1:], inner):
+        out = _plus(out, tuple(a * c for c in g))
+    return out
+
+
+def _affine(c):
+    """A function from an argument tuple to c0 + c1*x1 + ... + ck*xk."""
+    c0 = c[0]
+    terms = [(j - 1, cj) for j, cj in enumerate(c) if j and cj]
+    if not terms:
+        return lambda a: c0
+    if len(terms) == 1:
+        (j, cj), = terms
+        if cj == 1:
+            return lambda a: a[j] + c0
+        return lambda a: cj * a[j] + c0
+    return lambda a: c0 + sum([cj * a[j] for j, cj in terms])
+
+
+def _summarized(k, value, cost):
+    """A node computed and charged by its affine value and cost forms."""
+    val = _affine(value)
+    if any(cost[1:]):
+        price = _affine(cost)
+
+        def run(a, call):
+            call[0] -= price(a)
+            if call[0] < 0:
+                raise _OutOfFuel
+            return val(a)
+    else:
+        c = cost[0]
+
+        def run(a, call):
+            call[0] -= c
+            if call[0] < 0:
+                raise _OutOfFuel
+            return val(a)
+    return _Code(k, run, (value, cost), False)
+
+
+def _memoized(run):
+    """run with its results remembered for the rest of one evaluation; a
+    hit charges the cost the first evaluation was charged."""
+    def memo_run(a, call):
+        memo = call[1]
+        key = (run, a)
+        hit = memo.get(key)
+        if hit is None:
+            left = call[0]
+            v = run(a, call)
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[key] = (v, left - call[0])
+            return v
+        v, cost = hit
+        call[0] -= cost
+        if call[0] < 0:
+            raise _OutOfFuel
+        return v
+    return memo_run
+
+
+def _comp(f, gs):
+    def run(a, call):
+        call[0] -= 1
+        if call[0] < 0:
+            raise _OutOfFuel
+        return f(tuple([g(a, call) for g in gs]), call)
+    return run
+
+
+def _accumulate(base, gain, per_step):
+    """h(xs, y) = base(xs) + y*gain(xs), y steps of cost per_step(xs)."""
+    gain, per_step = _affine(gain), _affine(per_step)
+
+    def run(a, call):
+        y = a[-1]
+        call[0] -= 1 + y * per_step(a)
+        if call[0] < 0:
+            raise _OutOfFuel
+        return base(a[:-1], call) + y * gain(a)
+    return run
+
+
+def _forget(base, last, per_step):
+    """h(xs, 0) = base(xs), h(xs, y) = last(xs, y) for y > 0, y steps of
+    cost per_step(xs); base is evaluated either way, as the loop would."""
+    last, per_step = _affine(last), _affine(per_step)
+
+    def run(a, call):
+        y = a[-1]
+        call[0] -= 1 + y * per_step(a)
+        if call[0] < 0:
+            raise _OutOfFuel
+        v = base(a[:-1], call)
+        return last(a) if y else v
+    return run
+
+
+def _primrec(base, step):
+    def run(a, call):
+        call[0] -= 1
+        if call[0] < 0:
+            raise _OutOfFuel
+        xs = a[:-1]
+        acc = base(xs, call)
+        for i in range(a[-1]):
+            acc = step(xs + (i, acc), call)
+        return acc
+    return run
+
+
+def _search(g, bounded):
+    def run(a, call):
+        call[0] -= 1
+        if call[0] < 0:
+            raise _OutOfFuel
+        for y in range(a[-1]) if bounded else itertools.count():
+            call[0] -= 1
+            if call[0] < 0:
+                raise _OutOfFuel
+            if g(a + (y,), call) == 0:
+                return y
+        return a[-1]  # only the bounded search runs out
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +435,12 @@ def parse_def(text):
     (bmu g).  Structural violations raise IllFormed."""
     tokens = _sexpr_tokens(text)
 
+    def byte(pos):
+        return (len(text[: tokens[pos][1]].encode("utf-8"))
+                if pos < len(tokens) else len(text.encode("utf-8")))
+
     def fail(pos, what):
-        off = (len(text[: tokens[pos][1]].encode("utf-8"))
-               if pos < len(tokens) else len(text.encode("utf-8")))
+        off = byte(pos)
         raise ParseError(f"at byte {off}: expected {what}",
                          offset=off, expected=frozenset({what}))
 
@@ -231,7 +449,10 @@ def parse_def(text):
             fail(pos, "more input")
         return tokens[pos][0]
 
+    depth = 0
+
     def read(pos):
+        nonlocal depth
         tok = need(pos)
         if tok == "zero":
             return ZeroFn(), pos + 1
@@ -239,6 +460,18 @@ def parse_def(text):
             return Succ(), pos + 1
         if tok != "(":
             fail(pos, "definition")
+        if depth == _MAX_NESTING:
+            off = byte(pos)
+            raise ParseError(f"at byte {off}: nesting deeper than {_MAX_NESTING} levels",
+                             offset=off)
+        depth += 1
+        try:
+            return form(pos)
+        finally:
+            depth -= 1
+
+    def form(pos):
+        # one parenthesized form, opened at tokens[pos]
         head = need(pos + 1)
         if head == "proj":
             i_tok, n_tok = need(pos + 2), need(pos + 3)

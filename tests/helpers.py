@@ -11,6 +11,7 @@ from peano_forge import (
     ForAll,
     Implies,
     Lt,
+    Mu,
     Mul,
     Not,
     One,
@@ -103,29 +104,30 @@ def sieve(limit):
     return flags
 
 
-def random_prdef(rng, target_arity, depth):
-    """A random Mu-free definition of the requested arity."""
+def random_prdef(rng, target_arity, depth, mu=False):
+    """A random definition of the requested arity, Mu-free unless mu."""
     if depth <= 0 or rng.random() < 0.3:
         if target_arity == 1 and rng.random() < 0.5:
             return rng.choice([ZeroFn(), Succ()])
         return Proj(rng.randint(1, target_arity), target_arity)
-    kind = rng.randrange(3)
+    kind = rng.randrange(4 if mu else 3)
     if kind == 0:
         inner_arity = rng.randint(1, 3)
-        f = random_prdef(rng, inner_arity, depth - 1)
-        gs = tuple(random_prdef(rng, target_arity, depth - 1)
+        f = random_prdef(rng, inner_arity, depth - 1, mu)
+        gs = tuple(random_prdef(rng, target_arity, depth - 1, mu)
                    for _ in range(inner_arity))
         return Comp(f, gs)
     if kind == 1 and target_arity >= 2:
-        base = random_prdef(rng, target_arity - 1, depth - 1)
-        step = random_prdef(rng, target_arity + 1, depth - 1)
+        base = random_prdef(rng, target_arity - 1, depth - 1, mu)
+        step = random_prdef(rng, target_arity + 1, depth - 1, mu)
         return PrimRec(base, step)
-    return BoundedMu(random_prdef(rng, target_arity + 1, depth - 1))
+    ctor = Mu if kind == 3 else BoundedMu
+    return ctor(random_prdef(rng, target_arity + 1, depth - 1, mu))
 
 
-def random_valid_prdef(rng, depth=3):
+def random_valid_prdef(rng, depth=3, mu=False):
     while True:
-        d = random_prdef(rng, rng.randint(1, 3), depth)
+        d = random_prdef(rng, rng.randint(1, 3), depth, mu)
         try:
             arity(d)
         except Exception:

@@ -1,8 +1,9 @@
 """Independent brute-force oracles.
 
 These deliberately share no code with the engine: colorings are enumerated
-as plain products with no canonicalization or pruning, and qualifying sets
-are checked by scanning every subset size.
+as plain products with no canonicalization or pruning, qualifying sets are
+checked by scanning every subset size, and recursive-function trees are run
+by a plain walk that counts fuel step by step.
 """
 
 from itertools import combinations, product
@@ -64,3 +65,52 @@ def factorial_mu_prime_chain(length):
         nxt = bounded_mu(lambda x: x > p and is_prime(x), math.factorial(p) + 1)
         primes.append(nxt)
     return primes
+
+
+class _Starved(Exception):
+    pass
+
+
+def pr_fuel_eval(d, args, fuel):
+    """(value, fuel used) of definition tree d on args, walked node by node
+    with one unit per node visit and one per minimization step; None when
+    the walk needs more than fuel."""
+    used = 0
+
+    def tick():
+        nonlocal used
+        used += 1
+        if used > fuel:
+            raise _Starved
+
+    def walk(d, args):
+        tick()
+        kind = type(d).__name__
+        if kind == "ZeroFn":
+            return 0
+        if kind == "Succ":
+            return args[0] + 1
+        if kind == "Proj":
+            return args[d.i - 1]
+        if kind == "Comp":
+            return walk(d.f, [walk(g, args) for g in d.gs])
+        if kind == "PrimRec":
+            xs = list(args[:-1])
+            acc = walk(d.base, xs)
+            for i in range(args[-1]):
+                acc = walk(d.step, xs + [i, acc])
+            return acc
+        if kind in ("BoundedMu", "Mu"):
+            y = 0
+            while kind == "Mu" or y < args[-1]:
+                tick()
+                if walk(d.g, list(args) + [y]) == 0:
+                    return y
+                y += 1
+            return args[-1]
+        raise TypeError(f"not a definition node: {d!r}")
+
+    try:
+        return walk(d, list(args)), used
+    except _Starved:
+        return None

@@ -164,6 +164,14 @@ def test_pr_eval_arity_mismatch(capsys, tmp_path):
     assert code == 1 and "ArityMismatch" in err
 
 
+def test_pr_eval_deep_nesting_is_a_syntax_error(capsys, tmp_path):
+    path = tmp_path / "deep.pr"
+    for depth, expected in ((100, (0, "100\n", "")), (3000, (
+            1, "", "error: SyntaxError: at byte 1100: nesting deeper than 100 levels\n"))):
+        path.write_text("(comp succ " * depth + "zero" + ")" * depth)
+        assert run_cli(capsys, "pr-eval", str(path), "0") == expected
+
+
 def test_pr_eval_missing_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "pr-eval", str(tmp_path / "nope.pr"), "1")
     assert code == 1 and err

@@ -83,13 +83,20 @@ def test_parse_nesting_budget():
         (lambda k: "0 = " + "(" * k + "0" + ")" * k, 4 + n),
         (lambda k: "!" * k + "0 = 0", n),
         (lambda k: "forall x0 " * k + "0 = 0", 10 * n),
-        (lambda k: "0 = 0 -> " * k + "0 = 0", 9 * n + 6),
     ):
         parse(nest(n))
         with pytest.raises(ParseError) as ei:
             parse(nest(n + 1))
         assert ei.value.offset == opened_at
         assert str(ei.value) == f"at byte {opened_at}: nesting deeper than {n} levels"
+    # a chain of -> is read by a loop and folded to the right, so its length
+    # is not a nesting level
+    f = Eq(Zero(), Zero())
+    for _ in range(150):
+        f = Implies(Eq(Zero(), Zero()), f)
+    chain = parse("0 = 0 -> " * 150 + "0 = 0")
+    assert chain == f
+    assert render(chain) == "((0 = 0) -> " * 150 + "(0 = 0)" + ")" * 150
 
 
 def test_render_examples():

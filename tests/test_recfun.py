@@ -1,7 +1,10 @@
 import math
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peano_forge import (
     ArityMismatch,
@@ -26,6 +29,7 @@ from peano_forge import (
     stdlib_names,
 )
 from helpers import random_valid_prdef, sieve
+from oracles import pr_fuel_eval
 
 ADD = PrimRec(Proj(1, 1), Comp(Succ(), (Proj(3, 3),)))
 FUEL = 10 ** 8
@@ -78,6 +82,12 @@ def test_eval_arity_mismatch():
         eval_def(ADD, [2], FUEL)
 
 
+def test_eval_rejects_non_naturals():
+    for args in ([2, -1], [-3, 0], [1.0, 2]):
+        with pytest.raises(ValueError):
+            eval_def(ADD, args, FUEL)
+
+
 def test_mu_total_when_zero_exists():
     assert eval_def(parse_def("(mu (proj 2 2))"), [9], 1000) == Value(0)
 
@@ -111,6 +121,76 @@ def test_fuel_monotonicity_and_totality_on_random_trees():
     assert checked == 100
 
 
+def _least_fuel(d, args, fuel, value):
+    """fuel is the least that evaluates d on args, to value."""
+    assert eval_def(d, args, fuel) == Value(value), (args, fuel)
+    assert eval_def(d, args, fuel - 1) == BudgetExhausted(), (args, fuel)
+
+
+def _matches_oracle(d, args, fuel):
+    """eval_def agrees with the step-by-step oracle in value and least
+    sufficient fuel, or exhausts with it at fuel."""
+    out = pr_fuel_eval(d, args, fuel)
+    if out is None:
+        assert eval_def(d, args, fuel) == BudgetExhausted(), (d, args)
+    else:
+        _least_fuel(d, args, out[1], out[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), mu=st.booleans())
+def test_eval_matches_fuel_oracle_on_random_trees(seed, mu):
+    rng = random.Random(seed)
+    d = random_valid_prdef(rng, depth=rng.randint(1, 4), mu=mu)
+    _matches_oracle(d, [rng.randrange(6) for _ in range(arity(d))], 20000)
+
+
+def test_eval_matches_fuel_oracle_on_stdlib():
+    for name in stdlib_names():
+        d = stdlib(name)
+        small = range(5) if name in ("factorial", "nth_prime") else range(8)
+        if arity(d) == 1:
+            for x in small:
+                _matches_oracle(d, [x], 10 ** 6)
+        else:
+            for x in small:
+                for y in small:
+                    _matches_oracle(d, [x, y], 10 ** 6)
+
+
+def test_closed_form_fuel_of_add_and_mul():
+    # each loop is charged at once, but the least sufficient fuel is that of
+    # running it step by step: add's step costs 3, mul's step costs 5 + 3x
+    add, mul = stdlib("add"), stdlib("mul")
+    for x in range(31):
+        for y in range(31):
+            _least_fuel(add, [x, y], 2 + 3 * y, x + y)
+            _least_fuel(mul, [x, y], 2 + y * (5 + 3 * x), x * y)
+    big = 10 ** 6
+    _least_fuel(mul, [big, big], 2 + big * (5 + 3 * big), big * big)
+
+
+def test_memo_cap_keeps_fuel_exact(monkeypatch):
+    import peano_forge.recfun as rf
+    # step(x, i, acc) = sub_trunc(i, x): one memoized call per step, each
+    # with new arguments, so the memo fills and is cleared twice
+    sub = stdlib("sub_trunc")
+    loop = PrimRec(ZeroFn(), Comp(sub, (Proj(2, 3), Proj(1, 3))))
+    _matches_oracle(loop, [1, 2 * rf._MEMO_CAP + 1], 10 ** 6)
+    # with a tiny cap the memo is cleared between hits
+    monkeypatch.setattr(rf, "_MEMO_CAP", 3)
+    for n in range(5):
+        _matches_oracle(stdlib("nth_prime"), [n], 10 ** 6)
+    _matches_oracle(loop, [2, 40], 10 ** 6)
+
+
+def test_evaluated_definitions_still_pickle():
+    d = stdlib("nth_prime")
+    eval_def(d, [3], FUEL)
+    copy = pickle.loads(pickle.dumps(d))
+    assert copy == d and eval_def(copy, [3], FUEL) == Value(7)
+
+
 # --- DSL ---
 
 def test_parse_def_examples():
@@ -131,6 +211,18 @@ def test_parse_def_errors():
         parse_def("(comp succ zero zero)")
     with pytest.raises(IllFormed):
         parse_def("(proj 3 2)")
+
+
+def test_parse_def_nesting_budget():
+    # 100 nested forms parse and evaluate inside pytest's own stack; one
+    # more is a ParseError at the byte offset of the form that opens it
+    def nest(k):
+        return "(comp succ " * k + "(proj 1 1)" + ")" * k
+    assert eval_def(parse_def(nest(99)), [5], FUEL) == Value(104)
+    with pytest.raises(ParseError) as ei:
+        parse_def(nest(100))
+    assert ei.value.offset == 1100
+    assert str(ei.value) == "at byte 1100: nesting deeper than 100 levels"
 
 
 # --- standard library ---
