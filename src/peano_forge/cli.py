@@ -124,7 +124,7 @@ def _build_parser():
 
 
 def _nat(text):
-    if not text.lstrip("-").isdigit() or text.startswith("-"):
+    if not text.isdecimal():
         raise UsageError(f"expected a natural number, got {text!r}")
     return int(text)
 

@@ -140,27 +140,49 @@ _WS_RE = re.compile(r"\s*")
 _EOF = "<end of input>"
 
 
-def _tokenize(text):
+_EXPECTED_TOKENS = frozenset(
+    {"0", "1", "+", "*", "=", "<", "->", "!", "&", "|",
+     "(", ")", "forall", "exists", "x<i>"}
+)
+
+
+def _tokenize(text, token_re, expected):
+    """The (token, position) pairs of text, read with token_re; a character
+    that starts no token is a ParseError that names the expected tokens."""
     tokens = []
     pos = 0
     while True:
         pos = _WS_RE.match(text, pos).end()
         if pos >= len(text):
-            break
-        m = _TOKEN_RE.match(text, pos)
+            return tokens
+        m = token_re.match(text, pos)
         if m is None:
-            off = len(text[:pos].encode("utf-8"))
+            off = _byte_offset(text[:pos], tokens, len(tokens))  # end of text read
             raise ParseError(
                 f"unexpected character {text[pos]!r} at byte {off}",
                 offset=off,
-                expected=frozenset(
-                    {"0", "1", "+", "*", "=", "<", "->", "!", "&", "|",
-                     "(", ")", "forall", "exists", "x<i>"}
-                ),
+                expected=expected,
             )
         tokens.append((m.group(), pos))
         pos = m.end()
-    return tokens
+
+
+def _byte_offset(text, tokens, i):
+    """The UTF-8 byte offset of tokens[i] in text, or of the end of text
+    when i is past the last token."""
+    pos = tokens[i][1] if i < len(tokens) else len(text)
+    return len(text[:pos].encode("utf-8"))
+
+
+def _check_nesting(depth, text, tokens, opened_at):
+    """ParseError when a form opened at tokens[opened_at] would nest deeper
+    than _MAX_NESTING levels, at depth levels already open."""
+    if depth == _MAX_NESTING:
+        off = _byte_offset(text, tokens, opened_at)
+        raise ParseError(
+            f"at byte {off}: nesting deeper than {_MAX_NESTING} levels",
+            offset=off,
+        )
 
 
 class _Retry(Exception):
@@ -170,7 +192,7 @@ class _Retry(Exception):
 class _Parser:
     def __init__(self, text):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, _TOKEN_RE, _EXPECTED_TOKENS)
         self.pos = 0
         self.depth = 0
         self.far_pos = 0
@@ -178,11 +200,6 @@ class _Parser:
 
     def _peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else _EOF
-
-    def _byte_offset(self, pos):
-        if pos < len(self.tokens):
-            return len(self.text[: self.tokens[pos][1]].encode("utf-8"))
-        return len(self.text.encode("utf-8"))
 
     def _fail(self, expected):
         if self.pos > self.far_pos:
@@ -199,12 +216,7 @@ class _Parser:
 
     def _nested(self, rule, opened_at):
         # run rule for one nesting level; opened_at indexes its opening token
-        if self.depth == _MAX_NESTING:
-            off = self._byte_offset(opened_at)
-            raise ParseError(
-                f"at byte {off}: nesting deeper than {_MAX_NESTING} levels",
-                offset=off,
-            )
+        _check_nesting(self.depth, self.text, self.tokens, opened_at)
         self.depth += 1
         try:
             return rule()
@@ -214,7 +226,7 @@ class _Parser:
     def error(self):
         found = self.tokens[self.far_pos][0] if self.far_pos < len(self.tokens) else _EOF
         exp = ", ".join(sorted(self.far_expected))
-        off = self._byte_offset(self.far_pos)
+        off = _byte_offset(self.text, self.tokens, self.far_pos)
         return ParseError(
             f"at byte {off}: found {found!r}, expected one of: {exp}",
             offset=off,

@@ -469,7 +469,7 @@ def partition_from_text(text):
     if not lines:
         raise InvalidPartitionFile("empty partition file")
     header = lines[0].split()
-    if len(header) != 3 or not all(w.isdigit() for w in header):
+    if len(header) != 3 or not all(w.isdecimal() for w in header):
         raise InvalidPartitionFile(f"bad header line: {lines[0]!r}")
     m, n, r = (int(w) for w in header)
     if n < 1 or n > m or r < 1:
@@ -480,7 +480,7 @@ def partition_from_text(text):
         if not sep:
             raise InvalidPartitionFile(f"missing ':' in line {ln!r}")
         parts = left.split()
-        if len(parts) != n or not all(w.isdigit() for w in parts):
+        if len(parts) != n or not all(w.isdecimal() for w in parts):
             raise InvalidPartitionFile(f"bad subset in line {ln!r}")
         sub = tuple(int(w) for w in parts)
         if any(sub[i] >= sub[i + 1] for i in range(n - 1)):
@@ -488,7 +488,7 @@ def partition_from_text(text):
         if sub[0] < 0 or sub[-1] >= m:
             raise InvalidPartitionFile(f"subset outside the ground set: {ln!r}")
         color_text = right.strip()
-        if not color_text.isdigit():
+        if not color_text.isdecimal():
             raise InvalidPartitionFile(f"bad color in line {ln!r}")
         c = int(color_text)
         if not 0 <= c < r:

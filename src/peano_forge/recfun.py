@@ -11,12 +11,13 @@ Only exhaustion is observable: the outcome is a Value exactly when the total
 cost is at most the fuel.  So the evaluator charges a computation whose cost
 it knows in one step, and the least sufficient fuel is that of a walk node
 by node.  Each definition object is compiled once into closures, kept on the
-object.  Nodes whose value and cost are affine in their arguments (ZeroFn,
-Succ, Proj and compositions of them) are computed by formula.  A PrimRec
-whose step adds a fixed amount to the accumulator at a fixed cost (add, mul)
-charges its loop at once, and one whose step ignores the accumulator at a
-fixed cost (pred, sg) returns its last step directly.  Inside a loop body,
-the looping functions a composition applies are memoized for the rest of
+object; compiling checks well-formedness once per distinct node, and arity
+reads the compiled form.  Nodes whose value and cost are affine in their
+arguments (ZeroFn, Succ, Proj and compositions of them) are computed by
+formula.  A PrimRec whose step adds a fixed amount to the accumulator at a
+fixed cost (add, mul) charges its loop at once, and one whose step ignores
+the accumulator at a fixed cost (pred, sg) returns its last step directly.
+The looping functions a composition applies are memoized for the rest of
 the call with the cost they were charged, at most _MEMO_CAP entries at a
 time.
 """
@@ -30,7 +31,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import ArityMismatch, IllFormed, NotCoprime, ParseError, UnknownName
-from .formula import _MAX_NESTING
+from .formula import _byte_offset, _check_nesting, _tokenize
 
 # ---------------------------------------------------------------------------
 # Definition trees
@@ -95,41 +96,7 @@ class Mu(PRDef):
 
 def arity(d):
     """The unique arity of a well-formed tree; IllFormed otherwise."""
-    if isinstance(d, (ZeroFn, Succ)):
-        return 1
-    if isinstance(d, Proj):
-        if not 1 <= d.i <= d.n:
-            raise IllFormed(f"projection index {d.i} outside 1..{d.n}")
-        return d.n
-    if isinstance(d, Comp):
-        fa = arity(d.f)
-        if len(d.gs) != fa:
-            raise IllFormed(
-                f"composition head takes {fa} arguments, got {len(d.gs)} inner functions"
-            )
-        inner = {arity(g) for g in d.gs}
-        if len(inner) != 1:
-            raise IllFormed("inner functions of a composition disagree on arity")
-        return inner.pop()
-    if isinstance(d, PrimRec):
-        fa = arity(d.base)
-        ga = arity(d.step)
-        if ga != fa + 2:
-            raise IllFormed(
-                f"recursion step must take {fa + 2} arguments, takes {ga}"
-            )
-        return fa + 1
-    if isinstance(d, BoundedMu):
-        ga = arity(d.g)
-        if ga < 2:
-            raise IllFormed("bounded search needs an argument to bound it")
-        return ga - 1
-    if isinstance(d, Mu):
-        ga = arity(d.g)
-        if ga < 1:
-            raise IllFormed("search predicate needs the search variable")
-        return ga - 1
-    raise IllFormed(f"not a definition node: {d!r}")
+    return _code(d).arity
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +134,7 @@ def eval_def(d, args, fuel):
     Returns Value(v) when the result is found in time and BudgetExhausted
     otherwise; composition is strict in every argument.
     """
-    code = _code(d, False)
+    code = _code(d)
     args = tuple(args)
     if len(args) != code.arity:
         raise ArityMismatch(f"definition takes {code.arity} arguments, got {len(args)}")
@@ -189,33 +156,53 @@ def eval_def(d, args, fuel):
 _Code = namedtuple("_Code", "arity run summary loops")
 
 
-def _code(d, in_loop):
+def _code(d):
     """The compiled form of d, built once per definition object and kept on
-    it.  in_loop says d runs inside a loop body (a PrimRec step or a search
-    predicate), where a composition memoizes a head that loops."""
-    codes = getattr(d, "_code", None)
-    if codes is None:
-        arity(d)  # surfaces IllFormed before anything is compiled
-        codes = d.__dict__["_code"] = [None, None]  # out of and in a loop body
-    code = codes[in_loop]
-    if code is None:
-        code = codes[in_loop] = _compile(d, in_loop)
-        if not code.loops:  # it memoizes nothing, in a loop body or not
-            codes[not in_loop] = code
+    it.  The forms of a tree are built bottom-up from an explicit stack of
+    _compile generators, so each distinct node is compiled once and no
+    depth of tree recurses."""
+    code = getattr(d, "_code", None)
+    if code is not None:
+        return code
+    nodes, frames = [d], [_compile(d)]
+    while frames:
+        try:
+            child = frames[-1].send(code)
+        except StopIteration as done:
+            code = nodes.pop().__dict__["_code"] = done.value
+            frames.pop()
+        else:
+            code = getattr(child, "_code", None)
+            if code is None:  # compile the child first, then resume
+                nodes.append(child)
+                frames.append(_compile(child))
     return code
 
 
-def _compile(d, in_loop):
+def _compile(d):
+    """The compiled form of one node.  It yields each child whose form it
+    needs and receives that form, checking the node's arities as it goes:
+    the head, then the inner-function count, then each inner function."""
     tp = type(d)
     if tp is ZeroFn:
         return _summarized(1, (0, 0), (1, 0))
     if tp is Succ:
         return _summarized(1, (1, 1), (1, 0))
     if tp is Proj:
+        if not 1 <= d.i <= d.n:
+            raise IllFormed(f"projection index {d.i} outside 1..{d.n}")
         return _summarized(d.n, _unit(d.n, d.i), _unit(d.n, 0))
     if tp is Comp:
-        f = _code(d.f, in_loop)
-        gs = [_code(g, in_loop) for g in d.gs]
+        f = yield d.f
+        if len(d.gs) != f.arity:
+            raise IllFormed(
+                f"composition head takes {f.arity} arguments, got {len(d.gs)} inner functions"
+            )
+        gs = []
+        for g in d.gs:
+            gs.append((yield g))
+        if len({g.arity for g in gs}) != 1:
+            raise IllFormed("inner functions of a composition disagree on arity")
         k = gs[0].arity
         if f.summary and all(g.summary for g in gs):
             # f's value and cost are affine in the values of the gs, which
@@ -226,15 +213,19 @@ def _compile(d, in_loop):
                 cost = _plus(cost, g.summary[1])
             return _summarized(k, _compose(f.summary[0], gv, k),
                                _plus(cost, _unit(k, 0)))
-        # inside a loop body the head sees the values of the gs, which
-        # recur across iterations where the loop's own arguments do not
-        head = _memoized(f.run) if in_loop and f.loops else f.run
+        # the head sees the values of the gs, which recur across the
+        # iterations of an enclosing loop where its own arguments do not
+        head = _memoized(f.run) if f.loops else f.run
         run = _comp(head, [g.run for g in gs])
         return _Code(k, run, None, f.loops or any(g.loops for g in gs))
     if tp is PrimRec:
-        base = _code(d.base, in_loop)
-        step = _code(d.step, True)
+        base = yield d.base
+        step = yield d.step
         n = base.arity
+        if step.arity != n + 2:
+            raise IllFormed(
+                f"recursion step must take {n + 2} arguments, takes {step.arity}"
+            )
         # step coefficients: constant, xs (n of them), i, acc; a step whose
         # cost reads neither i nor acc costs the same on every iteration
         if step.summary and not any(step.summary[1][n + 1:]):
@@ -256,14 +247,18 @@ def _compile(d, in_loop):
                 return _Code(n + 1, run, None, base.loops)
         return _Code(n + 1, _primrec(base.run, step.run), None, True)
     if tp is BoundedMu or tp is Mu:
-        g = _code(d.g, True)
+        g = yield d.g
+        if tp is BoundedMu and g.arity < 2:
+            raise IllFormed("bounded search needs an argument to bound it")
+        if g.arity < 1:
+            raise IllFormed("search predicate needs the search variable")
         return _Code(g.arity - 1, _search(g.run, tp is BoundedMu), None, True)
     raise IllFormed(f"not a definition node: {d!r}")
 
 
 def _unit(k, j):
     """Coefficients of x_j over k arguments (j = 0: the constant 1)."""
-    return tuple(int(t == j) for t in range(k + 1))
+    return (0,) * j + (1,) + (0,) * (k - j)
 
 
 def _plus(a, b):
@@ -406,41 +401,17 @@ def _search(g, bounded):
 # ---------------------------------------------------------------------------
 
 _SEXPR_TOKEN = re.compile(r"[()]|[a-z_]+|\d+")
-_SEXPR_WS = re.compile(r"\s*")
-
-
-def _sexpr_tokens(text):
-    tokens = []
-    pos = 0
-    while True:
-        pos = _SEXPR_WS.match(text, pos).end()
-        if pos >= len(text):
-            break
-        m = _SEXPR_TOKEN.match(text, pos)
-        if m is None:
-            off = len(text[:pos].encode("utf-8"))
-            raise ParseError(
-                f"unexpected character {text[pos]!r} at byte {off}",
-                offset=off,
-                expected=frozenset({"(", ")", "atom"}),
-            )
-        tokens.append((m.group(), pos))
-        pos = m.end()
-    return tokens
+_SEXPR_EXPECTED = frozenset({"(", ")", "atom"})
 
 
 def parse_def(text):
     """Read a definition from the s-expression DSL: atoms zero, succ,
     (proj i n); combinators (comp f g1 ... gk), (primrec f g), (mu g),
     (bmu g).  Structural violations raise IllFormed."""
-    tokens = _sexpr_tokens(text)
-
-    def byte(pos):
-        return (len(text[: tokens[pos][1]].encode("utf-8"))
-                if pos < len(tokens) else len(text.encode("utf-8")))
+    tokens = _tokenize(text, _SEXPR_TOKEN, _SEXPR_EXPECTED)
 
     def fail(pos, what):
-        off = byte(pos)
+        off = _byte_offset(text, tokens, pos)
         raise ParseError(f"at byte {off}: expected {what}",
                          offset=off, expected=frozenset({what}))
 
@@ -460,10 +431,7 @@ def parse_def(text):
             return Succ(), pos + 1
         if tok != "(":
             fail(pos, "definition")
-        if depth == _MAX_NESTING:
-            off = byte(pos)
-            raise ParseError(f"at byte {off}: nesting deeper than {_MAX_NESTING} levels",
-                             offset=off)
+        _check_nesting(depth, text, tokens, pos)
         depth += 1
         try:
             return form(pos)

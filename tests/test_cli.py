@@ -355,6 +355,8 @@ def test_module_entry_point():
 def test_malformed_inputs_never_raise(capsys, tmp_path):
     bad = tmp_path / "bad.part"
     bad.write_text("not a partition\n")
+    sup = tmp_path / "sup.part"
+    sup.write_text("5 2 ²\n")
     for argv in (
         ["parse", "((("],
         ["decode", "formula", "0"],
@@ -363,7 +365,14 @@ def test_malformed_inputs_never_raise(capsys, tmp_path):
         ["check-homog", str(bad), "1"],
         ["pr-eval", str(bad)],
         ["pair", "-3", "4"],
+        ["pair", "²", "1"],
+        ["check-homog", str(sup), "1"],
     ):
         code = main(argv)
         capsys.readouterr()
         assert code in (1, 2), argv
+    # a superscript digit is no natural, and no digit of a partition file
+    assert run_cli(capsys, "pair", "²", "1") == (
+        2, "", "usage error: expected a natural number, got '²'\n")
+    code, out, err = run_cli(capsys, "check-homog", str(sup), "1")
+    assert (code, out) == (1, "") and "InvalidPartitionFile" in err

@@ -464,3 +464,9 @@ def test_partition_file_rejects_garbage():
         partition_from_text("\n".join(good.splitlines()[:-1]) + "\n")  # missing
     with pytest.raises(InvalidPartitionFile):
         partition_from_text(good.replace(": 0", ": 9", 1))  # color range
+    # superscript digits are digits to str.isdigit but not to int()
+    for bad in ("5 2 ²\n" + good.split("\n", 1)[1],
+                good.replace("0 1 :", "0 ¹ :", 1),
+                good.replace(": 0", ": ²", 1)):
+        with pytest.raises(InvalidPartitionFile):
+            partition_from_text(bad)

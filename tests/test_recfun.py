@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -47,16 +48,73 @@ def test_arity_examples():
 
 
 def test_arity_rejects_ill_formed():
-    with pytest.raises(IllFormed):
-        arity(Proj(4, 3))
-    with pytest.raises(IllFormed):
-        arity(Comp(ADD, (Proj(1, 1),)))  # head wants 2 inner functions
-    with pytest.raises(IllFormed):
-        arity(Comp(ADD, (Proj(1, 1), Proj(1, 2))))  # inner arities disagree
-    with pytest.raises(IllFormed):
-        arity(PrimRec(ZeroFn(), Proj(1, 2)))  # step must take 3 arguments
-    with pytest.raises(IllFormed):
-        arity(BoundedMu(Proj(1, 1)))  # nothing to bound the search
+    for d, message in (
+        (Proj(4, 3), "projection index 4 outside 1..3"),
+        (Comp(ADD, (Proj(1, 1),)),
+         "composition head takes 2 arguments, got 1 inner functions"),
+        (Comp(ADD, (Proj(1, 1), Proj(1, 2))),
+         "inner functions of a composition disagree on arity"),
+        (PrimRec(ZeroFn(), Proj(1, 2)), "recursion step must take 3 arguments, takes 2"),
+        (BoundedMu(Proj(1, 1)), "bounded search needs an argument to bound it"),
+        (Mu(Mu(Comp(Succ(), (ZeroFn(),)))), "search predicate needs the search variable"),
+        (Comp(Succ(), ("zero",)), "not a definition node: 'zero'"),
+        # two defects: the head is checked before the inner-function count,
+        # and the count before the inner functions themselves
+        (Comp(PrimRec(ZeroFn(), Proj(1, 2)), (Proj(4, 3),)),
+         "recursion step must take 3 arguments, takes 2"),
+        (Comp(ADD, (Proj(4, 3),)),
+         "composition head takes 2 arguments, got 1 inner functions"),
+    ):
+        with pytest.raises(IllFormed, match=re.escape(message)):
+            arity(d)
+
+
+def _doubling_dag(levels):
+    """x -> x * 2**levels as d = Comp(add, (d, d)) over Proj(1, 1), each
+    level's two inner functions being one shared node."""
+    add = PrimRec(Proj(1, 1), Comp(Succ(), (Proj(3, 3),)))
+    d = Proj(1, 1)
+    for _ in range(levels):
+        d = Comp(add, (d, d))
+    return d
+
+
+def test_shared_dag_value_and_least_fuel():
+    # 2**40 paths through 46 distinct nodes; add(x, y) costs 2 + 3y.  The
+    # outcomes are named before they are asserted, as the repr of such a
+    # tree in a failure report would be 2**40 nodes long.
+    for levels in (8, 40):
+        d = _doubling_dag(levels)
+        fuel, value = 1, 3  # Proj(1, 1) on 3
+        for _ in range(levels):
+            fuel, value = 1 + 2 * fuel + 2 + 3 * value, 2 * value
+        k, enough, short = arity(d), eval_def(d, [3], fuel), eval_def(d, [3], fuel - 1)
+        assert (k, enough, short) == (1, Value(3 * 2 ** levels), BudgetExhausted())
+        if levels == 8:
+            walked = pr_fuel_eval(d, [3], fuel)
+            assert walked == (value, fuel)
+
+
+def test_compile_runs_once_per_distinct_node(monkeypatch):
+    import peano_forge.recfun as rf
+    compiled = []
+    compile_node = rf._compile
+    monkeypatch.setattr(rf, "_compile", lambda d: compiled.append(d) or compile_node(d))
+    d = _doubling_dag(40)
+    k, out = arity(d), eval_def(d, [1], 10 ** 20)
+    assert (k, out) == (1, Value(2 ** 40))
+    assert len(compiled) == 46 and len({id(n) for n in compiled}) == 46
+    k = arity(d)
+    assert k == 1 and len(compiled) == 46
+
+
+def test_deep_chain_compiles_without_recursion():
+    # the forms of a 600-level chain are built from an explicit stack
+    d = Proj(1, 1)
+    for _ in range(600):
+        d = Comp(Succ(), (d,))
+    assert eval_def(d, [0], 1201) == Value(600)
+    assert eval_def(d, [0], 1200) == BudgetExhausted()
 
 
 # --- evaluation ---
