@@ -9,7 +9,7 @@ therefore exclude element 0.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, log2
 
 from .errors import IndexOutOfRange, NotACode, ZeroElement
 from .formula import (
@@ -29,7 +29,6 @@ from .formula import (
     Var,
     Zero,
     _fresh_index,
-    free_vars,
 )
 
 # ---------------------------------------------------------------------------
@@ -122,24 +121,60 @@ def desugar(f):
     """Rewrite a formula into the coding alphabet (=, ->, !, forall only):
     t1<t2 becomes !forall xk !(t1+(xk+1) = t2) with xk fresh, exists v phi
     becomes !forall v !phi, a&b becomes !(a -> !b), a|b becomes (!a -> b)."""
-    if isinstance(f, Eq):
-        return f
-    if isinstance(f, Lt):
-        k = _fresh_index(free_vars(f))
-        return Not(ForAll(k, Not(Eq(Add(f.left, Add(Var(k), One())), f.right))))
-    if isinstance(f, Not):
-        return Not(desugar(f.body))
-    if isinstance(f, And):
-        return Not(Implies(desugar(f.left), Not(desugar(f.right))))
-    if isinstance(f, Or):
-        return Implies(Not(desugar(f.left)), desugar(f.right))
-    if isinstance(f, Implies):
-        return Implies(desugar(f.left), desugar(f.right))
-    if isinstance(f, ForAll):
-        return ForAll(f.var, desugar(f.body))
-    if isinstance(f, Exists):
-        return Not(ForAll(f.var, Not(desugar(f.body))))
-    raise TypeError(f"not a formula: {f!r}")
+    # postorder from an explicit stack, so deep trees cost no recursion: a
+    # node is pushed as (node,) under its subformulas and rebuilt from their
+    # rewrites, which wait on `done`, once they are complete
+    done = []
+    stack = [f]
+    while stack:
+        x = stack.pop()
+        t = type(x)
+        if t is tuple:
+            x = x[0]
+            t = type(x)
+            if t is Not:
+                done.append(Not(done.pop()))
+            elif t is ForAll:
+                done.append(ForAll(x.var, done.pop()))
+            elif t is Exists:
+                done.append(Not(ForAll(x.var, Not(done.pop()))))
+            else:
+                b = done.pop()
+                a = done.pop()
+                if t is And:
+                    done.append(Not(Implies(a, Not(b))))
+                elif t is Or:
+                    done.append(Implies(Not(a), b))
+                else:
+                    done.append(Implies(a, b))
+        elif t is Eq:
+            done.append(x)
+        elif t is Lt:
+            k = _fresh_index(_atom_vars(x))
+            done.append(Not(ForAll(k, Not(Eq(Add(x.left, Add(Var(k), One())), x.right)))))
+        elif t is Not or t is ForAll or t is Exists:
+            stack += ((x,), x.body)
+        elif t is And or t is Or or t is Implies:
+            stack += ((x,), x.right, x.left)
+        else:
+            raise TypeError(f"not a formula: {x!r}")
+    return done[0]
+
+
+def _atom_vars(atom):
+    # variable indices of the two terms of an atom, from an explicit stack
+    found = set()
+    stack = [atom.left, atom.right]
+    while stack:
+        x = stack.pop()
+        t = type(x)
+        if t is Var:
+            found.add(x.index)
+        elif t is Add or t is Mul:
+            stack += (x.left, x.right)
+        elif t is not Zero and t is not One:
+            raise TypeError(f"not a term: {x!r}")
+    return found
 
 
 def _tokens(node):
@@ -204,27 +239,57 @@ def encode_term(t):
     return _encode_tokens(_tokens(t))
 
 
+_M61 = (1 << 61) - 1  # a Mersenne prime: a residue filter for pure powers
+
+
+def _pure_power(a, p):
+    """f with a == p^f, or None.  f is read off the size of a (its bit
+    length and top 60 bits), then checked modulo 2^61-1 in linear time
+    before the exact power is built."""
+    n = a.bit_length()
+    shift = max(n - 60, 0)
+    f = round((shift + log2(a >> shift)) / log2(p))
+    if pow(p, f, _M61) == a % _M61 and p**f == a:
+        return f
+    return None
+
+
 def _remove_factor(a, p):
-    """(a / p^e, e) for the maximal e, in O(log e) big-number divisions."""
-    q, r = divmod(a, p)
-    if r:
-        return a, 0
-    a, e = q, 1
-    powers = [p]
+    """(a / p^e, e) for the maximal e: the one exponent extractor.
+
+    p = 2 is read from the trailing zero bits.  For an odd p an up pass
+    divides by p, p^2, p^4, ... while they divide; the first that does not
+    leaves r = a mod p^(2^J), whose p-adic valuation is exactly the exponent
+    still in a, so the down pass runs on the small r and a is divided once
+    more.  Big-number division is quadratic in CPython, so before the first
+    divisor over 1 kbit a is tested once for being a pure power of p, which
+    ends the last prime of a code in one exponentiation."""
+    if p == 2:
+        e = (a & -a).bit_length() - 1
+        return a >> e, e
+    e = 0
+    powers = []
+    pk = p
     while True:
-        pk = powers[-1] * powers[-1]
+        if 1024 < pk.bit_length() <= 2048:  # the first divisor over 1 kbit
+            f = _pure_power(a, p)
+            if f is not None:
+                return 1, e + f
         q, r = divmod(a, pk)
         if r:
             break
         a = q
         e += 1 << len(powers)
         powers.append(pk)
+        pk *= pk
+    rest = 1
     for j in range(len(powers) - 1, -1, -1):
-        q, r = divmod(a, powers[j])
-        if r == 0:
-            a = q
+        q, s = divmod(r, powers[j])
+        if s == 0:
+            r = q
+            rest *= powers[j]
             e += 1 << j
-    return a, e
+    return (a // rest if rest > 1 else a), e
 
 
 def _contiguous_exponents(a):

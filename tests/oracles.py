@@ -2,8 +2,9 @@
 
 These deliberately share no code with the engine: colorings are enumerated
 as plain products with no canonicalization or pruning, qualifying sets are
-checked by scanning every subset size, and recursive-function trees are run
-by a plain walk that counts fuel step by step.
+checked by scanning every subset size, recursive-function trees are run by
+a plain walk that counts fuel step by step, and prime exponents are found by
+dividing by one prime at a time.
 """
 
 from itertools import combinations, product
@@ -114,3 +115,25 @@ def pr_fuel_eval(d, args, fuel):
         return walk(d, list(args)), used
     except _Starved:
         return None
+
+
+def prime_exponents(a):
+    """(exps, gap) for a positive a: the exponents of 2, 3, 5, ... in a, up to
+    the first prime that does not divide what is left of a while that is
+    above 1; gap is that prime's index, or None when nothing is left.  Plain
+    trial division: one prime and one division by it at a time, the primes
+    found by trial division too."""
+    exps = []
+    p = 2
+    while a > 1:
+        e = 0
+        while a % p == 0:
+            a //= p
+            e += 1
+        if e == 0:
+            return exps, len(exps)
+        exps.append(e)
+        p += 1
+        while any(p % d == 0 for d in range(2, p)):
+            p += 1
+    return exps, None

@@ -57,6 +57,16 @@ def test_deep_flat_sum_parses_encodes_and_decodes(capsys):
     assert (code, out, err) == (0, render(parse(text)) + "\n", "")
 
 
+def test_deep_connective_chains_encode(capsys):
+    # 1500-long chains of & and -> and a 1500-deep term under <: the rewrite
+    # into the coding alphabet must not recurse once per level
+    for text in ("0 = 0" + " & 0 = 0" * 1500, "0 = 0" + " -> 0 = 0" * 1500,
+                 "0 < 1" + " + 1" * 1500):
+        code, out, err = run_cli(capsys, "encode", "formula", text)
+        assert (code, err) == (0, "")
+        assert out.strip().isdecimal()
+
+
 def test_encode_decode_formula(capsys):
     code, out, _ = run_cli(capsys, "encode", "formula", "(0 = 0)")
     assert (code, out) == (0, "2430\n")

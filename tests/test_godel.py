@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from peano_forge import (
     Add,
@@ -32,15 +32,17 @@ from peano_forge import (
     nth_prime,
     numeral,
     pair,
+    parse,
     render,
     seq_at,
     seq_concat,
     seq_long,
     unpair,
 )
+from peano_forge import godel
 from peano_forge.godel import token_code
 from helpers import random_formula, sieve
-from oracles import factorial_mu_prime_chain
+from oracles import factorial_mu_prime_chain, prime_exponents
 
 
 # --- primes ---
@@ -146,6 +148,21 @@ def test_decode_deep_formula():
     assert render(decode_formula(encode_formula(f))) == render(f)
 
 
+DEEP_CHAINS = (
+    "0 = 0" + " & 0 = 0" * 1500,
+    "0 = 0" + " -> 0 = 0" * 1500,
+    "0 < 1" + " + 1" * 1500,
+)
+
+
+def test_deep_chains_round_trip():
+    # 1500 levels, past the interpreter's recursion limit: desugar walks an
+    # explicit stack; == would recurse, so compare text
+    for text in DEEP_CHAINS:
+        f = parse(text)
+        assert render(decode_formula(encode_formula(f))) == render(desugar(f))
+
+
 def test_encode_term_rejects_non_terms():
     for bad in (Eq(Zero(), Zero()), 3, Add(One(), Eq(Zero(), Zero()))):
         with pytest.raises(TypeError):
@@ -164,6 +181,82 @@ def test_decode_formula_accepts_exactly_its_own_codes(symbols):
     except NotACode:
         return
     assert encode_formula(f) == code
+
+
+# --- the exponent extractor ---
+
+def _extract(code):
+    try:
+        return godel._contiguous_exponents(code)
+    except NotACode as err:
+        return str(err)
+
+
+def _code(exps, start=0):
+    code = 1
+    for i, e in enumerate(exps, start):
+        code *= nth_prime(i) ** e
+    return code
+
+
+PERTURBATIONS = ("none", "gap", "plus_one", "minus_one", "no_p0", "pure_odd", "next_prime")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 2 ** 8), max_size=11),
+    st.integers(1, 2 ** 8) | st.integers(2 ** 10, 2 ** 12),
+    st.sampled_from(PERTURBATIONS),
+    st.integers(1, 3),
+)
+def test_exponent_extractor_matches_trial_division(body, tail, how, k):
+    # a tail exponent of 2^10 or more on an odd prime takes the pure-power
+    # path (its up pass reaches a 1 kbit divisor); trial division by one p at
+    # a time is the reference, so exponents stay below 2^13
+    exps = body + [tail]
+    code = _code(exps)
+    if how == "gap":  # p_len is skipped
+        code *= nth_prime(len(exps) + k) ** k
+    elif how == "plus_one":
+        code += 1
+    elif how == "minus_one":
+        code -= 1
+    elif how == "no_p0":
+        code >>= exps[0]
+    elif how == "pure_odd":  # must read as a gap at p_0
+        code = nth_prime(k + len(body)) ** tail
+    elif how == "next_prime":  # p^tail times the next prime is no pure power
+        code *= nth_prime(len(exps))
+    found, gap = prime_exponents(code)
+    expected = found if gap is None else f"gap in prime support at p_{gap}"
+    assert _extract(code) == expected
+    if how == "pure_odd":
+        assert expected == "gap in prime support at p_0"
+
+
+def test_exponent_extractor_large_exponents(monkeypatch):
+    # exponents up to 2^17, checked against the lists they were built from;
+    # the pure-power check must end every code whose last exponent is large,
+    # and must never end one whose large exponent is not last
+    ended = []
+    pure_power = godel._pure_power
+
+    def spy(a, p):
+        f = pure_power(a, p)
+        ended.append(f is not None)
+        return f
+
+    monkeypatch.setattr(godel, "_pure_power", spy)
+    rng = random.Random(17)
+    for big in (2 ** 17, 2 ** 17 - 1, rng.randint(2 ** 10, 2 ** 17)):
+        exps = [rng.randint(1, 40) for _ in range(rng.randint(1, 8))]
+        ended.clear()
+        assert _extract(_code(exps + [big])) == exps + [big]
+        assert ended == [True]
+        ended.clear()
+        assert _extract(_code(exps + [big, 1])) == exps + [big, 1]
+        assert ended == [False]
+        assert _extract(_code([big], start=len(exps) + 1)) == "gap in prime support at p_0"
 
 
 # --- sequence codes ---
