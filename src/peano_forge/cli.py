@@ -10,16 +10,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import formula, godel, ramsey, recfun
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class CommandResult:
-    exit_code: int
-    payload: str
 
 
 class UsageError(Exception):
@@ -129,40 +122,49 @@ def _nat(text):
     return int(text)
 
 
+def _json_text(f):
+    # json.dumps(formula.to_json(f)) byte for byte, written by the iterative
+    # fold: the json encoder recurses once per level of the tree
+    def visit(x, args):
+        kind = type(x).__name__.lower()
+        return f'{{"kind": "{kind}", "args": [{", ".join(map(str, args))}]}}'
+    return formula._fold(f, visit)
+
+
 def _cmd_parse(args):
     f = formula.parse(args.text)
     if args.json:
-        return CommandResult(0, json.dumps(formula.to_json(f)) + "\n")
-    return CommandResult(0, formula.ast_text(f) + "\n")
+        return 0, _json_text(f) + "\n"
+    return 0, formula.ast_text(f) + "\n"
 
 
 def _cmd_encode(args):
     if args.kind == "formula":
         code = godel.encode_formula(formula.parse(args.text))
-        return CommandResult(0, f"{code}\n")
+        return 0, f"{code}\n"
     if args.kind == "seq":
-        return CommandResult(0, f"{godel.encode_seq(args.elements)}\n")
+        return 0, f"{godel.encode_seq(args.elements)}\n"
     if args.kind == "set":
-        return CommandResult(0, f"{godel.encode_set(args.elements)}\n")
+        return 0, f"{godel.encode_set(args.elements)}\n"
     P = ramsey.read_partition(args.file)
-    return CommandResult(0, f"{ramsey.encode_partition(P)}\n")
+    return 0, f"{ramsey.encode_partition(P)}\n"
 
 
 def _cmd_decode(args):
     code = _nat(args.code)
     if args.kind == "formula":
-        return CommandResult(0, formula.render(godel.decode_formula(code)) + "\n")
+        return 0, formula.render(godel.decode_formula(code)) + "\n"
     if args.kind == "seq":
         elements = godel.decode_seq(code)
         if args.json:
             doc = {"code": str(code), "elements": elements}
-            return CommandResult(0, json.dumps(doc) + "\n")
-        return CommandResult(0, " ".join(str(x) for x in elements) + "\n")
+            return 0, json.dumps(doc) + "\n"
+        return 0, " ".join(str(x) for x in elements) + "\n"
     if args.kind == "set":
         elements = godel.decode_set(code)
-        return CommandResult(0, " ".join(str(x) for x in elements) + "\n")
+        return 0, " ".join(str(x) for x in elements) + "\n"
     P = ramsey.decode_partition(code, args.m, args.n, args.r)
-    return CommandResult(0, ramsey.partition_to_text(P))
+    return 0, ramsey.partition_to_text(P)
 
 
 def _cmd_pr_eval(args):
@@ -171,8 +173,8 @@ def _cmd_pr_eval(args):
     values = [_nat(a) for a in args.args]
     outcome = recfun.eval_def(d, values, args.fuel)
     if isinstance(outcome, recfun.Value):
-        return CommandResult(0, f"{outcome.value}\n")
-    return CommandResult(1, "budget-exhausted\n")
+        return 0, f"{outcome.value}\n"
+    return 1, "budget-exhausted\n"
 
 
 def _cmd_arrow(args):
@@ -185,16 +187,16 @@ def _cmd_arrow(args):
         m = ramsey.min_witness(args.k, args.r, args.n,
                                relation="ph" if args.large else "ramsey",
                                max_m=args.max_m, jobs=args.jobs, cap=cap)
-        return CommandResult(0, ("none" if m is None else str(m)) + "\n")
+        return 0, ("none" if m is None else str(m)) + "\n"
     if args.m is None:
         raise UsageError("give --m, or --find-min with --max-m")
     cex = ramsey.find_counterexample(args.m, args.k, args.r, args.n,
                                      large=args.large, jobs=args.jobs, cap=cap)
     if cex is None:
-        return CommandResult(0, "true\n")
+        return 0, "true\n"
     if args.counterexample:
         ramsey.write_partition(cex, args.counterexample)
-    return CommandResult(0, "false\n")
+    return 0, "false\n"
 
 
 def _cmd_check_homog(args):
@@ -209,22 +211,22 @@ def _cmd_check_homog(args):
         "color": color,
         "relatively_large": ramsey.is_relatively_large(H),
     }
-    return CommandResult(0, json.dumps(doc) + "\n")
+    return 0, json.dumps(doc) + "\n"
 
 
 def _cmd_fastgrow(args):
     budget = ramsey.FastGrowingBudget(max_result_bits=args.max_bits,
                                       max_iterations=args.max_iterations)
-    return CommandResult(0, f"{ramsey.fast_growing(args.n, args.x, budget)}\n")
+    return 0, f"{ramsey.fast_growing(args.n, args.x, budget)}\n"
 
 
 def _cmd_pair(args):
-    return CommandResult(0, f"{godel.pair(_nat(args.x), _nat(args.y))}\n")
+    return 0, f"{godel.pair(_nat(args.x), _nat(args.y))}\n"
 
 
 def _cmd_unpair(args):
     x, y = godel.unpair(_nat(args.z))
-    return CommandResult(0, f"{x} {y}\n")
+    return 0, f"{x} {y}\n"
 
 
 def main(argv=None):
@@ -248,7 +250,7 @@ def _main(argv):
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        result = args.handler(args)
+        exit_code, text = args.handler(args)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -258,8 +260,8 @@ def _main(argv):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(result.payload)
-    return result.exit_code
+    sys.stdout.write(text)
+    return exit_code
 
 
 def run():

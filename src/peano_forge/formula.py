@@ -429,19 +429,30 @@ def to_json(node):
 
 
 def _vars(node, free):
-    """Variable indices of node: the free ones, or all (bound ones too)."""
-    if isinstance(node, Var):
-        return {node.index}
-    if type(node) in _BINARY:
-        return _vars(node.left, free) | _vars(node.right, free)
-    if isinstance(node, (Zero, One)):
-        return set()
-    if isinstance(node, Not):
-        return _vars(node.body, free)
-    if isinstance(node, (ForAll, Exists)):
-        inner = _vars(node.body, free)
-        return inner - {node.var} if free else inner | {node.var}
-    raise TypeError(f"not an AST node: {node!r}")
+    """Variable indices of node: the free ones, or all (bound ones too).
+    Each subtree waits on an explicit stack with the variables bound above
+    it (none when all are wanted), so deep trees cost no recursion."""
+    found = set()
+    stack = [(node, frozenset())]
+    while stack:
+        x, bound = stack.pop()
+        t = type(x)
+        if t is Var:
+            if x.index not in bound:
+                found.add(x.index)
+        elif t in _BINARY:
+            stack += ((x.right, bound), (x.left, bound))
+        elif t is Not:
+            stack.append((x.body, bound))
+        elif t is ForAll or t is Exists:
+            if free:
+                bound = bound | {x.var}
+            else:
+                found.add(x.var)
+            stack.append((x.body, bound))
+        elif t is not Zero and t is not One:
+            raise TypeError(f"not an AST node: {x!r}")
+    return found
 
 
 def term_vars(t):
@@ -514,12 +525,11 @@ def _guard_bound(guard, v):
         return guard.right, False
     if isinstance(guard, Or):
         a, b = guard.left, guard.right
+        if isinstance(a, Eq):
+            a, b = b, a
         if (isinstance(a, Lt) and isinstance(b, Eq)
                 and a.left == Var(v) and b.left == Var(v) and a.right == b.right):
             return a.right, True
-        if (isinstance(a, Eq) and isinstance(b, Lt)
-                and a.left == Var(v) and b.left == Var(v) and a.right == b.right):
-            return b.right, True
     return None
 
 
@@ -600,25 +610,25 @@ _VECTORIZE_MIN = 32
 _INT64_LIMIT = 2 ** 62
 
 
-def _quantifier_free(f):
-    if isinstance(f, (Eq, Lt)):
-        return True
-    if isinstance(f, Not):
-        return _quantifier_free(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return _quantifier_free(f.left) and _quantifier_free(f.right)
+def _vectorizable(f, top):
+    """Whether numpy may check f over a whole range: f is quantifier-free,
+    and every term value is below 2^62 under top, the env that binds the
+    range variable to its largest value (+ and * are monotone on the
+    naturals, so that bounds it over the range).  A quantifier or an unbound
+    variable leaves the range to the exact loop, which short-circuits as
+    eval_nat does."""
+    t = type(f)
+    if t is Eq or t is Lt:
+        try:
+            return (eval_term(f.left, top) < _INT64_LIMIT
+                    and eval_term(f.right, top) < _INT64_LIMIT)
+        except UnboundVariable:
+            return False
+    if t is Not:
+        return _vectorizable(f.body, top)
+    if t is And or t is Or or t is Implies:
+        return _vectorizable(f.left, top) and _vectorizable(f.right, top)
     return False
-
-
-def _fits_int64(f, env):
-    # env binds the range variable to its largest value; + and * are monotone
-    # on the naturals, so every term's value there bounds it over the range
-    if isinstance(f, (Eq, Lt)):
-        return (eval_term(f.left, env) < _INT64_LIMIT
-                and eval_term(f.right, env) < _INT64_LIMIT)
-    if isinstance(f, Not):
-        return _fits_int64(f.body, env)
-    return _fits_int64(f.left, env) and _fits_int64(f.right, env)
 
 
 # numpy, imported by _eval_over_range the first time it vectorizes a range:
@@ -651,8 +661,7 @@ def _eval_over_range(matrix, v, count, env, budget, universal):
     # stays bounded for large bounds.
     env2 = dict(env)
     env2[v] = count - 1
-    if (count > _VECTORIZE_MIN and _quantifier_free(matrix)
-            and _fits_int64(matrix, env2)):
+    if count > _VECTORIZE_MIN and _vectorizable(matrix, env2):
         if np is None:
             import numpy as np
         for lo in range(0, count, _VECTOR_CHUNK):
@@ -698,21 +707,17 @@ def eval_nat(f, env, budget):
     if isinstance(f, (ForAll, Exists)):
         universal = isinstance(f, ForAll)
         bp = _bounded_parts(f)
-        if bp is not None:
+        if bp is None:
+            v, count, matrix = f.var, budget + 1, f.body
+        else:
             v, t, inclusive, matrix = bp
             count = eval_term(t, env) + (1 if inclusive else 0)
-            return _eval_over_range(matrix, v, count, env, budget, universal)
-        env2 = dict(env)
-        for val in range(budget + 1):
-            env2[f.var] = val
-            r = eval_nat(f.body, env2, budget)
-            if universal and not r:
-                return False
-            if not universal and r:
-                return True
-        raise BudgetExceeded(
-            f"quantifier search over x{f.var} inconclusive within budget {budget}"
-        )
+        r = _eval_over_range(matrix, v, count, env, budget, universal)
+        if bp is None and r == universal:  # no value in 0..budget decided it
+            raise BudgetExceeded(
+                f"quantifier search over x{f.var} inconclusive within budget {budget}"
+            )
+        return r
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -29,6 +29,7 @@ from .formula import (
     Var,
     Zero,
     _fresh_index,
+    free_vars,
 )
 
 # ---------------------------------------------------------------------------
@@ -113,130 +114,104 @@ def token_code(tok):
 
 
 # ---------------------------------------------------------------------------
-# Desugaring into the coding alphabet
+# The symbol stream of a term or formula, and the one code builder
 # ---------------------------------------------------------------------------
 
 
-def desugar(f):
-    """Rewrite a formula into the coding alphabet (=, ->, !, forall only):
-    t1<t2 becomes !forall xk !(t1+(xk+1) = t2) with xk fresh, exists v phi
-    becomes !forall v !phi, a&b becomes !(a -> !b), a|b becomes (!a -> b)."""
-    # postorder from an explicit stack, so deep trees cost no recursion: a
-    # node is pushed as (node,) under its subformulas and rebuilt from their
-    # rewrites, which wait on `done`, once they are complete
-    done = []
-    stack = [f]
-    while stack:
-        x = stack.pop()
-        t = type(x)
-        if t is tuple:
-            x = x[0]
-            t = type(x)
-            if t is Not:
-                done.append(Not(done.pop()))
-            elif t is ForAll:
-                done.append(ForAll(x.var, done.pop()))
-            elif t is Exists:
-                done.append(Not(ForAll(x.var, Not(done.pop()))))
-            else:
-                b = done.pop()
-                a = done.pop()
-                if t is And:
-                    done.append(Not(Implies(a, Not(b))))
-                elif t is Or:
-                    done.append(Implies(Not(a), b))
-                else:
-                    done.append(Implies(a, b))
-        elif t is Eq:
-            done.append(x)
-        elif t is Lt:
-            k = _fresh_index(_atom_vars(x))
-            done.append(Not(ForAll(k, Not(Eq(Add(x.left, Add(Var(k), One())), x.right)))))
-        elif t is Not or t is ForAll or t is Exists:
-            stack += ((x,), x.body)
-        elif t is And or t is Or or t is Implies:
-            stack += ((x,), x.right, x.left)
-        else:
-            raise TypeError(f"not a formula: {x!r}")
-    return done[0]
+def _symbols(node, kind):
+    """Symbol codes of a term (kind Term) or of a formula (kind Formula).
 
+    A formula is written in the coding alphabet (=, ->, !, forall), so this
+    walk is the one place where the abbreviations are spelled out:
 
-def _atom_vars(atom):
-    # variable indices of the two terms of an atom, from an explicit stack
-    found = set()
-    stack = [atom.left, atom.right]
-    while stack:
-        x = stack.pop()
-        t = type(x)
-        if t is Var:
-            found.add(x.index)
-        elif t is Add or t is Mul:
-            stack += (x.left, x.right)
-        elif t is not Zero and t is not One:
-            raise TypeError(f"not a term: {x!r}")
-    return found
+        t1 < t2     !forall xk !((t1 + (xk + 1)) = t2), k the least index
+                    not free in the atom
+        a & b       !(a -> !b)
+        a | b       (!a -> b)
+        exists v a  !forall v !a
 
-
-def _tokens(node):
-    # the token string of a term, or of a desugared formula, from an explicit
-    # stack of nodes and pending tokens: deep trees cost neither recursion nor
-    # list copies.  While a term is being written, anything but a term node is
-    # out of place; None on the stack marks where the sides of an Eq end.
+    The walk runs on an explicit stack of nodes and pending tokens, so deep
+    trees cost neither recursion nor list copies.  While the sides of an
+    atom are written only term nodes may occur; None on the stack marks
+    where they end."""
+    if not isinstance(node, kind):
+        raise TypeError(f"not a {kind.__name__.lower()}: {node!r}")
     tokens = []
     stack = [node]
-    in_term = isinstance(node, Term)
+    in_term = kind is Term
     while stack:
         x = stack.pop()
         t = type(x)
         if t is str:
             tokens.append(x)
-        elif t is Zero:
-            tokens.append("0")
-        elif t is One:
-            tokens.append("1")
-        elif t is Var:
-            tokens.append(f"x{x.index}")
-        elif t is Add or t is Mul:
-            tokens.append("(")
-            stack += (")", x.right, "+" if t is Add else "·", x.left)
         elif x is None:
             in_term = False
         elif in_term:
-            raise TypeError(f"not a term: {x!r}")
+            if t is Zero:
+                tokens.append("0")
+            elif t is One:
+                tokens.append("1")
+            elif t is Var:
+                tokens.append(f"x{x.index}")
+            elif t is Add or t is Mul:
+                tokens.append("(")
+                stack += (")", x.right, "+" if t is Add else "·", x.left)
+            else:
+                raise TypeError(f"not a term: {x!r}")
         elif t is Eq:
             stack += (None, x.right, "=", x.left)
+            in_term = True
+        elif t is Lt:
+            k = f"x{_fresh_index(free_vars(x))}"
+            tokens += ("¬", "∀", k, "¬", "(")
+            stack += (None, x.right, "=", ")", ")", "1", "+", k, "(", "+", x.left)
             in_term = True
         elif t is Not:
             tokens.append("¬")
             stack.append(x.body)
-        elif t is Implies:
-            tokens.append("(")
-            stack += (")", x.right, "→", x.left)
         elif t is ForAll:
             tokens += ("∀", f"x{x.var}")
             stack.append(x.body)
+        elif t is Exists:
+            tokens += ("¬", "∀", f"x{x.var}", "¬")
+            stack.append(x.body)
+        elif t is Implies:
+            tokens.append("(")
+            stack += (")", x.right, "→", x.left)
+        elif t is And:
+            tokens += ("¬", "(")
+            stack += (")", x.right, "¬", "→", x.left)
+        elif t is Or:
+            tokens += ("(", "¬")
+            stack += (")", x.right, "→", x.left)
         else:
-            raise TypeError(f"not a desugared formula: {x!r}")
-    return tokens
+            raise TypeError(f"not a formula: {x!r}")
+    return [token_code(tok) for tok in tokens]
 
 
-def _encode_tokens(tokens):
+def _power_product(exps, start=0):
+    """p_start^e_0 * p_(start+1)^e_1 * ...: every code is built here."""
     code = 1
-    for i, tok in enumerate(tokens):
-        code *= nth_prime(i) ** token_code(tok)
+    for i, e in enumerate(exps, start):
+        code *= nth_prime(i) ** e
     return code
 
 
 def encode_formula(f):
-    """Goedel code of the canonical token string of the desugared formula."""
-    return _encode_tokens(_tokens(desugar(f)))
+    """Goedel code of the formula's symbol string in the coding alphabet."""
+    return _power_product(_symbols(f, Formula))
 
 
 def encode_term(t):
-    """Goedel code of a term's token string."""
-    if not isinstance(t, Term):
-        raise TypeError(f"not a term: {t!r}")
-    return _encode_tokens(_tokens(t))
+    """Goedel code of a term's symbol string."""
+    return _power_product(_symbols(t, Term))
+
+
+def desugar(f):
+    """The formula in the coding alphabet (=, ->, !, forall only): its
+    symbol string read back, so decode_formula(encode_formula(f)) ==
+    desugar(f) by construction.  The rewrite rules are those of _symbols."""
+    return _parse(_symbols(f, Formula))
 
 
 _M61 = (1 << 61) - 1  # a Mersenne prime: a residue filter for pure powers
@@ -329,7 +304,12 @@ def _close(stack):
 def decode_formula(code):
     """Inverse of encode_formula on the desugared alphabet.  NotACode on a
     prime-support gap or an ungrammatical string."""
-    exps = _contiguous_exponents(code)
+    return _parse(_contiguous_exponents(code))
+
+
+def _parse(exps):
+    """The formula whose symbol codes are exps; NotACode when they spell
+    none."""
     if not exps:
         raise NotACode("the empty string is not a formula")
     # Shift-reduce: every term and formula of the alphabet is complete at its
@@ -383,18 +363,14 @@ def decode_formula(code):
 def encode_seq(xs):
     """Code of a finite list: the empty list is 1, otherwise the product of
     p_i^(xs[i]+1)."""
-    code = 1
-    for i, x in enumerate(xs):
-        if x < 0:
-            raise ValueError("sequence elements must be naturals")
-        code *= nth_prime(i) ** (x + 1)
-    return code
+    exps = [x + 1 for x in xs]
+    if any(e < 1 for e in exps):
+        raise ValueError("sequence elements must be naturals")
+    return _power_product(exps)
 
 
 def decode_seq(a):
     """Element list of a sequence code; NotACode when a is not in Seq."""
-    if a == 1:
-        return []
     return [e - 1 for e in _contiguous_exponents(a)]
 
 
@@ -440,10 +416,7 @@ def seq_concat(a, b):
     exps = _seq_exponents(b)
     if not exps:
         raise IndexOutOfRange(f"{b} is not a nonempty sequence code")
-    out = a
-    for x, e in enumerate(exps):
-        out *= nth_prime(la + x + 1) ** e
-    return out
+    return a * _power_product(exps, la + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -455,19 +428,15 @@ def encode_set(xs):
     """Code of a strictly increasing list of naturals >= 1 as prod p_i^a_i.
     Element 0 would vanish from the code and is rejected."""
     prev = 0
-    code = 1
     for i, x in enumerate(xs):
         if x == 0:
             raise ZeroElement("element 0 cannot be set-coded")
         if x <= prev and i > 0:
             raise ValueError("set elements must be strictly increasing")
         prev = x
-        code *= nth_prime(i) ** x
-    return code
+    return _power_product(xs)
 
 
 def decode_set(a):
     """Exponent list of a set code (NotACode on a prime-support gap)."""
-    if a == 1:
-        return []
     return _contiguous_exponents(a)

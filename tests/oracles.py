@@ -3,8 +3,9 @@
 These deliberately share no code with the engine: colorings are enumerated
 as plain products with no canonicalization or pruning, qualifying sets are
 checked by scanning every subset size, recursive-function trees are run by
-a plain walk that counts fuel step by step, and prime exponents are found by
-dividing by one prime at a time.
+a plain walk that counts fuel step by step, prime exponents are found by
+dividing by one prime at a time, and formulas are rewritten into the coding
+alphabet by one recursive call per subformula.
 """
 
 from itertools import combinations, product
@@ -137,3 +138,62 @@ def prime_exponents(a):
         while any(p % d == 0 for d in range(2, p)):
             p += 1
     return exps, None
+
+
+def desugared(f):
+    """f rewritten into =, ->, ! and forall, the textbook way: one recursive
+    call per subformula, building the rewritten tree directly."""
+    from peano_forge.formula import Add, Eq, ForAll, Implies, Not, One, Var
+
+    kind = type(f).__name__
+    if kind == "Eq":
+        return f
+    if kind == "Lt":
+        used = _term_vars(f.left) | _term_vars(f.right)
+        k = min(set(range(len(used) + 1)) - used)
+        return Not(ForAll(k, Not(Eq(Add(f.left, Add(Var(k), One())), f.right))))
+    if kind == "Not":
+        return Not(desugared(f.body))
+    if kind == "ForAll":
+        return ForAll(f.var, desugared(f.body))
+    if kind == "Exists":
+        return Not(ForAll(f.var, Not(desugared(f.body))))
+    a, b = desugared(f.left), desugared(f.right)
+    if kind == "And":
+        return Not(Implies(a, Not(b)))
+    if kind == "Or":
+        return Implies(Not(a), b)
+    if kind == "Implies":
+        return Implies(a, b)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _term_vars(t):
+    kind = type(t).__name__
+    if kind == "Var":
+        return {t.index}
+    if kind in ("Add", "Mul"):
+        return _term_vars(t.left) | _term_vars(t.right)
+    return set()
+
+
+_SYMBOL = {"Zero": 1, "One": 2, "Add": 3, "Mul": 4, "Eq": 5, "Implies": 8,
+           "Not": 9, "ForAll": 10}
+
+
+def symbol_codes(node):
+    """Symbol codes of a term or of a formula over =, ->, ! and forall, by
+    the table 0 1 + * = ( ) -> ! forall = 1..10 and x_i = 11 + i."""
+    kind = type(node).__name__
+    if kind == "Var":
+        return [11 + node.index]
+    if kind in ("Zero", "One"):
+        return [_SYMBOL[kind]]
+    if kind == "Not":
+        return [_SYMBOL[kind]] + symbol_codes(node.body)
+    if kind == "ForAll":
+        return [_SYMBOL[kind], 11 + node.var] + symbol_codes(node.body)
+    left, right = symbol_codes(node.left), symbol_codes(node.right)
+    if kind == "Eq":
+        return left + [_SYMBOL[kind]] + right
+    return [6] + left + [_SYMBOL[kind]] + right + [7]  # ( left op right )

@@ -1,8 +1,10 @@
 import json
+import random
 import sys
 
-from peano_forge import Partition, parse, partition_to_text, render
+from peano_forge import Partition, parse, partition_to_text, render, to_json
 from peano_forge.cli import main
+from helpers import random_formula
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +33,12 @@ def test_parse_json(capsys):
         "kind": "lt",
         "args": [{"kind": "zero", "args": []}, {"kind": "one", "args": []}],
     }
+    # the text is written without the json module, byte for byte as it writes it
+    rng = random.Random(4242)
+    for _ in range(200):
+        f = random_formula(rng, rng.randint(0, 4))
+        code, out, err = run_cli(capsys, "parse", "--json", render(f))
+        assert (code, out, err) == (0, json.dumps(to_json(f)) + "\n", "")
 
 
 def test_parse_deep_nesting_is_a_syntax_error(capsys):
@@ -51,6 +59,12 @@ def test_deep_flat_sum_parses_encodes_and_decodes(capsys):
     code, out, err = run_cli(capsys, "parse", text)
     assert (code, err) == (0, "")
     assert out.startswith("Eq(Zero, " + "Add(" * 1500 + "One, One)")
+    # past the recursion of Python's json encoder too
+    code, out, err = run_cli(capsys, "parse", "--json", text)
+    one = '{"kind": "one", "args": []}'
+    expected = ('{"kind": "eq", "args": [{"kind": "zero", "args": []}, '
+                + '{"kind": "add", "args": [' * 1500 + one + f", {one}]}}" * 1500 + "]}\n")
+    assert (code, out, err) == (0, expected, "")
     code, out, err = run_cli(capsys, "encode", "formula", text)
     assert (code, err) == (0, "")
     code, out, err = run_cli(capsys, "decode", "formula", out.strip())

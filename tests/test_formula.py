@@ -316,13 +316,23 @@ def divides(x_var, y_var, z_var):
     return divides_formula(x_var, y_var, z_var)
 
 
+def quantifier_free(f):
+    if isinstance(f, (ForAll, Exists)):
+        return False
+    if isinstance(f, Not):
+        return quantifier_free(f.body)
+    if isinstance(f, (And, Or, Implies)):
+        return quantifier_free(f.left) and quantifier_free(f.right)
+    return True
+
+
 def test_vector_and_scalar_paths_agree(monkeypatch):
     import peano_forge.formula as fm
     rng = random.Random(777)
     cases = []
     for _ in range(150):
         body = random_formula(rng, rng.randint(0, 2), max_var=2)
-        if not fm._quantifier_free(body):
+        if not quantifier_free(body):
             continue
         quant = ForAll if rng.random() < 0.5 else Exists
         combine = Implies if quant is ForAll else And
@@ -362,6 +372,49 @@ def test_unbound_variable_in_bounded_matrix():
             f = quant(0, combine(le_guard(0, numeral(n)), Lt(Var(0), Var(1))))
             with pytest.raises(UnboundVariable):
                 eval_nat(f, {}, 5)
+
+
+def test_unbound_variable_behind_a_false_premise():
+    # x9 is never read: the premise 0 = 1 is false for every x0, so the
+    # range holds whether or not numpy is tried (more than 32 values)
+    for n in (16, 64):
+        body = Implies(Eq(Zero(), One()), Eq(Var(9), Zero()))
+        f = ForAll(0, Implies(le_guard(0, numeral(n)), body))
+        assert eval_nat(f, {}, 5) is True
+
+
+def test_unbounded_quantifiers_agree_across_paths(monkeypatch):
+    # unbounded quantifiers search 0..budget through the same range check
+    # as bounded ones, so above 32 values they take the numpy path; the
+    # answers and the BudgetExceeded messages match the exact loop
+    import peano_forge.formula as fm
+    shapes = [parse("exists x1 (x1 + x1 = x0 + x0 + 1)"),
+              parse("exists x1 (x1 * x1 = x0)"),
+              parse("forall x1 !(x1 * x1 = x0)")]
+
+    def outcomes():
+        out = []
+        for f in shapes:
+            for budget in (5, 31, 32, 33, 100):
+                for x in (0, 1, 4, 7, 36, 49, 50, 10000):
+                    try:
+                        out.append(eval_nat(f, {0: x}, budget))
+                    except BudgetExceeded as exc:
+                        out.append(str(exc))
+        return out
+
+    vector = []
+    real = fm._vec_formula
+    monkeypatch.setattr(fm, "_vec_formula", lambda *a: vector.append(a) or real(*a))
+    fast = outcomes()
+    assert vector  # the numpy path ran
+    monkeypatch.setattr(fm, "_VECTORIZE_MIN", 10 ** 9)  # force the exact loop
+    vector.clear()
+    slow = outcomes()
+    assert not vector
+    assert fast == slow
+    assert "quantifier search over x1 inconclusive within budget 100" in slow
+    assert True in slow and False in slow
 
 
 def test_numpy_is_imported_by_the_first_vectorized_range():

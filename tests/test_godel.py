@@ -42,7 +42,7 @@ from peano_forge import (
 from peano_forge import godel
 from peano_forge.godel import token_code
 from helpers import random_formula, sieve
-from oracles import factorial_mu_prime_chain, prime_exponents
+from oracles import desugared, factorial_mu_prime_chain, prime_exponents, symbol_codes
 
 
 # --- primes ---
@@ -180,6 +180,20 @@ def test_decode_formula_accepts_exactly_its_own_codes(symbols):
         f = decode_formula(code)
     except NotACode:
         return
+    assert encode_formula(f) == code
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5), st.integers(0, 15))
+def test_desugar_and_encode_match_the_oracle_rewrite(seed, depth, max_var):
+    # desugar reads back what the encoder writes, so round trips cannot see
+    # a wrong rewrite; the oracle rewrites the tree on its own
+    f = random_formula(random.Random(seed), depth, max_var)
+    plain = desugared(f)
+    assert desugar(f) == plain
+    code = 1
+    for i, c in enumerate(symbol_codes(plain)):
+        code *= nth_prime(i) ** c
     assert encode_formula(f) == code
 
 
