@@ -39,7 +39,8 @@ class NotPrenex(DomainError):
 
 
 class BudgetExceeded(DomainError):
-    """A finite search was inconclusive; never stands for a truth value."""
+    """A finite search was inconclusive, or a construction would go over its
+    budget; never stands for a truth value."""
 
     def __init__(self, message, iterations=None):
         super().__init__(message)

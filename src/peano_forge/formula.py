@@ -519,51 +519,32 @@ def induction_instance(phi, x, params):
 # ---------------------------------------------------------------------------
 
 
-def _guard_bound(guard, v):
-    """Recognize v < t (strict) or v < t | v = t / v = t | v < t (inclusive)."""
-    if isinstance(guard, Lt) and guard.left == Var(v):
-        return guard.right, False
-    if isinstance(guard, Or):
-        a, b = guard.left, guard.right
-        if isinstance(a, Eq):
-            a, b = b, a
-        if (isinstance(a, Lt) and isinstance(b, Eq)
-                and a.left == Var(v) and b.left == Var(v) and a.right == b.right):
-            return a.right, True
-    return None
-
-
 def _bounded_parts(f):
     """Decompose bounded-quantifier sugar: returns (var, bound term,
     inclusive, matrix) or None.  Patterns: forall v (v<t -> psi) and
-    exists v (v<t & psi), plus their v<=t variants, with v not free in t."""
-    if isinstance(f, ForAll) and isinstance(f.body, Implies):
-        guard, matrix = f.body.left, f.body.right
-    elif isinstance(f, Exists) and isinstance(f.body, And):
-        guard, matrix = f.body.left, f.body.right
-    else:
+    exists v (v<t & psi), where the guard v<t may also be written
+    v<t | v=t or v=t | v<t (inclusive), with v not free in t."""
+    t = type(f)
+    if not (t is ForAll and type(f.body) is Implies or t is Exists and type(f.body) is And):
         return None
-    g = _guard_bound(guard, f.var)
-    if g is None:
+    v, lt = f.var, f.body.left
+    inclusive = type(lt) is Or
+    if inclusive:
+        lt, eq = lt.left, lt.right
+        if type(lt) is Eq:
+            lt, eq = eq, lt
+        if type(eq) is not Eq or type(eq.left) is not Var or eq.left.index != v:
+            return None
+    if (type(lt) is not Lt or type(lt.left) is not Var or lt.left.index != v
+            or inclusive and lt.right != eq.right or v in term_vars(lt.right)):
         return None
-    t, inclusive = g
-    if f.var in term_vars(t):
-        return None
-    return f.var, t, inclusive, matrix
+    return v, lt.right, inclusive, f.body.right
 
 
-def _check_matrix(f):
-    bp = _bounded_parts(f)
-    if bp is not None:
-        _check_matrix(bp[3])
-        return
-    if isinstance(f, (ForAll, Exists)):
+def _check_matrix_node(x, args):
+    # bounded sugar is part of the matrix; any other quantifier is not
+    if (type(x) is ForAll or type(x) is Exists) and _bounded_parts(x) is None:
         raise NotPrenex("unbounded quantifier occurs under a connective")
-    if isinstance(f, Not):
-        _check_matrix(f.body)
-    elif isinstance(f, (And, Or, Implies)):
-        _check_matrix(f.left)
-        _check_matrix(f.right)
 
 
 def classify_prenex(f):
@@ -577,7 +558,7 @@ def classify_prenex(f):
         if not blocks or blocks[-1] != kind:
             blocks.append(kind)
         g = g.body
-    _check_matrix(g)
+    _fold(g, _check_matrix_node)
     if not blocks:
         return QuantClass("Sigma", 0)
     return QuantClass("Sigma" if blocks[0] == "E" else "Pi", len(blocks))
@@ -615,8 +596,8 @@ def _vectorizable(f, top):
     and every term value is below 2^62 under top, the env that binds the
     range variable to its largest value (+ and * are monotone on the
     naturals, so that bounds it over the range).  A quantifier or an unbound
-    variable leaves the range to the exact loop, which short-circuits as
-    eval_nat does."""
+    variable leaves the range to the value-by-value loop, which stops at the
+    first value that decides it."""
     t = type(f)
     if t is Eq or t is Lt:
         try:
@@ -635,50 +616,40 @@ def _vectorizable(f, top):
 # the import costs more than most CLI commands take to run
 np = None
 
-
-def _vec_formula(f, env):
-    # env binds the range variable to an int64 array of its values
-    if isinstance(f, Eq):
-        return np.asarray(eval_term(f.left, env) == eval_term(f.right, env))
-    if isinstance(f, Lt):
-        return np.asarray(eval_term(f.left, env) < eval_term(f.right, env))
-    if isinstance(f, Not):
-        return ~_vec_formula(f.body, env)
-    if isinstance(f, And):
-        return _vec_formula(f.left, env) & _vec_formula(f.right, env)
-    if isinstance(f, Or):
-        return _vec_formula(f.left, env) | _vec_formula(f.right, env)
-    return (~_vec_formula(f.left, env)) | _vec_formula(f.right, env)
-
-
+# a vectorized range is checked in int64 chunks that double from
+# _FIRST_CHUNK values up to _VECTOR_CHUNK, so an early witness stops the
+# search soon and memory stays bounded for large bounds
+_FIRST_CHUNK = 1 << 12
 _VECTOR_CHUNK = 1 << 20
+
+
+def _chunks(count):
+    lo, size = 0, _FIRST_CHUNK
+    while lo < count:
+        hi = min(lo + size, count)
+        yield np.arange(lo, hi, dtype=np.int64)
+        lo, size = hi, min(2 * size, _VECTOR_CHUNK)
 
 
 def _eval_over_range(matrix, v, count, env, budget, universal):
     global np
-    # Exact check over v in 0..count-1; the numpy path is a fast path only,
-    # guarded so that every term value fits in int64 and chunked so memory
-    # stays bounded for large bounds.
+    # Exact check over v in 0..count-1, one value at a time or, where
+    # _vectorizable allows it, one int64 chunk at a time: eval_nat then
+    # returns an array, or a bool where the value does not depend on v
     env2 = dict(env)
     env2[v] = count - 1
+    values = range(count)
     if count > _VECTORIZE_MIN and _vectorizable(matrix, env2):
         if np is None:
             import numpy as np
-        for lo in range(0, count, _VECTOR_CHUNK):
-            env2[v] = np.arange(lo, min(lo + _VECTOR_CHUNK, count), dtype=np.int64)
-            res = np.asarray(_vec_formula(matrix, env2))
-            if universal and not bool(res.all()):
-                return False
-            if not universal and bool(res.any()):
-                return True
-        return universal
-    for val in range(count):
+        values = _chunks(count)
+    for val in values:
         env2[v] = val
         r = eval_nat(matrix, env2, budget)
-        if universal and not r:
-            return False
-        if not universal and r:
-            return True
+        if type(r) is not bool:
+            r = bool(r.all() if universal else r.any())
+        if r is not universal:
+            return r
     return universal
 
 
@@ -689,21 +660,26 @@ def eval_nat(f, env, budget):
     quantifier is searched over 0..budget: a universal falsified or an
     existential witnessed within the range returns exactly; otherwise
     BudgetExceeded is raised (the search was inconclusive, never a value).
+
+    A quantifier-free f may also be evaluated with a variable bound to an
+    int64 array: the connectives then combine elementwise, and they stop
+    early only when their left side is the bool that decides them.
     """
     if isinstance(f, Eq):
         return eval_term(f.left, env) == eval_term(f.right, env)
     if isinstance(f, Lt):
         return eval_term(f.left, env) < eval_term(f.right, env)
     if isinstance(f, Not):
-        return not eval_nat(f.body, env, budget)
+        return eval_nat(f.body, env, budget) ^ True
     if isinstance(f, And):
-        return eval_nat(f.left, env, budget) and eval_nat(f.right, env, budget)
+        a = eval_nat(f.left, env, budget)
+        return False if a is False else a & eval_nat(f.right, env, budget)
     if isinstance(f, Or):
-        return eval_nat(f.left, env, budget) or eval_nat(f.right, env, budget)
+        a = eval_nat(f.left, env, budget)
+        return True if a is True else a | eval_nat(f.right, env, budget)
     if isinstance(f, Implies):
-        if not eval_nat(f.left, env, budget):
-            return True
-        return eval_nat(f.right, env, budget)
+        a = eval_nat(f.left, env, budget)
+        return True if a is False else (a ^ True) | eval_nat(f.right, env, budget)
     if isinstance(f, (ForAll, Exists)):
         universal = isinstance(f, ForAll)
         bp = _bounded_parts(f)

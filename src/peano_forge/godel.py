@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import isqrt, log2
 
-from .errors import IndexOutOfRange, NotACode, ZeroElement
+from .errors import BudgetExceeded, IndexOutOfRange, NotACode, ZeroElement
 from .formula import (
     Add,
     And,
@@ -189,11 +189,23 @@ def _symbols(node, kind):
     return [token_code(tok) for tok in tokens]
 
 
+# largest code _power_product builds, in bits (32 MiB)
+_MAX_CODE_BITS = 1 << 28
+
+
 def _power_product(exps, start=0):
-    """p_start^e_0 * p_(start+1)^e_1 * ...: every code is built here."""
+    """p_start^e_0 * p_(start+1)^e_1 * ...: every code is built here.  The
+    code has at most sum e_i * bitlen(p_i) bits; BudgetExceeded, before any
+    multiplication, when that bound is over _MAX_CODE_BITS."""
+    nth_prime(start + len(exps))  # _PRIMES now holds every prime used
+    primes = _PRIMES[start:start + len(exps)]
+    bits = sum(e * p.bit_length() for e, p in zip(exps, primes))
+    if bits > _MAX_CODE_BITS:
+        raise BudgetExceeded(
+            f"a code of up to {bits} bits is over the budget of {_MAX_CODE_BITS} bits")
     code = 1
-    for i, e in enumerate(exps, start):
-        code *= nth_prime(i) ** e
+    for p, e in zip(primes, exps):
+        code *= p ** e
     return code
 
 

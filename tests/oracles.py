@@ -4,8 +4,9 @@ These deliberately share no code with the engine: colorings are enumerated
 as plain products with no canonicalization or pruning, qualifying sets are
 checked by scanning every subset size, recursive-function trees are run by
 a plain walk that counts fuel step by step, prime exponents are found by
-dividing by one prime at a time, and formulas are rewritten into the coding
-alphabet by one recursive call per subformula.
+dividing by one prime at a time, formulas are rewritten into the coding
+alphabet by one recursive call per subformula, and formulas are evaluated by
+one recursive call per subformula, every range one value at a time.
 """
 
 from itertools import combinations, product
@@ -166,6 +167,88 @@ def desugared(f):
     if kind == "Implies":
         return Implies(a, b)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def eval_formula(f, env, budget):
+    """Truth value of a formula in the standard model, the plain way:
+    short-circuit connectives, and every quantifier checked one value at a
+    time up from 0.  Bounded sugar (forall v (guard -> a), exists v (guard
+    & a) with guard v<t, v<t | v=t or v=t | v<t, x_v not in t) ranges below
+    or up to t; any other quantifier searches 0..budget and raises
+    BudgetExceeded when no value there decides it."""
+    from peano_forge import BudgetExceeded
+
+    kind = type(f).__name__
+    if kind in ("Eq", "Lt"):
+        a, b = _term_value(f.left, env), _term_value(f.right, env)
+        return a == b if kind == "Eq" else a < b
+    if kind == "Not":
+        return not eval_formula(f.body, env, budget)
+    if kind == "And":
+        return eval_formula(f.left, env, budget) and eval_formula(f.right, env, budget)
+    if kind == "Or":
+        return eval_formula(f.left, env, budget) or eval_formula(f.right, env, budget)
+    if kind == "Implies":
+        return not eval_formula(f.left, env, budget) or eval_formula(f.right, env, budget)
+    if kind not in ("ForAll", "Exists"):
+        raise TypeError(f"not a formula: {f!r}")
+    universal = kind == "ForAll"
+    sugar = bounded_sugar(f)
+    if sugar is None:
+        values, body = range(budget + 1), f.body
+    else:
+        t, inclusive, body = sugar
+        values = range(_term_value(t, env) + inclusive)
+    for x in values:
+        r = eval_formula(body, {**env, f.var: x}, budget)
+        if r != universal:
+            return r
+    if sugar is None:
+        raise BudgetExceeded(
+            f"quantifier search over x{f.var} inconclusive within budget {budget}")
+    return universal
+
+
+def bounded_sugar(f):
+    # (t, inclusive, matrix) of bounded-quantifier sugar, or None
+    body = f.body
+    if type(body).__name__ != ("Implies" if type(f).__name__ == "ForAll" else "And"):
+        return None
+    guard = body.left
+    if type(guard).__name__ == "Lt":
+        lt, eq = guard, None
+    elif type(guard).__name__ == "Or":
+        atoms = {type(guard.left).__name__: guard.left, type(guard.right).__name__: guard.right}
+        if set(atoms) != {"Lt", "Eq"}:
+            return None
+        lt, eq = atoms["Lt"], atoms["Eq"]
+    else:
+        return None
+
+    def is_v(t):
+        return type(t).__name__ == "Var" and t.index == f.var
+
+    if not is_v(lt.left) or eq is not None and not (is_v(eq.left) and eq.right == lt.right):
+        return None
+    if f.var in _term_vars(lt.right):
+        return None
+    return lt.right, eq is not None, body.right
+
+
+def _term_value(t, env):
+    from peano_forge import UnboundVariable
+
+    kind = type(t).__name__
+    if kind == "Zero":
+        return 0
+    if kind == "One":
+        return 1
+    if kind == "Var":
+        if t.index not in env:
+            raise UnboundVariable(f"x{t.index} is not bound")
+        return env[t.index]
+    a, b = _term_value(t.left, env), _term_value(t.right, env)
+    return a + b if kind == "Add" else a * b
 
 
 def _term_vars(t):

@@ -376,6 +376,31 @@ def test_module_entry_point():
     assert proc.returncode == 1 and "SyntaxError" in proc.stderr
 
 
+def test_oversized_codes_are_refused_before_they_are_built(tmp_path):
+    # each of these codes would have 10^12 bits or more; the size bound is
+    # checked before anything is multiplied.  The process runs under a
+    # 1 GiB address-space limit, so a code that is built anyway fails here
+    # instead of exhausting memory.
+    import resource
+    import subprocess
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = tmp_path / "p2012.part"
+    path.write_text(partition_to_text(Partition(20, 1, 2, [i % 2 for i in range(20)])))
+    for argv in (["encode", "seq", "99999999999999999999"],
+                 ["encode", "formula", "x99999999999999999999999 = 0"],
+                 ["encode", "partition", str(path)]):
+        proc = subprocess.run([sys.executable, "-m", "peano_forge", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              preexec_fn=limit_memory)
+        assert (proc.returncode, proc.stdout) == (1, ""), argv
+        assert proc.stderr.startswith("error: BudgetExceeded: "), argv
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.endswith(" bits is over the budget of 268435456 bits\n")
+
+
 def test_malformed_inputs_never_raise(capsys, tmp_path):
     bad = tmp_path / "bad.part"
     bad.write_text("not a partition\n")

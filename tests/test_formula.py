@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from peano_forge import (
     Add,
@@ -38,6 +39,7 @@ from peano_forge import (
     to_json,
 )
 from helpers import le_guard, prim_formula, random_formula, sieve
+from oracles import bounded_sugar, eval_formula
 
 
 # --- parsing ---
@@ -247,6 +249,18 @@ def test_classify_rejects_quantifier_under_connective():
         classify_prenex(Not(Exists(0, Eq(Var(0), Zero()))))
 
 
+def test_classify_long_chain_without_recursion():
+    # the parser builds a 1500-long & chain 1500 levels deep; the matrix
+    # check walks it on an explicit stack, bare and under bounded sugar
+    chain = parse("0 = 0" + " & 0 = 0" * 1500)
+    assert classify_prenex(chain) == QuantClass("Sigma", 0)
+    bounded = ForAll(0, Implies(parse("x0 < 1 + 1"), chain))
+    assert classify_prenex(bounded) == QuantClass("Sigma", 0)
+    assert classify_prenex(ForAll(1, bounded)) == QuantClass("Pi", 1)
+    with pytest.raises(NotPrenex):
+        classify_prenex(And(chain, Exists(1, Eq(Var(1), Zero()))))
+
+
 def test_classify_stable_under_renaming():
     rng = random.Random(99)
     checked = 0
@@ -326,6 +340,22 @@ def quantifier_free(f):
     return True
 
 
+def spy_numpy_path(monkeypatch):
+    """A list that grows each time _vectorizable returns True, the moment a
+    range is handed to numpy (its recursive calls are seen too)."""
+    import peano_forge.formula as fm
+    real, vector = fm._vectorizable, []
+
+    def spy(f, top):
+        ok = real(f, top)
+        if ok:
+            vector.append(f)
+        return ok
+
+    monkeypatch.setattr(fm, "_vectorizable", spy)
+    return vector
+
+
 def test_vector_and_scalar_paths_agree(monkeypatch):
     import peano_forge.formula as fm
     rng = random.Random(777)
@@ -349,9 +379,7 @@ def test_vector_and_scalar_paths_agree(monkeypatch):
             straddle.append((ForAll(0, Implies(le_guard(0, numeral(40)), body)), {1: a, 2: b}))
             straddle.append((Exists(0, And(le_guard(0, numeral(40)), Not(body))), {1: a, 2: b}))
     cases += straddle
-    vector = []
-    real = fm._vec_formula
-    monkeypatch.setattr(fm, "_vec_formula", lambda *a: vector.append(a) or real(*a))
+    vector = spy_numpy_path(monkeypatch)
     fast, took_vector = [], []
     for f, env in cases:
         before = len(vector)
@@ -403,9 +431,7 @@ def test_unbounded_quantifiers_agree_across_paths(monkeypatch):
                         out.append(str(exc))
         return out
 
-    vector = []
-    real = fm._vec_formula
-    monkeypatch.setattr(fm, "_vec_formula", lambda *a: vector.append(a) or real(*a))
+    vector = spy_numpy_path(monkeypatch)
     fast = outcomes()
     assert vector  # the numpy path ran
     monkeypatch.setattr(fm, "_VECTORIZE_MIN", 10 ** 9)  # force the exact loop
@@ -434,6 +460,100 @@ def test_numpy_is_imported_by_the_first_vectorized_range():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
     assert (proc.returncode, proc.stdout) == (0, "[(True, False), (True, True)]\n")
+
+
+def test_numpy_chunks_double_up_to_the_chunk_size(monkeypatch):
+    # chunks grow from 2^12 values, so an early witness stops the search
+    # after about twice its position; a range of at most 2^12 values is one
+    # chunk.  The spy reads the chunk each range check hands to eval_nat.
+    import peano_forge.formula as fm
+    f = parse("exists x1 (x1 = x0)")
+    real, lengths = fm.eval_nat, []
+
+    def spy(g, env, budget):
+        if g is f.body and type(env[1]) is not int:
+            lengths.append(len(env[1]))
+        return real(g, env, budget)
+
+    monkeypatch.setattr(fm, "eval_nat", spy)
+    monkeypatch.setattr(fm, "_VECTOR_CHUNK", 1 << 14)
+
+    def chunk_lengths(x, budget):
+        lengths.clear()
+        try:
+            fm.eval_nat(f, {0: x}, budget)
+        except BudgetExceeded:
+            pass
+        return lengths
+
+    assert chunk_lengths(0, 10 ** 7) == [4096]
+    assert chunk_lengths(3, 10 ** 7) == [4096]
+    assert chunk_lengths(5000, 10 ** 7) == [4096, 8192]
+    assert chunk_lengths(50000, 10 ** 7) == [4096, 8192, 16384, 16384, 16384]
+    assert chunk_lengths(10 ** 6, 2500) == [2501]
+    assert chunk_lengths(10 ** 6, 4095) == [4096]
+    assert chunk_lengths(10 ** 6, 4096) == [4096, 1]
+
+
+def range_depth(f):
+    """Nesting depth of the quantifier ranges of f; 3 when a bounded
+    quantifier's bound reads a variable, which a random env may set near
+    2^31."""
+    if isinstance(f, (ForAll, Exists)):
+        sugar = bounded_sugar(f)
+        if sugar is None:
+            return 1 + range_depth(f.body)
+        return 3 if free_vars(sugar[0]) else 1 + range_depth(sugar[2])
+    if isinstance(f, Not):
+        return range_depth(f.body)
+    if isinstance(f, (And, Or, Implies)):
+        return max(range_depth(f.left), range_depth(f.right))
+    return 0
+
+
+def outcome(evaluate, f, env, budget):
+    try:
+        r = evaluate(f, env, budget)
+    except (BudgetExceeded, UnboundVariable) as exc:
+        return type(exc).__name__, str(exc)
+    return type(r).__name__, r
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_eval_nat_matches_the_plain_oracle(seed):
+    # the numpy path shares its connectives with the scalar one, so both are
+    # checked against an evaluator that shares no code with formula: a random
+    # formula inside one or two quantifiers, bounded ones (bounds 0-80, all
+    # three guard spellings) or unbounded ones (budgets 5-100), each over a
+    # variable the formula reads where it has one.  At most two ranges are
+    # nested, so each case stays small.  Env values near 2^31 have products
+    # on both sides of the int64 guard 2^62, and some variables stay unbound.
+    import peano_forge.formula as fm
+    rng = random.Random(seed)
+    f = random_formula(rng, rng.randint(0, 4), max_var=3)
+    env = {v: rng.choice((rng.randint(0, 6), 2 ** 31 - 1 + rng.randint(0, 2)))
+           for v in range(4) if rng.random() < 0.9}
+    budget = rng.randint(5, 100)
+    for _ in range(min(rng.randint(1, 2), 2 - range_depth(f))):
+        quant = rng.choice((ForAll, Exists))
+        v = rng.choice(sorted(free_vars(f)) or [rng.randrange(4)])
+        if rng.random() < 0.3:
+            f = quant(v, f)
+        else:
+            t = numeral(rng.randint(0, 80))
+            guard = rng.choice((Lt(Var(v), t), Or(Lt(Var(v), t), Eq(Var(v), t)),
+                                Or(Eq(Var(v), t), Lt(Var(v), t))))
+            f = quant(v, (Implies if quant is ForAll else And)(guard, f))
+    assume(range_depth(f) <= 2)
+    expected = outcome(eval_formula, f, env, budget)
+    assert outcome(eval_nat, f, env, budget) == expected
+    vectorize_min = fm._VECTORIZE_MIN
+    fm._VECTORIZE_MIN = 10 ** 9  # force the exact loop
+    try:
+        assert outcome(eval_nat, f, env, budget) == expected
+    finally:
+        fm._VECTORIZE_MIN = vectorize_min
 
 
 def test_eval_nat_big_values_fall_back_exactly():

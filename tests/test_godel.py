@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from peano_forge import (
     Add,
     And,
+    BudgetExceeded,
     Eq,
     Exists,
     ForAll,
@@ -353,6 +354,24 @@ def test_encode_set_values():
         encode_set([0, 1])
     with pytest.raises(ValueError):
         encode_set([3, 2])
+
+
+def test_codes_over_the_size_budget_are_refused(monkeypatch):
+    # the bound sum e_i * bitlen(p_i) is checked before any multiplication
+    with pytest.raises(BudgetExceeded, match="^a code of up to 268435458 bits is over "
+                                             "the budget of 268435456 bits$"):
+        godel._power_product([2 ** 27 + 1])  # bitlen(2) = 2
+    with pytest.raises(BudgetExceeded):
+        encode_seq([1, 2 ** 28])
+    with pytest.raises(BudgetExceeded):
+        encode_set([2 ** 28])
+    with pytest.raises(BudgetExceeded):  # 3^(2^27 + 1) after the shift
+        seq_concat(2, 1 << (2 ** 27 + 1))
+    # at the budget a code is built, one bit over it is not
+    monkeypatch.setattr(godel, "_MAX_CODE_BITS", 2 * 10 + 3 * 5)
+    assert godel._power_product([10, 0, 5]) == 2 ** 10 * 5 ** 5
+    with pytest.raises(BudgetExceeded):
+        godel._power_product([10, 1, 5])
 
 
 def test_decode_set():
