@@ -378,31 +378,44 @@ _RENDER = {
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _RENDER}
 
 
-def _fold(node, visit):
-    """Bottom-up fold without recursion: visit(x, args) runs once for every
-    node x, children first, where args lists the fields of x in declaration
-    order with each child node replaced by its result (the variable index of
-    Var and of a quantifier passes through as an int)."""
-    if type(node) not in _FIELDS:
-        raise TypeError(f"not an AST node: {node!r}")
-    done = []
-    stack = [node]
-    while stack:
-        x = stack.pop()
-        if type(x) is int:
-            done.append(x)
-        elif type(x) is tuple:
-            x, n = x
-            args = done[len(done) - n:]
-            del done[len(done) - n:]
-            done.append(visit(x, args))
+def _walk(node, step):
+    """Bottom-up walk without recursion.  step(x) is a generator that yields
+    each child of x whose result it needs, receives it, and returns the
+    result for x.  Each distinct node object is stepped once: its result is
+    kept by id, with the node, so a node that step builds keeps its id."""
+    done = {}
+    frames, result = [(node, step(node))], None
+    while frames:
+        try:
+            child = frames[-1][1].send(result)
+        except StopIteration as stop:
+            x, result = frames.pop()[0], stop.value
+            done[id(x)] = x, result
         else:
-            names = _FIELDS.get(type(x))
-            if names is None:
-                raise TypeError(f"not an AST node: {x!r}")
-            stack.append((x, len(names)))
-            stack += [getattr(x, name) for name in reversed(names)]
-    return done[0]
+            if id(child) in done:
+                result = done[id(child)][1]
+            else:  # step the child first, then resume
+                frames.append((child, step(child)))
+                result = None
+    return result
+
+
+def _fold_step(x, visit):
+    if type(x) not in _FIELDS:
+        raise TypeError(f"not an AST node: {x!r}")
+    args = []
+    for name in _FIELDS[type(x)]:
+        a = getattr(x, name)
+        args.append(a if type(a) is int else (yield a))
+    return visit(x, args)
+
+
+def _fold(node, visit):
+    """Bottom-up fold: visit(x, args) runs once for every distinct node x,
+    children first, where args lists the fields of x in declaration order
+    with each child node replaced by its result (the variable index of Var
+    and of a quantifier passes through as an int)."""
+    return _walk(node, lambda x: _fold_step(x, visit))
 
 
 def render(node):
@@ -478,23 +491,20 @@ def substitute(f, v, t):
     When a quantifier would capture a variable of t, its bound variable is
     renamed to the smallest index unused in both operands.
     """
-    if isinstance(f, Var):
-        return t if f.index == v else f
-    if type(f) in _BINARY:
-        return type(f)(substitute(f.left, v, t), substitute(f.right, v, t))
-    if isinstance(f, (Zero, One)):
-        return f
-    if isinstance(f, Not):
-        return Not(substitute(f.body, v, t))
-    if isinstance(f, (ForAll, Exists)):
-        if f.var == v or v not in free_vars(f.body):
-            return f
-        if f.var in term_vars(t):
-            fresh = _fresh_index(_vars(f.body, False) | term_vars(t) | {f.var})
-            body = substitute(f.body, f.var, Var(fresh))
-            return type(f)(fresh, substitute(body, v, t))
-        return type(f)(f.var, substitute(f.body, v, t))
-    raise TypeError(f"not an AST node: {f!r}")
+    def step(x):
+        tp = type(x)
+        if tp is Var or tp is Zero or tp is One:
+            return t if tp is Var and x.index == v else x
+        if tp is not ForAll and tp is not Exists:
+            return (yield from _fold_step(x, lambda _, args: tp(*args)))
+        # decided before the body is walked, so no body is substituted in vain
+        if x.var == v or v not in free_vars(x.body):
+            return x
+        if x.var not in term_vars(t):
+            return tp(x.var, (yield x.body))
+        fresh = _fresh_index(_vars(x.body, False) | term_vars(t) | {x.var})
+        return tp(fresh, (yield substitute(x.body, x.var, Var(fresh))))
+    return _walk(f, step)
 
 
 def induction_instance(phi, x, params):

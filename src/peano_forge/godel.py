@@ -441,6 +441,8 @@ def encode_set(xs):
     Element 0 would vanish from the code and is rejected."""
     prev = 0
     for i, x in enumerate(xs):
+        if x < 0:
+            raise ValueError("set elements must be naturals")
         if x == 0:
             raise ZeroElement("element 0 cannot be set-coded")
         if x <= prev and i > 0:

@@ -31,7 +31,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import ArityMismatch, IllFormed, NotCoprime, ParseError, UnknownName
-from .formula import _byte_offset, _check_nesting, _tokenize
+from .formula import _byte_offset, _check_nesting, _tokenize, _walk
 
 # ---------------------------------------------------------------------------
 # Definition trees
@@ -157,25 +157,15 @@ _Code = namedtuple("_Code", "arity run summary loops")
 
 
 def _code(d):
-    """The compiled form of d, built once per definition object and kept on
-    it.  The forms of a tree are built bottom-up from an explicit stack of
-    _compile generators, so each distinct node is compiled once and no
-    depth of tree recurses."""
+    """The compiled form of d, kept on it; formula._walk builds the forms of
+    a tree bottom-up, each distinct node once, at any depth."""
+    return getattr(d, "_code", None) or _walk(d, _kept_or_compiled)
+
+
+def _kept_or_compiled(d):
     code = getattr(d, "_code", None)
-    if code is not None:
-        return code
-    nodes, frames = [d], [_compile(d)]
-    while frames:
-        try:
-            child = frames[-1].send(code)
-        except StopIteration as done:
-            code = nodes.pop().__dict__["_code"] = done.value
-            frames.pop()
-        else:
-            code = getattr(child, "_code", None)
-            if code is None:  # compile the child first, then resume
-                nodes.append(child)
-                frames.append(_compile(child))
+    if code is None:
+        code = d.__dict__["_code"] = yield from _compile(d)
     return code
 
 

@@ -5,8 +5,9 @@ as plain products with no canonicalization or pruning, qualifying sets are
 checked by scanning every subset size, recursive-function trees are run by
 a plain walk that counts fuel step by step, prime exponents are found by
 dividing by one prime at a time, formulas are rewritten into the coding
-alphabet by one recursive call per subformula, and formulas are evaluated by
-one recursive call per subformula, every range one value at a time.
+alphabet by one recursive call per subformula, formulas are evaluated by
+one recursive call per subformula, every range one value at a time, and
+terms are substituted by one recursive call per subformula.
 """
 
 from itertools import combinations, product
@@ -167,6 +168,47 @@ def desugared(f):
     if kind == "Implies":
         return Implies(a, b)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def substituted(f, v, t):
+    """f with term t for the free occurrences of x_v, the textbook way: one
+    recursive call per subformula.  A quantifier over x_w with x_v free in
+    its body and x_w in t first has x_w renamed to the smallest index that
+    occurs nowhere in its body or in t and is not w."""
+    from peano_forge.formula import Var
+
+    kind = type(f).__name__
+    if kind == "Var":
+        return t if f.index == v else f
+    if kind in ("Zero", "One"):
+        return f
+    if kind == "Not":
+        return type(f)(substituted(f.body, v, t))
+    if kind not in ("ForAll", "Exists"):
+        return type(f)(substituted(f.left, v, t), substituted(f.right, v, t))
+    if f.var == v or v not in _variables(f.body, free=True):
+        return f
+    var, body = f.var, f.body
+    if var in _variables(t, free=True):
+        used = _variables(body, free=False) | _variables(t, free=True) | {var}
+        var = min(set(range(len(used) + 1)) - used)
+        body = substituted(body, f.var, Var(var))
+    return type(f)(var, substituted(body, v, t))
+
+
+def _variables(node, free):
+    # indices of the free variables of a term or formula, or of all of them
+    kind = type(node).__name__
+    if kind == "Var":
+        return {node.index}
+    if kind in ("Zero", "One"):
+        return set()
+    if kind == "Not":
+        return _variables(node.body, free)
+    if kind in ("ForAll", "Exists"):
+        inner = _variables(node.body, free)
+        return inner - {node.var} if free else inner | {node.var}
+    return _variables(node.left, free) | _variables(node.right, free)
 
 
 def eval_formula(f, env, budget):

@@ -104,6 +104,13 @@ def test_encode_decode_set(capsys):
     assert (code, out) == (0, "2 3\n")
 
 
+def test_encode_set_negative_is_a_usage_error(capsys):
+    assert run_cli(capsys, "encode", "set", "--", "-1", "2") == (
+        2, "", "usage error: set elements must be naturals\n")
+    code, out, err = run_cli(capsys, "encode", "set", "0", "2")
+    assert (code, out) == (1, "") and err.startswith("error: ZeroElement: ")
+
+
 def test_decode_not_a_code(capsys):
     code, out, err = run_cli(capsys, "decode", "formula", "2048")
     assert code == 1 and "NotACode" in err

@@ -34,12 +34,13 @@ from peano_forge import (
     induction_instance,
     numeral,
     parse,
+    parse_term,
     render,
     substitute,
     to_json,
 )
-from helpers import le_guard, prim_formula, random_formula, sieve
-from oracles import bounded_sugar, eval_formula
+from helpers import le_guard, prim_formula, random_formula, random_term, sieve
+from oracles import bounded_sugar, eval_formula, substituted
 
 
 # --- parsing ---
@@ -114,6 +115,23 @@ def test_parse_render_round_trip_random():
         assert parse(render(f)) == f
 
 
+def test_parse_term_round_trip_random():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        t = random_term(rng, rng.randint(0, 5))
+        assert parse_term(render(t)) == t
+
+
+def test_parse_term_error_carries_offset_and_expected():
+    with pytest.raises(ParseError) as info:
+        parse_term("x0 * (1 + )")
+    assert info.value.offset == 10
+    assert info.value.expected == frozenset({"0", "1", "(", "variable"})
+    with pytest.raises(ParseError) as info:
+        parse_term("1 + x0 = 1")  # a formula is no term
+    assert (info.value.offset, info.value.expected) == (7, frozenset({"end of input"}))
+
+
 def test_printers_walk_deep_trees():
     # the parser's loop builds this flat sum left-nested, 1500 levels deep;
     # the printers walk it without recursion (parse(render(f)) would exceed
@@ -184,6 +202,73 @@ def test_substitution_sound_on_standard_model():
         assert lhs == rhs, (f, v, n, env)
         checked += 1
     assert checked > 100
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_substitute_matches_the_plain_oracle(seed):
+    # variables x0-x4 in both operands, so quantifiers capture variables of
+    # the term and are renamed; the induction instance is built on it
+    rng = random.Random(seed)
+    f = random_formula(rng, rng.randint(0, 4), max_var=4)
+    t = random_term(rng, rng.randint(0, 2), max_var=4)
+    v = rng.randrange(5)
+    assert substitute(f, v, t) == substituted(f, v, t)
+    params = rng.sample([p for p in range(5) if p != v], rng.randint(0, 2))
+    step = ForAll(v, Implies(f, substituted(f, v, Add(Var(v), One()))))
+    expected = Implies(And(substituted(f, v, Zero()), step), ForAll(v, f))
+    for p in reversed(params):
+        expected = ForAll(p, expected)
+    assert induction_instance(f, v, params) == expected
+
+
+def test_substitute_and_induction_on_deep_trees():
+    # 1500 and 3000 levels deep; == on such trees recurses, so the results
+    # are compared as text
+    t = Add(Var(1), One())
+    for f in (parse("x0 = 0" + " & x0 = 0" * 1500),
+              parse("x0 = 1" + " + x0" * 1500),
+              Eq(Var(0), numeral(3000))):
+        phi = render(f)
+        assert render(substitute(f, 0, t)) == phi.replace("x0", "(x1 + 1)")
+        base, step = phi.replace("x0", "0"), phi.replace("x0", "(x0 + 1)")
+        assert render(induction_instance(f, 0, [1])) == (
+            f"forall x1 ((({base} & forall x0 (({phi} -> {step}))) -> forall x0 ({phi})))")
+
+
+def test_nested_renamings_run_once_each(monkeypatch):
+    # each of the 1500 quantifiers over x1 would capture the x1 substituted
+    # for x0, so each is renamed to x2, once
+    import peano_forge.formula as fm
+    f = Eq(Var(0), Var(1))
+    for _ in range(1500):
+        f = ForAll(1, f)
+    renamings = []
+    fresh_index = fm._fresh_index
+    monkeypatch.setattr(fm, "_fresh_index", lambda used: renamings.append(1) or fresh_index(used))
+    got = substitute(f, 0, Var(1))
+    assert len(renamings) == 1500
+    assert render(got) == "forall x2 (" * 1500 + "(x1 = x2)" + ")" * 1500
+
+
+def test_shared_subformulas_are_walked_once():
+    # 16 nested Ands over one Eq, each with its two sides the same object:
+    # 19 distinct nodes, and 262143 nodes when walked as a tree
+    import peano_forge.formula as fm
+    dag = Eq(Var(0), Zero())
+    for _ in range(16):
+        dag = And(dag, dag)
+    visited = []
+    fm._fold(dag, lambda x, args: visited.append(x))
+    assert len(visited) == 19 and len({id(x) for x in visited}) == 19
+    assert classify_prenex(dag) == QuantClass("Sigma", 0)
+    got = substitute(dag, 0, One())
+    for _ in range(16):
+        assert type(got) is And and got.left is got.right
+        got = got.left
+    assert got == Eq(One(), Zero())
+    node = to_json(dag)  # one shared dict for the node object met twice
+    assert node["args"][0] is node["args"][1]
 
 
 # --- induction schema ---

@@ -356,6 +356,15 @@ def test_encode_set_values():
         encode_set([3, 2])
 
 
+def test_encode_set_rejects_negative_elements():
+    # a negative element would be a negative exponent, and the code a float
+    for xs in ([-1], [-1, 2], [-2, 3], [2, -1]):
+        with pytest.raises(ValueError, match="^set elements must be naturals$"):
+            encode_set(xs)
+    with pytest.raises(ZeroElement):
+        encode_set([0, -1])
+
+
 def test_codes_over_the_size_budget_are_refused(monkeypatch):
     # the bound sum e_i * bitlen(p_i) is checked before any multiplication
     with pytest.raises(BudgetExceeded, match="^a code of up to 268435458 bits is over "
