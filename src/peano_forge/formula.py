@@ -377,27 +377,55 @@ _RENDER = {
 # field names of each node class, in declaration order
 _FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _RENDER}
 
+# the fields that hold a variable index, not a node
+_INDEX_FIELDS = ("index", "var")
+
 
 def _walk(node, step):
     """Bottom-up walk without recursion.  step(x) is a generator that yields
     each child of x whose result it needs, receives it, and returns the
-    result for x.  Each distinct node object is stepped once: its result is
-    kept by id, with the node, so a node that step builds keeps its id."""
-    done = {}
+    result for x.  Each distinct node object is stepped once, and only the
+    results of nodes with more than one parent are kept, so the memory of a
+    walk over a tree does not grow with the sizes of its partial results."""
+    seen, shared, kept = {}, set(), {}
+    _find_shared(node, seen, shared)
     frames, result = [(node, step(node))], None
     while frames:
         try:
             child = frames[-1][1].send(result)
         except StopIteration as stop:
             x, result = frames.pop()[0], stop.value
-            done[id(x)] = x, result
+            if id(x) in shared:
+                kept[id(x)] = result
         else:
-            if id(child) in done:
-                result = done[id(child)][1]
+            if id(child) in kept:
+                result = kept[id(child)]
             else:  # step the child first, then resume
+                if id(child) not in seen:  # a node that a step built
+                    _find_shared(child, seen, shared)
                 frames.append((child, step(child)))
                 result = None
     return result
+
+
+def _find_shared(node, seen, shared):
+    """Add to seen (id -> node) the AST nodes under node that it lacks, and
+    to shared the ids of those met more than once.  seen holds each node, so
+    its id stays its own during the walk.  Of a definition tree only node is
+    added, as the results of definitions are kept on the nodes themselves."""
+    seen[id(node)] = node
+    stack = [node]
+    while stack:
+        x = stack.pop()
+        for name in _FIELDS.get(type(x), ()):
+            if name in _INDEX_FIELDS:
+                continue
+            c = getattr(x, name)
+            if id(c) in seen:
+                shared.add(id(c))
+            else:
+                seen[id(c)] = c
+                stack.append(c)
 
 
 def _fold_step(x, visit):
@@ -406,7 +434,7 @@ def _fold_step(x, visit):
     args = []
     for name in _FIELDS[type(x)]:
         a = getattr(x, name)
-        args.append(a if type(a) is int else (yield a))
+        args.append(a if type(a) is int and name in _INDEX_FIELDS else (yield a))
     return visit(x, args)
 
 

@@ -150,8 +150,9 @@ def test_printers_walk_deep_trees():
 
 
 def test_printers_reject_non_nodes():
-    for bad in (3, Term(), Add(One(), "1")):
-        for printer in (render, ast_text, to_json):
+    # an int passes through only as the variable index of Var or a quantifier
+    for bad in (3, Term(), Add(One(), "1"), Add(One(), 3), Not(5)):
+        for printer in (render, ast_text, to_json, lambda f: substitute(f, 0, One())):
             with pytest.raises(TypeError):
                 printer(bad)
 
@@ -269,6 +270,17 @@ def test_shared_subformulas_are_walked_once():
     assert got == Eq(One(), Zero())
     node = to_json(dag)  # one shared dict for the node object met twice
     assert node["args"][0] is node["args"][1]
+    # the renamed body is a DAG that substitute builds, walked once per node
+    dag = Eq(Var(0), Var(1))
+    for _ in range(10):
+        dag = And(dag, dag)
+    got = substitute(ForAll(1, dag), 0, Var(1))
+    assert type(got) is ForAll and got.var == 2
+    got = got.body
+    for _ in range(10):
+        assert type(got) is And and got.left is got.right
+        got = got.left
+    assert got == Eq(Var(1), Var(2))
 
 
 # --- induction schema ---
