@@ -6,7 +6,6 @@ propositional connectives, and quantifiers over variables x0, x1, ...
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 
 from .errors import (
     BudgetExceeded,
@@ -22,97 +21,150 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Term:
-    pass
+class Node:
+    """An immutable record whose fields are the names in the __slots__ of
+    its class and its bases that do not start with "_" (those hold caches).
+    == and hash are structural at any depth and meet each distinct node, or
+    pair of nodes, once; a pickle or copy rebuilds a node from its fields."""
+
+    __slots__ = ("_hash",)
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(n for n in vars(cls).get("__slots__", ()) if n[0] != "_")
+        # each class gets _init, which sets each field through its slot
+        # descriptor, and _values; _init is its __init__ unless it has one
+        names, ns = cls._fields, {}
+        exec(f"def make({', '.join('_' + n for n in names)}):\n"
+             f" def __init__(self, {', '.join(names)}):\n"
+             f"  pass; {'; '.join(f'_{n}(self, {n})' for n in names)}\n"
+             f" def _values(self):\n"
+             f"  return ({''.join(f'self.{n}, ' for n in names)})\n"
+             f" return __init__, _values", ns)
+        cls._init, cls._values = ns["make"](*(getattr(cls, n).__set__ for n in names))
+        cls._init.__qualname__ = f"{cls.__qualname__}.__init__"
+        if "__init__" not in vars(cls):
+            cls.__init__ = cls._init
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Node):
+            return NotImplemented
+        pairs, seen = [(self, other)], set()
+        while pairs:
+            a, b = pairs.pop()
+            if type(a) is not type(b) or type(a) is tuple and len(a) != len(b):
+                return False
+            if type(a) is not tuple:
+                if (id(a), id(b)) in seen:
+                    continue
+                seen.add((id(a), id(b)))
+                a, b = a._values(), b._values()
+            for x, y in zip(a, b):
+                if x is y:
+                    continue
+                if isinstance(x, Node) or type(x) is tuple:
+                    pairs.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self):
+        return getattr(self, "_hash", None) or _walk(self, _hash_step)
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
+def _hash_step(x):
+    # hash of x's type and fields, each node among them (in a tuple too)
+    # standing for its own hash; kept on x
+    h = getattr(x, "_hash", None)
+    if h is None:
+        parts = [type(x)]
+        for value in x._values():
+            for item in value if type(value) is tuple else (value,):
+                parts.append((yield item) if isinstance(item, Node) else item)
+        h = hash(tuple(parts))
+        object.__setattr__(x, "_hash", h)
+    return h
+
+
+class Term(Node):
+    __slots__ = ()
+
+
 class Zero(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class One(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    index: int
+    __slots__ = ("index",)
 
 
-@dataclass(frozen=True)
 class Add(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Mul(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Formula:
-    pass
+class Formula(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Eq(Formula):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Lt(Formula):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    body: Formula
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class ForAll(Formula):
-    var: int
-    body: Formula
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
-    var: int
-    body: Formula
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
-class QuantClass:
+class QuantClass(Node):
     """Prenex classification: kind is "Sigma" or "Pi", level counts the
     maximal alternating blocks of unbounded quantifiers."""
 
-    kind: str
-    level: int
+    __slots__ = ("kind", "level")
 
 
 def numeral(n):
@@ -375,7 +427,7 @@ _RENDER = {
 }
 
 # field names of each node class, in declaration order
-_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _RENDER}
+_FIELDS = {cls: cls._fields for cls in _RENDER}
 
 # the fields that hold a variable index, not a node
 _INDEX_FIELDS = ("index", "var")
@@ -411,8 +463,8 @@ def _walk(node, step):
 def _find_shared(node, seen, shared):
     """Add to seen (id -> node) the AST nodes under node that it lacks, and
     to shared the ids of those met more than once.  seen holds each node, so
-    its id stays its own during the walk.  Of a definition tree only node is
-    added, as the results of definitions are kept on the nodes themselves."""
+    its id stays its own during the walk.  Of any other node, such as a
+    definition, only node is added, as its walks keep results on the nodes."""
     seen[id(node)] = node
     stack = [node]
     while stack:

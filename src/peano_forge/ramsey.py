@@ -17,7 +17,6 @@ without effect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -30,6 +29,7 @@ from .errors import (
     SearchSpaceTooLarge,
     ShapeMismatch,
 )
+from .formula import Node
 from .godel import decode_seq, encode_seq, pair, unpair
 
 DEFAULT_ENUM_CAP = 2 ** 30
@@ -46,11 +46,11 @@ def _rank_map(m, n):
     return {s: i for i, s in enumerate(subsets_colex(m, n))}
 
 
-class Partition:
+class Partition(Node):
     """Total r-coloring of the n-element subsets of {0..m-1}.
 
     Colors are stored as a tuple indexed by colex rank; a mapping from
-    subsets to colors is accepted too.  Instances are not mutated.
+    subsets to colors is accepted too.  Instances are immutable.
     """
 
     __slots__ = ("m", "n", "r", "colors")
@@ -74,10 +74,7 @@ class Partition:
         for c in colors:
             if not 0 <= c < r:
                 raise ShapeMismatch(f"color {c} outside 0..{r - 1}")
-        self.m = m
-        self.n = n
-        self.r = r
-        self.colors = colors
+        self._init(m, n, r, colors)
 
     @classmethod
     def from_function(cls, m, n, r, fn):
@@ -95,24 +92,12 @@ class Partition:
     def as_dict(self):
         return dict(self.items())
 
-    def __eq__(self, other):
-        return (isinstance(other, Partition)
-                and (self.m, self.n, self.r, self.colors)
-                == (other.m, other.n, other.r, other.colors))
-
-    def __hash__(self):
-        return hash((self.m, self.n, self.r, self.colors))
-
     def __repr__(self):
         return f"Partition(m={self.m}, n={self.n}, r={self.r})"
 
 
-@dataclass(frozen=True)
-class HomogReport:
-    set: tuple
-    color: int
-    size: int
-    relatively_large: bool
+class HomogReport(Node):
+    __slots__ = ("set", "color", "size", "relatively_large")
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +354,13 @@ def combine(partitions):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FastGrowingBudget:
-    max_result_bits: int
-    max_iterations: int
+class FastGrowingBudget(Node):
+    __slots__ = ("max_result_bits", "max_iterations")
 
-    def __post_init__(self):
-        if self.max_result_bits < 1 or self.max_iterations < 1:
+    def __init__(self, max_result_bits, max_iterations):
+        if max_result_bits < 1 or max_iterations < 1:
             raise ValueError("budget fields must be positive")
+        self._init(max_result_bits, max_iterations)
 
 
 DEFAULT_FAST_BUDGET = FastGrowingBudget(max_result_bits=1_000_000,

@@ -28,70 +28,58 @@ import itertools
 import math
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .errors import ArityMismatch, IllFormed, NotCoprime, ParseError, UnknownName
-from .formula import _byte_offset, _check_nesting, _tokenize, _walk
+from .formula import Node, _byte_offset, _check_nesting, _tokenize, _walk
 
 # ---------------------------------------------------------------------------
 # Definition trees
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PRDef:
-    def __getstate__(self):
-        # the evaluator keeps each node's compiled form on it; that is a
-        # cache of closures, not part of the definition
-        return {k: v for k, v in self.__dict__.items() if k != "_code"}
+class PRDef(Node):
+    # the evaluator keeps each node's compiled form in _code
+    __slots__ = ("_code",)
 
 
-@dataclass(frozen=True)
 class ZeroFn(PRDef):
     """The unary constant-zero function."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Succ(PRDef):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Proj(PRDef):
-    i: int
-    n: int
+    __slots__ = ("i", "n")
 
 
-@dataclass(frozen=True)
 class Comp(PRDef):
-    f: PRDef
-    gs: tuple
+    __slots__ = ("f", "gs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gs", tuple(self.gs))
+    def __init__(self, f, gs):
+        self._init(f, tuple(gs))
 
 
-@dataclass(frozen=True)
 class PrimRec(PRDef):
     """h(xs, 0) = base(xs); h(xs, y+1) = step(xs, y, h(xs, y))."""
 
-    base: PRDef
-    step: PRDef
+    __slots__ = ("base", "step")
 
 
-@dataclass(frozen=True)
 class BoundedMu(PRDef):
     """Least y below the last argument with g(args, y) = 0, defaulting to
     the bound itself when no witness exists."""
 
-    g: PRDef
+    __slots__ = ("g",)
 
 
-@dataclass(frozen=True)
 class Mu(PRDef):
     """Unbounded least-zero search; the only source of partiality."""
 
-    g: PRDef
+    __slots__ = ("g",)
 
 
 def arity(d):
@@ -104,20 +92,19 @@ def arity(d):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Value:
-    value: int
+class Value(Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Undefined:
+class Undefined(Node):
     """Semantic non-termination; never produced by the evaluator (it cannot
     prove divergence), present so outcomes mirror the calculus."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class BudgetExhausted:
-    pass
+
+class BudgetExhausted(Node):
+    __slots__ = ()
 
 
 class _OutOfFuel(Exception):
@@ -165,7 +152,8 @@ def _code(d):
 def _kept_or_compiled(d):
     code = getattr(d, "_code", None)
     if code is None:
-        code = d.__dict__["_code"] = yield from _compile(d)
+        code = yield from _compile(d)
+        object.__setattr__(d, "_code", code)
     return code
 
 

@@ -166,6 +166,27 @@ def test_numeral_shape():
     assert eval_term(numeral(17), {}) == 17
 
 
+def test_eq_and_hash_at_any_depth():
+    chain = "0 = 0" + " & 0 = 0" * 1500
+    for build in (lambda: numeral(3000), lambda: parse(chain)):
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert numeral(3000) != numeral(2999)
+    assert parse(chain) != parse(chain[:-1] + "1")
+
+
+def test_eq_and_hash_of_a_shared_dag():
+    # 40 levels of f = f & f: 2^40 paths through 41 distinct nodes
+    def dag():
+        f = Eq(Var(0), Zero())
+        for _ in range(40):
+            f = And(f, f)
+        return f
+    f, twin = dag(), dag()
+    assert f == twin and hash(f) == hash(twin)
+    assert f != And(twin.left, Eq(Var(0), One()))
+
+
 # --- free variables ---
 
 def test_free_vars():
@@ -356,6 +377,15 @@ def test_classify_long_chain_without_recursion():
     assert classify_prenex(ForAll(1, bounded)) == QuantClass("Pi", 1)
     with pytest.raises(NotPrenex):
         classify_prenex(And(chain, Exists(1, Eq(Var(1), Zero()))))
+
+
+def test_classify_inclusive_guard_with_deep_bounds():
+    # the two copies of t in x0 < t | x0 = t are separate 1500-level sums,
+    # which _bounded_parts compares with == on an explicit stack
+    def t():
+        return parse_term("1" + " + 1" * 1500)
+    f = ForAll(0, Implies(Or(Lt(Var(0), t()), Eq(Var(0), t())), Eq(Zero(), Zero())))
+    assert classify_prenex(f) == QuantClass("Sigma", 0)
 
 
 def test_classify_stable_under_renaming():

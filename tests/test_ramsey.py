@@ -60,6 +60,17 @@ def test_partition_validation():
         P.color((0, 5))
 
 
+def test_partition_is_immutable():
+    P = Partition(4, 2, 2, [0, 1, 0, 1, 0, 1])
+    with pytest.raises(AttributeError):
+        P.m = 5
+    with pytest.raises(AttributeError):
+        del P.colors
+    Q = Partition(4, 2, 2, [0, 1, 0, 1, 0, 1])
+    assert (P.m, P.colors) == (4, (0, 1, 0, 1, 0, 1))
+    assert P == Q and hash(P) == hash(Q) and P != Partition(4, 2, 2, [0] * 6)
+
+
 def test_partition_from_dict_round_trip():
     P = pentagon()
     assert Partition(5, 2, 2, P.as_dict()) == P
@@ -187,7 +198,8 @@ def test_import_loads_no_process_pool():
 
 def test_commands_load_no_numpy():
     # numpy is imported only when a bounded range is vectorized, so neither
-    # the package import nor these commands pay for it
+    # the package import nor these commands pay for it; nor do they load
+    # dataclasses
     import os
     import subprocess
     import sys
@@ -210,6 +222,7 @@ def test_commands_load_no_numpy():
                   for line in proc.stderr.splitlines() if line.startswith("import time:")}
         assert (proc.returncode, proc.stdout) == (0, out), args
         assert "peano_forge" in loaded and "numpy" not in loaded, args
+        assert "dataclasses" not in loaded, args
 
 
 def test_search_space_cap():

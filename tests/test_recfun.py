@@ -1,26 +1,49 @@
+import copy
 import math
 import pickle
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peano_forge import (
+    Add,
+    And,
     ArityMismatch,
     BoundedMu,
     BudgetExhausted,
     Comp,
+    Eq,
+    Exists,
+    FastGrowingBudget,
+    ForAll,
+    Formula,
+    HomogReport,
     IllFormed,
+    Implies,
+    Lt,
     Mu,
+    Mul,
+    Not,
     NotCoprime,
+    One,
+    Or,
+    PRDef,
     ParseError,
+    Partition,
     PrimRec,
     Proj,
+    QuantClass,
     Succ,
+    Term,
+    Undefined,
     UnknownName,
     Value,
+    Var,
+    Zero,
     ZeroFn,
     arity,
     bezout_inverse,
@@ -29,6 +52,7 @@ from peano_forge import (
     stdlib,
     stdlib_names,
 )
+from peano_forge.formula import Node
 from helpers import random_valid_prdef, sieve
 from oracles import pr_fuel_eval
 
@@ -242,11 +266,66 @@ def test_memo_cap_keeps_fuel_exact(monkeypatch):
     _matches_oracle(loop, [2, 40], 10 ** 6)
 
 
+def _node_classes():
+    found, stack = set(), [Node]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            found.add(cls)
+            stack.append(cls)
+    return found
+
+
 def test_evaluated_definitions_still_pickle():
     d = stdlib("nth_prime")
     eval_def(d, [3], FUEL)
-    copy = pickle.loads(pickle.dumps(d))
-    assert copy == d and eval_def(copy, [3], FUEL) == Value(7)
+    clone = pickle.loads(pickle.dumps(d))
+    assert clone == d and eval_def(clone, [3], FUEL) == Value(7)
+    # one instance of every node class, compiled and hashed: a pickle or a
+    # deep copy rebuilds it from its fields and carries neither cache
+    leaves = [cls() for cls in (Term, Formula, Zero, One, PRDef, ZeroFn, Succ,
+                                Undefined, BudgetExhausted)]
+    zz = Eq(Zero(), Zero())
+    nodes = leaves + [
+        Var(0), Add(Var(0), One()), Mul(Var(1), Zero()), Eq(Var(0), Zero()),
+        Lt(Zero(), Var(2)), Not(zz), Or(zz, Eq(Var(0), Zero())), Implies(zz, zz),
+        And(zz, Eq(One(), One())), ForAll(0, Eq(Var(0), Var(0))), Exists(1, zz),
+        QuantClass("Pi", 2), Proj(2, 3), Comp(Succ(), (ZeroFn(),)), ADD,
+        BoundedMu(Proj(2, 2)), Mu(Proj(2, 2)), Value(7),
+        HomogReport((0, 1, 2), 1, 3, True),
+        FastGrowingBudget(max_result_bits=8, max_iterations=100),
+        Partition(4, 2, 2, [0, 1, 0, 1, 0, 1]),
+    ]
+    assert {type(x) for x in nodes} == _node_classes()
+    for x in nodes:
+        if isinstance(x, PRDef) and type(x) is not PRDef:
+            arity(x)
+        h = hash(x)
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert type(y) is type(x) and y is not x
+            assert getattr(y, "_code", None) is None and getattr(y, "_hash", None) is None
+            assert y == x and hash(y) == h
+
+
+def test_reprs_match_the_dataclass_ones():
+    assert repr(stdlib("pred")) == (
+        "Comp(f=PrimRec(base=ZeroFn(), step=Proj(i=2, n=3)), "
+        "gs=(Proj(i=1, n=1), Proj(i=1, n=1)))")
+    assert repr(Comp(Succ(), [ZeroFn()])) == "Comp(f=Succ(), gs=(ZeroFn(),))"
+    assert repr(QuantClass("Sigma", 0)) == "QuantClass(kind='Sigma', level=0)"
+    assert repr(Value(7)) == "Value(value=7)"
+    assert repr(HomogReport((0, 1, 2), 1, 3, True)) == (
+        "HomogReport(set=(0, 1, 2), color=1, size=3, relatively_large=True)")
+    assert repr(FastGrowingBudget(max_result_bits=8, max_iterations=100)) == (
+        "FastGrowingBudget(max_result_bits=8, max_iterations=100)")
+
+
+def test_eq_and_hash_of_a_shared_dag():
+    # 40 levels of d = Comp(add, (d, d)): 2^40 paths through 46 distinct
+    # nodes, each of which == and hash meet once
+    d, twin, lower = _doubling_dag(40), _doubling_dag(40), _doubling_dag(39)
+    start = time.perf_counter()
+    assert d == twin and hash(d) == hash(twin) and d != lower
+    assert time.perf_counter() - start < 1.0
 
 
 # --- DSL ---
