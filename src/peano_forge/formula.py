@@ -6,6 +6,7 @@ propositional connectives, and quantifiers over variables x0, x1, ...
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 from .errors import (
     BudgetExceeded,
@@ -27,7 +28,7 @@ class Node:
     == and hash are structural at any depth and meet each distinct node, or
     pair of nodes, once; a pickle or copy rebuilds a node from its fields."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_code")
     _fields = ()
 
     def __init_subclass__(cls):
@@ -659,22 +660,42 @@ def classify_prenex(f):
 # ---------------------------------------------------------------------------
 
 
+def _compiled(node, compile):
+    """The compiled form of node, kept on it: compile(x), a _walk step, builds
+    the form of x from its children's, once per distinct node at any depth."""
+    def kept_or_compiled(x):
+        code = getattr(x, "_code", None)
+        if code is None:
+            code = yield from compile(x)
+            object.__setattr__(x, "_code", code)
+        return code
+    return getattr(node, "_code", None) or _walk(node, kept_or_compiled)
+
+
 def eval_term(t, env):
     """Value of a term under env (variable index -> natural)."""
-    if isinstance(t, Zero):
-        return 0
-    if isinstance(t, One):
-        return 1
-    if isinstance(t, Var):
-        try:
-            return env[t.index]
-        except KeyError:
-            raise UnboundVariable(f"x{t.index} is not bound") from None
-    if isinstance(t, Add):
-        return eval_term(t.left, env) + eval_term(t.right, env)
-    if isinstance(t, Mul):
-        return eval_term(t.left, env) * eval_term(t.right, env)
-    raise TypeError(f"not a term: {t!r}")
+    try:
+        return _compiled(t, _compile)(env)
+    except KeyError as exc:
+        raise UnboundVariable(f"x{exc.args[0]} is not bound") from None
+
+
+def eval_nat(f, env, budget):
+    """Truth value of f in the standard model under env.
+
+    Bounded-quantifier sugar is evaluated exactly.  A genuinely unbounded
+    quantifier is searched over 0..budget: a universal falsified or an
+    existential witnessed within the range returns exactly; otherwise
+    BudgetExceeded is raised (the search was inconclusive, never a value).
+
+    A quantifier-free f may also be evaluated with a variable bound to an
+    int64 array: the connectives then combine elementwise, and they stop
+    early only when their left side is the bool that decides them.
+    """
+    try:
+        return _compiled(f, _compile)(env, budget)
+    except KeyError as exc:
+        raise UnboundVariable(f"x{exc.args[0]} is not bound") from None
 
 
 _VECTORIZE_MIN = 32
@@ -702,8 +723,8 @@ def _vectorizable(f, top):
     return False
 
 
-# numpy, imported by _eval_over_range the first time it vectorizes a range:
-# the import costs more than most CLI commands take to run
+# numpy, imported by a quantifier the first time it vectorizes a range: the
+# import costs more than most CLI commands take to run
 np = None
 
 # a vectorized range is checked in int64 chunks that double from
@@ -721,70 +742,69 @@ def _chunks(count):
         lo, size = hi, min(2 * size, _VECTOR_CHUNK)
 
 
-def _eval_over_range(matrix, v, count, env, budget, universal):
-    global np
-    # Exact check over v in 0..count-1, one value at a time or, where
-    # _vectorizable allows it, one int64 chunk at a time: eval_nat then
-    # returns an array, or a bool where the value does not depend on v
-    env2 = dict(env)
-    env2[v] = count - 1
-    values = range(count)
-    if count > _VECTORIZE_MIN and _vectorizable(matrix, env2):
-        if np is None:
-            import numpy as np
-        values = _chunks(count)
-    for val in values:
-        env2[v] = val
-        r = eval_nat(matrix, env2, budget)
-        if type(r) is not bool:
-            r = bool(r.all() if universal else r.any())
-        if r is not universal:
-            return r
-    return universal
+def _compile(x):
+    """The evaluator of one node, a step of _compiled: run(env) is the value
+    of a term and run(env, budget) the truth value of a formula, as eval_nat
+    gives it; an unbound variable is a KeyError.  Guards are matched here."""
+    tp = type(x)
+    if tp is Zero or tp is One:
+        return (lambda env: 0) if tp is Zero else (lambda env: 1)
+    if tp is Var:
+        return itemgetter(x.index)
+    if tp is Add or tp is Mul or tp is Eq or tp is Lt:
+        left, right = (yield x.left), (yield x.right)
+        if tp is Add:
+            return lambda env: left(env) + right(env)
+        if tp is Mul:
+            return lambda env: left(env) * right(env)
+        if tp is Eq:
+            return lambda env, budget: left(env) == right(env)
+        return lambda env, budget: left(env) < right(env)
+    if tp is Not:
+        body = yield x.body
+        return lambda env, budget: body(env, budget) ^ True
+    if tp is And or tp is Or or tp is Implies:
+        left, right = (yield x.left), (yield x.right)
+        if tp is And:
+            return lambda env, budget: (False if (a := left(env, budget)) is False
+                                        else a & right(env, budget))
+        if tp is Or:
+            return lambda env, budget: (True if (a := left(env, budget)) is True
+                                        else a | right(env, budget))
+        return lambda env, budget: (True if (a := left(env, budget)) is False
+                                    else (a ^ True) | right(env, budget))
+    if tp is not ForAll and tp is not Exists:
+        raise TypeError(f"not an AST node: {x!r}")
+    universal = tp is ForAll
+    v, bound, inclusive, matrix = _bounded_parts(x) or (x.var, None, False, x.body)
+    body = yield matrix
+    if bound is not None:
+        bound = yield bound
 
-
-def eval_nat(f, env, budget):
-    """Truth value of f in the standard model under env.
-
-    Bounded-quantifier sugar is evaluated exactly.  A genuinely unbounded
-    quantifier is searched over 0..budget: a universal falsified or an
-    existential witnessed within the range returns exactly; otherwise
-    BudgetExceeded is raised (the search was inconclusive, never a value).
-
-    A quantifier-free f may also be evaluated with a variable bound to an
-    int64 array: the connectives then combine elementwise, and they stop
-    early only when their left side is the bool that decides them.
-    """
-    if isinstance(f, Eq):
-        return eval_term(f.left, env) == eval_term(f.right, env)
-    if isinstance(f, Lt):
-        return eval_term(f.left, env) < eval_term(f.right, env)
-    if isinstance(f, Not):
-        return eval_nat(f.body, env, budget) ^ True
-    if isinstance(f, And):
-        a = eval_nat(f.left, env, budget)
-        return False if a is False else a & eval_nat(f.right, env, budget)
-    if isinstance(f, Or):
-        a = eval_nat(f.left, env, budget)
-        return True if a is True else a | eval_nat(f.right, env, budget)
-    if isinstance(f, Implies):
-        a = eval_nat(f.left, env, budget)
-        return True if a is False else (a ^ True) | eval_nat(f.right, env, budget)
-    if isinstance(f, (ForAll, Exists)):
-        universal = isinstance(f, ForAll)
-        bp = _bounded_parts(f)
-        if bp is None:
-            v, count, matrix = f.var, budget + 1, f.body
-        else:
-            v, t, inclusive, matrix = bp
-            count = eval_term(t, env) + (1 if inclusive else 0)
-        r = _eval_over_range(matrix, v, count, env, budget, universal)
-        if bp is None and r == universal:  # no value in 0..budget decided it
-            raise BudgetExceeded(
-                f"quantifier search over x{f.var} inconclusive within budget {budget}"
-            )
-        return r
-    raise TypeError(f"not a formula: {f!r}")
+    def run(env, budget):
+        global np
+        # exact check over v in 0..count-1, one value or, where _vectorizable
+        # allows it, one int64 chunk at a time: body then returns an array,
+        # or a bool where the value does not depend on v
+        count = budget + 1 if bound is None else bound(env) + inclusive
+        env2 = {**env, v: count - 1}
+        values = range(count)
+        if count > _VECTORIZE_MIN and _vectorizable(matrix, env2):
+            if np is None:
+                import numpy as np
+            values = _chunks(count)
+        for val in values:
+            env2[v] = val
+            r = body(env2, budget)
+            if type(r) is not bool:
+                r = bool(r.all() if universal else r.any())
+            if r is not universal:
+                return r
+        if bound is None:  # no value in 0..budget decided it
+            raise BudgetExceeded(f"quantifier search over x{v} inconclusive "
+                                 f"within budget {budget}")
+        return universal
+    return run
 
 
 def euclid_div(b, a):

@@ -39,8 +39,17 @@ from .formula import (
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
+def _naturals(*xs):
+    """ValueError unless each of xs is a natural number, an int >= 0."""
+    for x in xs:
+        if not isinstance(x, int) or x < 0:
+            raise ValueError(f"expected a natural number, got {x!r}")
+
+
 def nth_prime(n):
     """The n-th prime, zero-indexed (p_0 = 2)."""
+    if not isinstance(n, int) or n < 0:  # tested inline: decoding calls this per prime
+        _naturals(n)
     while len(_PRIMES) <= n:
         c = _PRIMES[-1] + 2
         while not _trial_prime(c):
@@ -61,6 +70,7 @@ def _trial_prime(c):
 
 def bounded_mu(g, bound):
     """Least y < bound with g(y) true; bound itself when there is none."""
+    _naturals(bound)
     for y in range(bound):
         if g(y):
             return y
@@ -74,12 +84,14 @@ def bounded_mu(g, bound):
 
 def pair(x, y):
     """The pairing bijection (x+y)(x+y+1)/2 + y."""
+    _naturals(x, y)
     s = x + y
     return s * (s + 1) // 2 + y
 
 
 def unpair(z):
     """Inverse of pair, via triangular-number inversion."""
+    _naturals(z)
     w = (isqrt(8 * z + 1) - 1) // 2
     y = z - w * (w + 1) // 2
     return w - y, y
@@ -376,7 +388,7 @@ def encode_seq(xs):
     """Code of a finite list: the empty list is 1, otherwise the product of
     p_i^(xs[i]+1)."""
     exps = [x + 1 for x in xs]
-    if any(e < 1 for e in exps):
+    if not all(isinstance(e, int) and e >= 1 for e in exps):
         raise ValueError("sequence elements must be naturals")
     return _power_product(exps)
 
@@ -409,10 +421,12 @@ def seq_long(a):
 
 def seq_at(a, x):
     """Element x of a sequence code: the exponent of p_x, minus one."""
+    if not isinstance(x, int):
+        raise ValueError(f"expected an integer index, got {x!r}")
     exps = _seq_exponents(a)
     if not exps:
         raise IndexOutOfRange(f"{a} is not a nonempty sequence code")
-    if x >= len(exps):
+    if not 0 <= x < len(exps):
         raise IndexOutOfRange(f"index {x} out of range for length {len(exps)}")
     return exps[x] - 1
 
@@ -441,7 +455,7 @@ def encode_set(xs):
     Element 0 would vanish from the code and is rejected."""
     prev = 0
     for i, x in enumerate(xs):
-        if x < 0:
+        if not isinstance(x, int) or x < 0:
             raise ValueError("set elements must be naturals")
         if x == 0:
             raise ZeroElement("element 0 cannot be set-coded")

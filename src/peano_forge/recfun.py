@@ -30,7 +30,7 @@ import re
 from collections import namedtuple
 
 from .errors import ArityMismatch, IllFormed, NotCoprime, ParseError, UnknownName
-from .formula import Node, _byte_offset, _check_nesting, _tokenize, _walk
+from .formula import Node, _byte_offset, _check_nesting, _compiled, _tokenize
 
 # ---------------------------------------------------------------------------
 # Definition trees
@@ -38,8 +38,7 @@ from .formula import Node, _byte_offset, _check_nesting, _tokenize, _walk
 
 
 class PRDef(Node):
-    # the evaluator keeps each node's compiled form in _code
-    __slots__ = ("_code",)
+    __slots__ = ()
 
 
 class ZeroFn(PRDef):
@@ -84,7 +83,7 @@ class Mu(PRDef):
 
 def arity(d):
     """The unique arity of a well-formed tree; IllFormed otherwise."""
-    return _code(d).arity
+    return _compiled(d, _compile).arity
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +120,7 @@ def eval_def(d, args, fuel):
     Returns Value(v) when the result is found in time and BudgetExhausted
     otherwise; composition is strict in every argument.
     """
-    code = _code(d)
+    code = _compiled(d, _compile)
     args = tuple(args)
     if len(args) != code.arity:
         raise ArityMismatch(f"definition takes {code.arity} arguments, got {len(args)}")
@@ -141,20 +140,6 @@ def eval_def(d, args, fuel):
 # c0 + c1*x1 + ... + ck*xk over the naturals x1..xk; and loops, whether run
 # can iterate, so that remembering its results can pay.
 _Code = namedtuple("_Code", "arity run summary loops")
-
-
-def _code(d):
-    """The compiled form of d, kept on it; formula._walk builds the forms of
-    a tree bottom-up, each distinct node once, at any depth."""
-    return getattr(d, "_code", None) or _walk(d, _kept_or_compiled)
-
-
-def _kept_or_compiled(d):
-    code = getattr(d, "_code", None)
-    if code is None:
-        code = yield from _compile(d)
-        object.__setattr__(d, "_code", code)
-    return code
 
 
 def _compile(d):

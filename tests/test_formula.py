@@ -452,6 +452,33 @@ def test_eval_nat_vector_path_matches_scalar():
                             And(Not(Eq(Var(0), One())), f)), {0: p}, 10) == flags[p]
 
 
+def test_guards_are_matched_once_per_quantifier_node(monkeypatch):
+    # a bounded guard is matched when its quantifier compiles, not each time
+    # the quantifier is evaluated, and a compiled formula compiles no more
+    import peano_forge.formula as fm
+    matched, compiled = [], []
+    bounded_parts, compile_node = fm._bounded_parts, fm._compile
+    monkeypatch.setattr(fm, "_bounded_parts", lambda f: matched.append(f) or bounded_parts(f))
+    monkeypatch.setattr(fm, "_compile", lambda x: compiled.append(x) or compile_node(x))
+    f, flags = prim_formula(), sieve(11)
+    assert [eval_nat(f, {0: x}, 10) for x in range(2, 12)] == flags[2:]
+    assert len(matched) == 2 and len({id(q) for q in matched}) == 2
+    assert compiled
+    compiled.clear()
+    assert [eval_nat(f, {0: x}, 10) for x in range(2, 12)] == flags[2:]
+    assert len(matched) == 2 and compiled == []
+
+
+def test_evaluation_depth_matches_the_tree_depth():
+    # a compiled form spends one interpreter frame per tree level, as the
+    # recursive evaluator did, so 800 levels fit inside pytest's own stack
+    chain = parse("0 = 0" + " & 0 = 0" * 800)
+    assert eval_nat(chain, {}, 5) is True
+    assert eval_term(numeral(800), {}) == 800
+    f = ForAll(0, Implies(Lt(Var(0), numeral(800)), chain))
+    assert eval_nat(f, {}, 5) is True
+
+
 def divides(x_var, y_var, z_var):
     from helpers import divides_formula
     return divides_formula(x_var, y_var, z_var)
@@ -592,17 +619,17 @@ def test_numpy_is_imported_by_the_first_vectorized_range():
 def test_numpy_chunks_double_up_to_the_chunk_size(monkeypatch):
     # chunks grow from 2^12 values, so an early witness stops the search
     # after about twice its position; a range of at most 2^12 values is one
-    # chunk.  The spy reads the chunk each range check hands to eval_nat.
+    # chunk.  The spy reads each chunk the range check takes from _chunks.
     import peano_forge.formula as fm
     f = parse("exists x1 (x1 = x0)")
-    real, lengths = fm.eval_nat, []
+    real, lengths = fm._chunks, []
 
-    def spy(g, env, budget):
-        if g is f.body and type(env[1]) is not int:
-            lengths.append(len(env[1]))
-        return real(g, env, budget)
+    def spy(count):
+        for chunk in real(count):
+            lengths.append(len(chunk))
+            yield chunk
 
-    monkeypatch.setattr(fm, "eval_nat", spy)
+    monkeypatch.setattr(fm, "_chunks", spy)
     monkeypatch.setattr(fm, "_VECTOR_CHUNK", 1 << 14)
 
     def chunk_lengths(x, budget):

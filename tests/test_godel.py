@@ -365,6 +365,21 @@ def test_encode_set_rejects_negative_elements():
         encode_set([0, -1])
 
 
+def test_bad_arguments_raise_rather_than_answer():
+    # each of these returned a number: a negative index read from the end of
+    # a list, a negative or fractional exponent made a float, a negative
+    # pair argument collided with the code of (0, 0)
+    with pytest.raises(IndexOutOfRange, match="index -1 out of range for length 3"):
+        seq_at(encode_seq([3, 1, 4]), -1)
+    for call in (lambda: nth_prime(-1), lambda: nth_prime(1.5), lambda: pair(-1, 0),
+                 lambda: pair(2, -1), lambda: pair(0.5, 1), lambda: unpair(-1),
+                 lambda: encode_seq([0.5]), lambda: encode_set([1, 2.5]),
+                 lambda: bounded_mu(lambda y: False, -3), lambda: seq_at(144, 1.0)):
+        with pytest.raises(ValueError):
+            call()
+    assert bounded_mu(lambda y: False, 0) == 0
+
+
 def test_codes_over_the_size_budget_are_refused(monkeypatch):
     # the bound sum e_i * bitlen(p_i) is checked before any multiplication
     with pytest.raises(BudgetExceeded, match="^a code of up to 268435458 bits is over "

@@ -14,6 +14,7 @@ from peano_forge import (
     And,
     ArityMismatch,
     BoundedMu,
+    BudgetExceeded,
     BudgetExhausted,
     Comp,
     Eq,
@@ -48,6 +49,8 @@ from peano_forge import (
     arity,
     bezout_inverse,
     eval_def,
+    eval_nat,
+    eval_term,
     parse_def,
     stdlib,
     stdlib_names,
@@ -299,11 +302,28 @@ def test_evaluated_definitions_still_pickle():
     for x in nodes:
         if isinstance(x, PRDef) and type(x) is not PRDef:
             arity(x)
+        outcome = _evaluated(x)
+        assert outcome is None or getattr(x, "_code", None) is not None
         h = hash(x)
         for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
             assert type(y) is type(x) and y is not x
             assert getattr(y, "_code", None) is None and getattr(y, "_hash", None) is None
             assert y == x and hash(y) == h
+            assert _evaluated(y) == outcome
+
+
+def _evaluated(x):
+    """The outcome of evaluating a term or formula node x under a fixed env,
+    which compiles it; None for any other node."""
+    env = {0: 3, 1: 4, 2: 5}
+    try:
+        if isinstance(x, Term) and type(x) is not Term:
+            return eval_term(x, env)
+        if isinstance(x, Formula) and type(x) is not Formula:
+            return eval_nat(x, env, 10)
+    except BudgetExceeded as exc:
+        return str(exc)
+    return None
 
 
 def test_reprs_match_the_dataclass_ones():
