@@ -661,21 +661,30 @@ def classify_prenex(f):
 
 
 def _compiled(node, compile):
-    """The compiled form of node, kept on it: compile(x), a _walk step, builds
-    the form of x from its children's, once per distinct node at any depth."""
+    """The compiled form of node: compile(x), a _walk step, builds the form of
+    x from its children's, once per distinct node at any depth.  Each form is
+    kept on its node with compile, and only compile reads it back."""
     def kept_or_compiled(x):
-        code = getattr(x, "_code", None)
-        if code is None:
+        maker, code = getattr(x, "_code", (None, None))
+        if maker is not compile:
             code = yield from compile(x)
-            object.__setattr__(x, "_code", code)
+            object.__setattr__(x, "_code", (compile, code))
         return code
-    return getattr(node, "_code", None) or _walk(node, kept_or_compiled)
+    maker, code = getattr(node, "_code", (None, None))
+    return code if maker is compile else _walk(node, kept_or_compiled)
+
+
+def _of_kind(x, kind):
+    """x, when it is a Term or a Formula as kind asks; TypeError otherwise."""
+    if not isinstance(x, kind):
+        raise TypeError(f"not a {kind.__name__.lower()}: {x!r}")
+    return x
 
 
 def eval_term(t, env):
     """Value of a term under env (variable index -> natural)."""
     try:
-        return _compiled(t, _compile)(env)
+        return _compiled(_of_kind(t, Term), _compile)(env)
     except KeyError as exc:
         raise UnboundVariable(f"x{exc.args[0]} is not bound") from None
 
@@ -693,7 +702,7 @@ def eval_nat(f, env, budget):
     early only when their left side is the bool that decides them.
     """
     try:
-        return _compiled(f, _compile)(env, budget)
+        return _compiled(_of_kind(f, Formula), _compile)(env, budget)
     except KeyError as exc:
         raise UnboundVariable(f"x{exc.args[0]} is not bound") from None
 
@@ -702,25 +711,19 @@ _VECTORIZE_MIN = 32
 _INT64_LIMIT = 2 ** 62
 
 
-def _vectorizable(f, top):
-    """Whether numpy may check f over a whole range: f is quantifier-free,
-    and every term value is below 2^62 under top, the env that binds the
-    range variable to its largest value (+ and * are monotone on the
-    naturals, so that bounds it over the range).  A quantifier or an unbound
-    variable leaves the range to the value-by-value loop, which stops at the
-    first value that decides it."""
-    t = type(f)
-    if t is Eq or t is Lt:
-        try:
-            return (eval_term(f.left, top) < _INT64_LIMIT
-                    and eval_term(f.right, top) < _INT64_LIMIT)
-        except UnboundVariable:
-            return False
-    if t is Not:
-        return _vectorizable(f.body, top)
-    if t is And or t is Or or t is Implies:
-        return _vectorizable(f.left, top) and _vectorizable(f.right, top)
-    return False
+def _bounding_terms(f):
+    """The compiled forms of the atom sides and product factors of f, read
+    once f is known to hold no quantifier (the guard atoms of an inner one
+    never compile); None when it holds one.  As + and * are monotone on the
+    naturals, their values bound every term value in f, even next to a zero."""
+    terms = []
+
+    def visit(x, args):
+        tp = type(x)
+        if tp is Eq or tp is Lt or tp is Mul:
+            terms.extend((x.left, x.right))
+        return tp is not ForAll and tp is not Exists and (tp is Var or all(args))
+    return [_compiled(t, _compile) for t in terms] if _fold(f, visit) else None
 
 
 # numpy, imported by a quantifier the first time it vectorizes a range: the
@@ -745,14 +748,15 @@ def _chunks(count):
 def _compile(x):
     """The evaluator of one node, a step of _compiled: run(env) is the value
     of a term and run(env, budget) the truth value of a formula, as eval_nat
-    gives it; an unbound variable is a KeyError.  Guards are matched here."""
+    gives it; an unbound variable is a KeyError.  Each child's kind is checked
+    here, each guard matched and each quantifier's matrix scanned."""
     tp = type(x)
     if tp is Zero or tp is One:
         return (lambda env: 0) if tp is Zero else (lambda env: 1)
     if tp is Var:
         return itemgetter(x.index)
     if tp is Add or tp is Mul or tp is Eq or tp is Lt:
-        left, right = (yield x.left), (yield x.right)
+        left, right = (yield _of_kind(x.left, Term)), (yield _of_kind(x.right, Term))
         if tp is Add:
             return lambda env: left(env) + right(env)
         if tp is Mul:
@@ -761,10 +765,10 @@ def _compile(x):
             return lambda env, budget: left(env) == right(env)
         return lambda env, budget: left(env) < right(env)
     if tp is Not:
-        body = yield x.body
+        body = yield _of_kind(x.body, Formula)
         return lambda env, budget: body(env, budget) ^ True
     if tp is And or tp is Or or tp is Implies:
-        left, right = (yield x.left), (yield x.right)
+        left, right = (yield _of_kind(x.left, Formula)), (yield _of_kind(x.right, Formula))
         if tp is And:
             return lambda env, budget: (False if (a := left(env, budget)) is False
                                         else a & right(env, budget))
@@ -777,19 +781,25 @@ def _compile(x):
         raise TypeError(f"not an AST node: {x!r}")
     universal = tp is ForAll
     v, bound, inclusive, matrix = _bounded_parts(x) or (x.var, None, False, x.body)
-    body = yield matrix
     if bound is not None:
-        bound = yield bound
+        bound = yield _of_kind(bound, Term)
+    body = yield _of_kind(matrix, Formula)
+    terms = _bounding_terms(matrix)
 
     def run(env, budget):
         global np
-        # exact check over v in 0..count-1, one value or, where _vectorizable
-        # allows it, one int64 chunk at a time: body then returns an array,
-        # or a bool where the value does not depend on v
+        # exact check over v in 0..count-1, one value or, where each of terms
+        # is below 2^62 with v at its largest value, one int64 chunk at a
+        # time: body then returns an array, or a bool where the value does
+        # not depend on v
         count = budget + 1 if bound is None else bound(env) + inclusive
         env2 = {**env, v: count - 1}
         values = range(count)
-        if count > _VECTORIZE_MIN and _vectorizable(matrix, env2):
+        try:
+            fits = count > _VECTORIZE_MIN and terms and all(t(env2) < _INT64_LIMIT for t in terms)
+        except KeyError:  # an unbound variable, which the loop names
+            fits = False
+        if fits:
             if np is None:
                 import numpy as np
             values = _chunks(count)

@@ -29,6 +29,7 @@ from .formula import (
     Var,
     Zero,
     _fresh_index,
+    _of_kind,
     free_vars,
 )
 
@@ -146,10 +147,8 @@ def _symbols(node, kind):
     trees cost neither recursion nor list copies.  While the sides of an
     atom are written only term nodes may occur; None on the stack marks
     where they end."""
-    if not isinstance(node, kind):
-        raise TypeError(f"not a {kind.__name__.lower()}: {node!r}")
     tokens = []
-    stack = [node]
+    stack = [_of_kind(node, kind)]
     in_term = kind is Term
     while stack:
         x = stack.pop()

@@ -453,20 +453,59 @@ def test_eval_nat_vector_path_matches_scalar():
 
 
 def test_guards_are_matched_once_per_quantifier_node(monkeypatch):
-    # a bounded guard is matched when its quantifier compiles, not each time
-    # the quantifier is evaluated, and a compiled formula compiles no more
+    # a bounded guard is matched, and the matrix scanned for the terms that
+    # bound it, when its quantifier compiles, not each time the quantifier
+    # is evaluated, and a compiled formula compiles no more
     import peano_forge.formula as fm
-    matched, compiled = [], []
-    bounded_parts, compile_node = fm._bounded_parts, fm._compile
+    matched, scanned, compiled = [], [], []
+    bounded_parts, bounding_terms = fm._bounded_parts, fm._bounding_terms
+    compile_node = fm._compile
     monkeypatch.setattr(fm, "_bounded_parts", lambda f: matched.append(f) or bounded_parts(f))
+    monkeypatch.setattr(fm, "_bounding_terms", lambda f: scanned.append(f) or bounding_terms(f))
     monkeypatch.setattr(fm, "_compile", lambda x: compiled.append(x) or compile_node(x))
     f, flags = prim_formula(), sieve(11)
     assert [eval_nat(f, {0: x}, 10) for x in range(2, 12)] == flags[2:]
     assert len(matched) == 2 and len({id(q) for q in matched}) == 2
+    assert len(scanned) == 2 and len({id(m) for m in scanned}) == 2
     assert compiled
     compiled.clear()
     assert [eval_nat(f, {0: x}, 10) for x in range(2, 12)] == flags[2:]
-    assert len(matched) == 2 and compiled == []
+    assert len(matched) == 2 and len(scanned) == 2 and compiled == []
+
+
+def test_kind_errors_name_the_misplaced_node():
+    # a term where a formula belongs, or the reverse, or a non-node child, is
+    # a TypeError naming the node, from the evaluator as from the Goedel
+    # coder, before evaluation reaches it; d is a definition that has run
+    from peano_forge import Comp, Succ, ZeroFn, encode_formula, encode_term, eval_def
+    zz, x0 = Eq(Zero(), Zero()), Var(0)
+    d = Comp(Succ(), (ZeroFn(),))
+    assert eval_def(d, [0], 10).value == 1
+    formulas = [
+        (x0, "not a formula: Var(index=0)"),
+        (Not(x0), "not a formula: Var(index=0)"),
+        (Eq(zz, Zero()), f"not a term: {zz!r}"),
+        (Lt(Zero(), Add(One(), zz)), f"not a term: {zz!r}"),
+        (Or(zz, x0), "not a formula: Var(index=0)"),
+        (Implies(x0, Lt(zz, Zero())), "not a formula: Var(index=0)"),
+        (Not(5), "not a formula: 5"),
+        (ForAll(0, Implies(Lt(x0, zz), Var(1))), f"not a term: {zz!r}"),
+        (Exists(1, And(Lt(Var(1), x0), One())), "not a formula: One()"),
+        (Exists(1, Var(1)), "not a formula: Var(index=1)"),
+        (d, f"not a formula: {d!r}"),
+        (And(zz, d), f"not a formula: {d!r}"),
+    ]
+    terms = [(zz, f"not a term: {zz!r}"), (Add(x0, zz), f"not a term: {zz!r}"),
+             (d, f"not a term: {d!r}")]
+    calls = [(f, m, call) for f, m in formulas
+             for call in (lambda f: eval_nat(f, {0: 1, 1: 2}, 1), encode_formula)]
+    calls += [(t, m, call) for t, m in terms
+              for call in (lambda t: eval_term(t, {0: 1}), encode_term)]
+    for node, message, call in calls:
+        with pytest.raises(TypeError) as info:
+            call(node)
+        assert str(info.value) == message, node
+    assert eval_nat(Or(zz, Eq(x0, x0)), {0: 1}, 1) is True
 
 
 def test_evaluation_depth_matches_the_tree_depth():
@@ -495,18 +534,16 @@ def quantifier_free(f):
 
 
 def spy_numpy_path(monkeypatch):
-    """A list that grows each time _vectorizable returns True, the moment a
-    range is handed to numpy (its recursive calls are seen too)."""
+    """A list that grows each time a range is handed to numpy: _chunks runs
+    once for each such range, and for no other."""
     import peano_forge.formula as fm
-    real, vector = fm._vectorizable, []
+    real, vector = fm._chunks, []
 
-    def spy(f, top):
-        ok = real(f, top)
-        if ok:
-            vector.append(f)
-        return ok
+    def spy(count):
+        vector.append(count)
+        return real(count)
 
-    monkeypatch.setattr(fm, "_vectorizable", spy)
+    monkeypatch.setattr(fm, "_chunks", spy)
     return vector
 
 
@@ -710,7 +747,7 @@ def test_eval_nat_matches_the_plain_oracle(seed):
         fm._VECTORIZE_MIN = vectorize_min
 
 
-def test_eval_nat_big_values_fall_back_exactly():
+def test_eval_nat_big_values_fall_back_exactly(monkeypatch):
     # term bounds overflow int64, forcing the exact big-integer path
     big = 2 ** 70
     f = Exists(0, And(le_guard(0, Var(1)), Eq(Var(0), Var(1))))
@@ -718,6 +755,17 @@ def test_eval_nat_big_values_fall_back_exactly():
     g = ForAll(0, Implies(le_guard(0, numeral(40)),
                           Lt(Mul(Var(1), Var(0)), Mul(Var(1), numeral(50)))))
     assert eval_nat(g, {1: big}, 0) is True
+    # each side is 0, but the factor x0 * x0 = 2^124 is not below 2^62, so
+    # each 40- or 41-value range runs value by value, not on int64 arrays
+    vector = spy_numpy_path(monkeypatch)
+    eq = Eq(Mul(Mul(Zero(), Var(1)), Mul(Var(0), Var(0))), One())
+    with pytest.raises(BudgetExceeded, match="^quantifier search over x1 "
+                                             "inconclusive within budget 40$"):
+        eval_nat(ForAll(1, Not(eq)), {0: 2 ** 62}, 40)
+    guard = Lt(Var(1), numeral(40))
+    assert eval_nat(ForAll(1, Implies(guard, Not(eq))), {0: 2 ** 62}, 5) is True
+    assert eval_nat(Exists(1, And(guard, eq)), {0: 2 ** 62}, 5) is False
+    assert vector == []
 
 
 # --- Euclid division ---

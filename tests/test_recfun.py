@@ -255,6 +255,26 @@ def test_closed_form_fuel_of_add_and_mul():
     _least_fuel(mul, [big, big], 2 + big * (5 + 3 * big), big * big)
 
 
+def test_exhausts_at_every_fuel_below_the_least():
+    # the outcome is exact at every fuel, not only at the least and one
+    # less: these calls run out inside compositions, accumulating loops and
+    # general loops, each at the first node whose charge passes the fuel
+    calls = [("mul", [3, 4]), ("pred", [5]), ("factorial", [3]), ("is_prime", [7]),
+             ("max", [2, 5])]
+    cases = [(stdlib(name), args) for name, args in calls]
+    rng = random.Random(4242)
+    while len(cases) < len(calls) + 20:
+        d = random_valid_prdef(rng, depth=rng.randint(1, 4))
+        args = [rng.randrange(6) for _ in range(arity(d))]
+        if pr_fuel_eval(d, args, 2000) is not None:
+            cases.append((d, args))
+    for d, args in cases:
+        value, least = pr_fuel_eval(d, args, 2000)
+        for fuel in range(least):
+            assert eval_def(d, args, fuel) == BudgetExhausted(), (d, args, fuel)
+        assert eval_def(d, args, least) == Value(value), (d, args)
+
+
 def test_memo_cap_keeps_fuel_exact(monkeypatch):
     import peano_forge.recfun as rf
     # step(x, i, acc) = sub_trunc(i, x): one memoized call per step, each
@@ -267,6 +287,27 @@ def test_memo_cap_keeps_fuel_exact(monkeypatch):
     for n in range(5):
         _matches_oracle(stdlib("nth_prime"), [n], 10 ** 6)
     _matches_oracle(loop, [2, 40], 10 ** 6)
+
+
+def test_a_kept_form_is_read_only_by_its_compiler():
+    # a formula that eval_nat has compiled fails as a definition exactly as
+    # a fresh one does, alone or inside a definition: its kept form belongs
+    # to the formula compiler
+    def outcomes(f):
+        out = []
+        for call in (lambda: eval_def(f, [], 10), lambda: arity(f),
+                     lambda: arity(Comp(Succ(), (f,)))):
+            with pytest.raises(Exception) as info:
+                call()
+            out.append((type(info.value), str(info.value)))
+        return out
+
+    fresh = outcomes(Eq(Zero(), Zero()))
+    assert fresh == [(IllFormed, "not a definition node: Eq(left=Zero(), right=Zero())")] * 3
+    f = Eq(Zero(), Zero())
+    assert eval_nat(f, {}, 10) is True
+    assert outcomes(f) == fresh
+    assert eval_nat(f, {}, 10) is True
 
 
 def _node_classes():
