@@ -4,14 +4,17 @@ canonical colorings, the reduction constructions (product, subset criterion,
 arity raising, combining), partition Goedel coding, and the fast-growing
 hierarchy.
 
-Search strategy: colorings are enumerated as base-r counters over the
-n-subsets in colexicographic order, restricted to canonical colorings (colors
-first appear in increasing order), which preserves the universally quantified
-check while cutting the space by up to r!.  A branch is abandoned as soon as
-some fully colored qualifying set becomes monochromatic, so a completed leaf
-is a counterexample.  The search runs in one process, and its answer is the
-first counterexample in enumeration order; the jobs argument is accepted
-without effect.
+Search strategy: colorings are enumerated depth first as base-r counters
+over the n-subsets in colexicographic order, restricted to canonical
+colorings (colors first appear in increasing order), which preserves the
+universally quantified check while cutting the space by up to r!.  The
+search checks forward (Haralick & Elliott, 1980): when all but the last
+n-subset of a qualifying set share color c, c is struck from the last one,
+and a branch is abandoned as soon as some uncolored subset has no color
+left, so a completed leaf is a counterexample.  This cuts only branches that
+hold no counterexample, so the enumeration order, and with it the first
+counterexample, is that of the plain search.  The search runs in one
+process; the jobs argument is accepted without effect.
 """
 
 from __future__ import annotations
@@ -179,49 +182,86 @@ def _qualifying_sets(m, n, k, large):
     return out
 
 
-def _build_triggers(m, n, r, k, large):
-    ranks = _rank_map(m, n)
-    N = len(ranks)
-    triggers = [[] for _ in range(N)]
+def _build_triggers(m, n, k, large):
+    """Each qualifying set as the mask of its n-subsets' colex ranks, filed
+    for forward checking: triggers[q] pairs the mask of every rank but the
+    last, for the sets whose second-largest rank is q, with the mask of their
+    last ranks.  Also returns the mask of ranks that are a qualifying set's
+    only n-subset, which no color can take."""
+    bit = {s: 1 << i for i, s in enumerate(subsets_colex(m, n))}
+    triggers = [{} for _ in bit]
+    dead = 0
     for cand in _qualifying_sets(m, n, k, large):
-        rk = sorted(ranks[s] for s in combinations(cand, n))
-        triggers[rk[-1]].append(tuple(rk))
-    return triggers
+        mask = sum(map(bit.__getitem__, combinations(cand, n)))
+        last = 1 << mask.bit_length() - 1
+        prefix = mask ^ last
+        if not prefix:
+            dead |= last
+            continue
+        filed = triggers[prefix.bit_length() - 1]
+        filed[prefix] = filed.get(prefix, 0) | last
+    return [tuple(filed.items()) for filed in triggers], dead
 
 
-def _complete_mono(colors, trigs):
-    for ranks in trigs:
-        c0 = colors[ranks[0]]
-        for j in ranks:
-            if colors[j] != c0:
-                break
-        else:
-            return True
-    return False
-
-
-def _scan(r, triggers, N):
+def _scan(r, triggers, dead, N):
     """Depth-first search for the first counterexample coloring in canonical
-    enumeration order; None when every coloring is pruned."""
+    enumeration order; None when every coloring is pruned.
+
+    The search state is, per color c, the mask cls[c] of the ranks colored c
+    and the mask exc[c] of the later ranks where c would complete a
+    monochromatic qualifying set.  Coloring rank pos with c adds to exc[c]
+    the last ranks of the sets filed under pos whose other ranks are all c,
+    and fails at once when some later rank is then excluded in every color.
+    Each level keeps the state it started from, and backtracking restores
+    that copy."""
+    if dead:
+        return None
     colors = [0] * N
-    maxu = [-1] * (N + 1)
-    pos = 0
-    trial = 0
+    limits = [0] * N
+    cls_at = [None] * N
+    exc_at = [None] * N
+    cls = [0] * r
+    exc = [0] * r
+    pos = trial = limit = 0
     while True:
-        limit = maxu[pos] + 1
-        if limit > r - 1:
-            limit = r - 1
         if trial > limit:
             pos -= 1
             if pos < 0:
                 return None
             trial = colors[pos] + 1
+            limit = limits[pos]
+            cls = cls_at[pos]
+            exc = exc_at[pos]
             continue
-        colors[pos] = trial
-        if _complete_mono(colors, triggers[pos]):
+        excluded = exc[trial]
+        if excluded >> pos & 1:
             trial += 1
             continue
-        maxu[pos + 1] = trial if trial > maxu[pos] else maxu[pos]
+        mono = cls[trial] | 1 << pos
+        new = 0
+        for prefix, last in triggers[pos]:
+            if prefix & mono == prefix:
+                new |= last
+        new &= ~excluded
+        next_exc = exc
+        if new:
+            next_exc = exc.copy()
+            next_exc[trial] = excluded | new
+            for e in next_exc:
+                new &= e
+            if new:  # a newly excluded rank has no color left
+                trial += 1
+                continue
+        colors[pos] = trial
+        limits[pos] = limit
+        cls_at[pos] = cls
+        exc_at[pos] = exc
+        cls = cls.copy()
+        cls[trial] = mono
+        exc = next_exc
+        # canonical: the next rank may use one color above the largest so far
+        if trial == limit and limit < r - 1:
+            limit += 1
         pos += 1
         if pos == N:
             return tuple(colors)
@@ -246,7 +286,7 @@ def find_counterexample(m, k, r, n, large=False, jobs=1, cap=DEFAULT_ENUM_CAP):
     required = r ** N
     if cap is not None and required > cap:
         raise SearchSpaceTooLarge(required, cap)
-    colors = _scan(r, _build_triggers(m, n, r, k, large), N)
+    colors = _scan(r, *_build_triggers(m, n, k, large), N)
     if colors is None:
         return None
     return Partition(m, n, r, colors)

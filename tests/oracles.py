@@ -1,13 +1,14 @@
 """Independent brute-force oracles.
 
 These deliberately share no code with the engine: colorings are enumerated
-as plain products with no canonicalization or pruning, qualifying sets are
-checked by scanning every subset size, recursive-function trees are run by
-a plain walk that counts fuel step by step, prime exponents are found by
-dividing by one prime at a time, formulas are rewritten into the coding
-alphabet by one recursive call per subformula, formulas are evaluated by
-one recursive call per subformula, every range one value at a time, and
-terms are substituted by one recursive call per subformula.
+as plain products with no pruning (one oracle skips the non-canonical
+ones), qualifying sets are checked by scanning every subset size,
+recursive-function trees are run by a plain walk that counts fuel step by
+step, prime exponents are found by dividing by one prime at a time,
+formulas are rewritten into the coding alphabet by one recursive call per
+subformula, formulas are evaluated by one recursive call per subformula,
+every range one value at a time, and terms are substituted by one
+recursive call per subformula.
 """
 
 from itertools import combinations, product
@@ -32,6 +33,25 @@ def naive_counterexample(m, k, r, n, large=False):
         color_of = dict(zip(subs, assignment))
         if not has_qualifying_set(m, n, k, large, color_of):
             return color_of
+    return None
+
+
+def naive_first_canonical(m, k, r, n, large=False):
+    """First coloring with no qualifying homogeneous set, in plain base-r
+    product order over the n-subsets in colex order (the last subset varies
+    fastest), among the canonical ones: no color exceeds by more than one
+    the largest color before it.  Returned as the tuple of colors in
+    colex order; None if the arrow relation holds."""
+    subs = sorted(combinations(range(m), n), key=lambda s: s[::-1])
+    for assignment in product(range(r), repeat=len(subs)):
+        top = -1
+        for c in assignment:
+            if c > top + 1:
+                break
+            top = max(top, c)
+        else:
+            if not has_qualifying_set(m, n, k, large, dict(zip(subs, assignment))):
+                return assignment
     return None
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -31,7 +32,7 @@ from peano_forge import (
     product_partition,
     raise_arity,
 )
-from oracles import naive_arrow, naive_min_witness
+from oracles import naive_arrow, naive_first_canonical, naive_min_witness
 
 CYCLE5 = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
 
@@ -177,6 +178,63 @@ def test_ph_counterexample_deterministic_across_jobs():
     a = find_counterexample(5, 3, 2, 2, large=True, jobs=1)
     b = find_counterexample(5, 3, 2, 2, large=True, jobs=8)
     assert a == b
+
+
+def test_first_counterexample_matches_first_canonical_oracle():
+    # the search may prune, but its answer is the first canonical coloring
+    # in plain product order; k = n and r = 1 are in the grid
+    checked = 0
+    for n in (1, 2, 3):
+        for r in (1, 2, 3):
+            for m in range(n, 11):
+                if r ** math.comb(m, n) > 2 ** 15:
+                    continue
+                for k in range(n, m + 1):
+                    for large in (False, True):
+                        cex = find_counterexample(m, k, r, n, large=large)
+                        got = None if cex is None else cex.colors
+                        assert got == naive_first_canonical(m, k, r, n, large), (m, k, r, n, large)
+                        checked += 1
+    assert checked > 500
+
+
+# The first counterexamples of the benchmark's first-hit instances, one digit
+# per subset in colex order.  The benchmark accepts any valid counterexample,
+# so these pin the enumeration order on instances deep enough to prune.
+FIRST_HIT_GOLDENS = {
+    (12, 4, 2, 2, True):
+        "000001001101000010001100000010000011110111010111011010011110101000",
+    (13, 4, 2, 2, True):
+        "000001001101000010001100000010001011101100110110111010011101101000"
+        "111101010000",
+    (10, 4, 2, 3, False):
+        "000100110000110111000100100101011000100110110100011100010111101010"
+        "010101001100100111100001001110010101001010111011100100",
+    (11, 4, 2, 2, False):
+        "0000010011010000100011000000100000111100110101111010100",
+}
+
+
+def test_first_hit_goldens():
+    for (m, k, r, n, large), want in FIRST_HIT_GOLDENS.items():
+        cex = find_counterexample(m, k, r, n, large=large, cap=None)
+        assert "".join(map(str, cex.colors)) == want, (m, k, r, n, large)
+
+
+def test_one_subset_qualifying_sets_and_one_color():
+    # the oracle grid covers these cases only on small m; here m is beyond it
+    # k = n makes every n-subset a qualifying set on its own, so no rank can
+    # take any color: the relation holds however large the search space
+    for m, r, n in ((1, 1, 1), (5, 3, 1), (6, 2, 2), (7, 3, 3), (12, 3, 2)):
+        assert arrow(m, n, r, n, cap=None) is True
+        assert ph_arrow(m, n, r, n, cap=None) is True
+    assert arrow(40, 2, 3, 2, cap=None) is True
+    # Paris-Harrington with n = 1 and k = 1: the sets {0} and {1} qualify alone
+    assert ph_arrow(16, 1, 3, 1, cap=None) is True
+    # one color: a qualifying set always lies inside the one color class
+    for m, k, n in ((16, 3, 1), (14, 4, 2), (10, 5, 3)):
+        for large in (False, True):
+            assert find_counterexample(m, k, 1, n, large=large) is None
 
 
 def test_import_loads_no_process_pool():
