@@ -55,7 +55,7 @@ def _build_parser():
     k = kinds.add_parser("partition")
     k.add_argument("file")
 
-    q = sub.add_parser("decode", help="decode a Goedel code")
+    q = sub.add_parser("decode", help="decode a Goedel code; - reads it from stdin")
     q.set_defaults(handler=_cmd_decode)
     kinds = q.add_subparsers(dest="kind", required=True)
     k = kinds.add_parser("formula")
@@ -151,7 +151,9 @@ def _cmd_encode(args):
 
 
 def _cmd_decode(args):
-    code = _nat(args.code)
+    # a code of over 128 KiB of digits is past the length limit of one
+    # command-line argument, so "-" reads it from stdin
+    code = _nat(sys.stdin.read().strip() if args.code == "-" else args.code)
     if args.kind == "formula":
         return 0, formula.render(godel.decode_formula(code)) + "\n"
     if args.kind == "seq":

@@ -5,6 +5,13 @@ Symbol codes follow the fixed table ('0'->1, '1'->2, '+'->3, '*'->4, '='->5,
 a1...an is coded as 2^#a1 * 3^#a2 * ... * p_n^#an.  Sequence codes carry a +1
 exponent shift so element 0 survives; set codes use the bare exponents and
 therefore exclude element 0.
+
+Coding runs in sub-quadratic time, although CPython before 3.12 divides big
+ints in quadratic time: a long code is multiplied up a balanced product tree,
+read back block by block down remainder trees (D. J. Bernstein, "Fast
+multiplication and its applications", 2008), and every division by a big
+divisor goes to _divmod, a recursive division built on Karatsuba products
+(Burnikel & Ziegler, "Fast Recursive Division", 1998).
 """
 
 from __future__ import annotations
@@ -173,7 +180,10 @@ def _symbols(node, kind):
             stack += (None, x.right, "=", x.left)
             in_term = True
         elif t is Lt:
-            k = f"x{_fresh_index(free_vars(x))}"
+            try:
+                k = f"x{_fresh_index(free_vars(x))}"
+            except TypeError:  # a non-node in the sides, which are written
+                k = "x0"       # next: the term branch names it as eval_nat does
             tokens += ("¬", "∀", k, "¬", "(")
             stack += (None, x.right, "=", ")", ")", "1", "+", k, "(", "+", x.left)
             in_term = True
@@ -202,6 +212,8 @@ def _symbols(node, kind):
 
 # largest code _power_product builds, in bits (32 MiB)
 _MAX_CODE_BITS = 1 << 28
+# codes of more primes are multiplied up a product tree
+_TREE_PRIMES = 256
 
 
 def _power_product(exps, start=0):
@@ -214,10 +226,35 @@ def _power_product(exps, start=0):
     if bits > _MAX_CODE_BITS:
         raise BudgetExceeded(
             f"a code of up to {bits} bits is over the budget of {_MAX_CODE_BITS} bits")
+    if len(exps) > _TREE_PRIMES:
+        return _product(list(map(pow, primes, exps)))
     code = 1
     for p, e in zip(primes, exps):
         code *= p ** e
     return code
+
+
+def _pair_up(xs):
+    # the next level of a balanced product tree: neighbours multiplied in
+    # pairs, an odd last one carried up
+    return [x * y for x, y in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1:]
+
+
+def _product(xs):
+    """The product of xs, in the time of a few products of its size; a
+    running product would multiply the whole code once per factor."""
+    while len(xs) > 1:
+        xs = _pair_up(xs)
+    return xs[0] if xs else 1
+
+
+def _product_tree(xs):
+    """The levels of the balanced product tree over xs, leaves first."""
+    levels = [xs]
+    while len(xs) > 1:
+        xs = _pair_up(xs)
+        levels.append(xs)
+    return levels
 
 
 def encode_formula(f):
@@ -235,6 +272,89 @@ def desugar(f):
     symbol string read back, so decode_formula(encode_formula(f)) ==
     desugar(f) by construction.  The rewrite rules are those of _symbols."""
     return _parse(_symbols(f, Formula))
+
+
+# ---------------------------------------------------------------------------
+# Division and exponent extraction
+# ---------------------------------------------------------------------------
+
+# _divmod leaves divisors of at most _DIV_MIN_BITS bits and quotients of at
+# most _DIV_LEAF_BITS bits to the builtin divmod
+_DIV_MIN_BITS = 1 << 13
+_DIV_LEAF_BITS = 4000
+
+
+def _divmod(a, b):
+    """divmod(a, b) for a >= 0 and b > 0 in the time of a few Karatsuba
+    products (Burnikel & Ziegler): a is cut into base-2^n digits, n the bit
+    length of b, which are divided one at a time from the top by the
+    recursive 2n-by-n step."""
+    n = b.bit_length()
+    if n <= _DIV_MIN_BITS or a.bit_length() - n <= _DIV_LEAF_BITS:
+        return divmod(a, b)
+    digits = []
+    _split(a, n, -(-a.bit_length() // n), digits)
+    q = []
+    r = 0
+    for d in reversed(digits):
+        x, r = _div2n1n(r << n | d, b, n)
+        q.append(x)
+    q.reverse()
+    return _join(q, n, 0, len(q)), r
+
+
+# The helpers of _divmod are module-level functions: nested closures that
+# call themselves would be reference cycles, kept alive until the next
+# collection together with the big ints they hold.
+
+
+def _split(x, n, k, out):
+    # append the k base-2^n digits of x to out, lowest first
+    if k == 1:
+        out.append(x)
+        return
+    h = k >> 1
+    hi = x >> h * n
+    _split(x ^ hi << h * n, n, h, out)
+    _split(hi, n, k - h, out)
+
+
+def _join(digits, n, lo, hi):
+    # the number whose base-2^n digits, lowest first, are digits[lo:hi]
+    if hi - lo == 1:
+        return digits[lo]
+    mid = (lo + hi) >> 1
+    return _join(digits, n, mid, hi) << (mid - lo) * n | _join(digits, n, lo, mid)
+
+
+def _div2n1n(a, b, n):
+    # divmod(a, b) for b of exactly n bits and a < 2^n * b
+    if a.bit_length() - n <= _DIV_LEAF_BITS:
+        return divmod(a, b)
+    pad = n & 1
+    if pad:
+        a <<= 1
+        b <<= 1
+        n += 1
+    h = n >> 1
+    mask = (1 << h) - 1
+    b1, b2 = b >> h, b & mask
+    q1, r = _div3n2n(a >> n, a >> h & mask, b, b1, b2, h)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, h)
+    return q1 << h | q2, r >> pad
+
+
+def _div3n2n(a12, a3, b, b1, b2, n):
+    # divmod(a12 * 2^n + a3, b) for b = b1 * 2^n + b2 and a quotient below 2^n
+    if a12 >> n == b1:
+        q, r = (1 << n) - 1, a12 - (b1 << n) + b1
+    else:
+        q, r = _div2n1n(a12, b1, n)
+    r = (r << n | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
 
 
 _M61 = (1 << 61) - 1  # a Mersenne prime: a residue filter for pure powers
@@ -259,21 +379,27 @@ def _remove_factor(a, p):
     divides by p, p^2, p^4, ... while they divide; the first that does not
     leaves r = a mod p^(2^J), whose p-adic valuation is exactly the exponent
     still in a, so the down pass runs on the small r and a is divided once
-    more.  Big-number division is quadratic in CPython, so before the first
-    divisor over 1 kbit a is tested once for being a pure power of p, which
-    ends the last prime of a code in one exponentiation."""
+    more.  Before the first divisor over 1 kbit a is tested once for being a
+    pure power of p, which ends the last prime of a code in one
+    exponentiation; from the first divisor over _DIV_MIN_BITS on, every
+    division goes to _divmod."""
     if p == 2:
         e = (a & -a).bit_length() - 1
         return a >> e, e
     e = 0
     powers = []
     pk = p
+    div = divmod
     while True:
-        if 1024 < pk.bit_length() <= 2048:  # the first divisor over 1 kbit
-            f = _pure_power(a, p)
-            if f is not None:
-                return 1, e + f
-        q, r = divmod(a, pk)
+        n = pk.bit_length()
+        if n > 1024:
+            if n <= 2048:  # the first divisor over 1 kbit
+                f = _pure_power(a, p)
+                if f is not None:
+                    return 1, e + f
+            elif n > _DIV_MIN_BITS:
+                div = _divmod
+        q, r = div(a, pk)
         if r:
             break
         a = q
@@ -282,27 +408,79 @@ def _remove_factor(a, p):
         pk *= pk
     rest = 1
     for j in range(len(powers) - 1, -1, -1):
-        q, s = divmod(r, powers[j])
+        q, s = div(r, powers[j])
         if s == 0:
             r = q
             rest *= powers[j]
             e += 1 << j
-    return (a // rest if rest > 1 else a), e
+    return (div(a, rest)[0] if rest > 1 else a), e
+
+
+# a code whose first _BLOCKS_AFTER primes leave over _BLOCKS_MIN_BITS bits is
+# read on in blocks
+_BLOCKS_AFTER = 16
+_BLOCKS_MIN_BITS = 1 << 16
 
 
 def _contiguous_exponents(a):
     """Exponent list of a under p_0, p_1, ...; a gap in the prime support
-    (or a < 1) is NotACode."""
+    (or a < 1) is NotACode.
+
+    The first primes are removed one at a time.  A code still long after
+    them is read on in blocks of primes, each twice the size of the one
+    before and no larger than a's bit length allows: a is reduced down the
+    remainder tree of the block's p^K, with K one more than the largest
+    exponent of the block before.  A leaf residue below p^K holds the
+    exponent of p in full, and a residue 0 sends p to _remove_factor on a
+    itself.  a is then divided by the block's prime powers at once; the
+    first p that does not divide a ends the block."""
     if a < 1:
         raise NotACode("codes are positive")
     exps = []
     i = 0
     while a > 1:
+        if i == _BLOCKS_AFTER and a.bit_length() > _BLOCKS_MIN_BITS:
+            return _block_exponents(a, exps)
         a, e = _remove_factor(a, nth_prime(i))
         if e == 0:
             raise NotACode(f"gap in prime support at p_{i}")
         exps.append(e)
         i += 1
+    return exps
+
+
+def _block_exponents(a, exps):
+    # _contiguous_exponents from p_len(exps) on, for a with those primes removed
+    i = size = len(exps)
+    while a > 1:
+        k = max(exps[-size:]) + 1
+        nth_prime(i + 2 * size)
+        room = a.bit_length() // k  # sum of bitlen(p) over the block
+        primes = []
+        for p in _PRIMES[i:i + 2 * size]:
+            room -= p.bit_length()
+            if room < 0 and primes:
+                break
+            primes.append(p)
+        levels = _product_tree([p ** k for p in primes])
+        residues = [a]
+        while levels:  # each level is dropped once it has been used
+            residues = [_divmod(residues[j >> 1], m)[1] for j, m in enumerate(levels.pop())]
+        powers = []
+        for p, r in zip(primes, residues):
+            if r:
+                e = _remove_factor(r, p)[1]
+                if e == 0:
+                    break
+                powers.append(p ** e)
+            else:
+                a, e = _remove_factor(a, p)
+            exps.append(e)
+            i += 1
+        a = _divmod(a, _product(powers))[0]
+        if e == 0 and a > 1:
+            raise NotACode(f"gap in prime support at p_{i}")
+        size = len(primes)
     return exps
 
 

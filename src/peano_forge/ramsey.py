@@ -166,41 +166,40 @@ def check_subset_criterion(P, H):
 
 
 def _qualifying_sets(m, n, k, large):
-    """The minimal family whose monochromaticity certifies the relation:
-    all k-subsets for plain Ramsey; for the relatively-large variant, the
-    sets {a} + rest with |set| = max(k, a), since any qualifying H contains
-    one of these."""
+    """The minimal family whose monochromaticity certifies the relation, in
+    order: all k-subsets for plain Ramsey; for the relatively-large variant,
+    the sets {a} + rest with |set| = max(k, a), since any qualifying H
+    contains one of these.  A generator: the family can be far too large to
+    hold, and a set with one n-subset settles the search on its own."""
     if not large:
-        return list(combinations(range(m), k))
-    out = []
+        yield from combinations(range(m), k)
+        return
     for a in range(m):
         size = max(k, a)
         if size > m - a:
             break
         for rest in combinations(range(a + 1, m), size - 1):
-            out.append((a,) + rest)
-    return out
+            yield (a,) + rest
 
 
 def _build_triggers(m, n, k, large):
     """Each qualifying set as the mask of its n-subsets' colex ranks, filed
     for forward checking: triggers[q] pairs the mask of every rank but the
     last, for the sets whose second-largest rank is q, with the mask of their
-    last ranks.  Also returns the mask of ranks that are a qualifying set's
-    only n-subset, which no color can take."""
+    last ranks.  Also returns the mask of a rank that is a qualifying set's
+    only n-subset, which no color can take; the first such set ends the
+    build, since the search then has no leaf."""
     bit = {s: 1 << i for i, s in enumerate(subsets_colex(m, n))}
     triggers = [{} for _ in bit]
-    dead = 0
     for cand in _qualifying_sets(m, n, k, large):
         mask = sum(map(bit.__getitem__, combinations(cand, n)))
         last = 1 << mask.bit_length() - 1
         prefix = mask ^ last
         if not prefix:
-            dead |= last
-            continue
+            return [], last
         filed = triggers[prefix.bit_length() - 1]
         filed[prefix] = filed.get(prefix, 0) | last
-    return [tuple(filed.items()) for filed in triggers], dead
+    return [tuple(filed.items()) for filed in triggers], 0
 
 
 def _scan(r, triggers, dead, N):

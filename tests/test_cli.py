@@ -1,9 +1,10 @@
+import io
 import json
 import random
 import sys
 import tracemalloc
 
-from peano_forge import Partition, parse, partition_to_text, render, to_json
+from peano_forge import Partition, desugar, parse, partition_to_text, render, to_json
 from peano_forge.cli import main
 from helpers import random_formula
 
@@ -94,6 +95,22 @@ def test_deep_connective_chains_encode(capsys):
         code, out, err = run_cli(capsys, "encode", "formula", text)
         assert (code, err) == (0, "")
         assert out.strip().isdecimal()
+
+
+def test_decode_reads_a_long_code_from_stdin(capsys, monkeypatch):
+    # the code of a 700-long &-chain has 134654 digits, past the 128 KiB
+    # limit of one command-line argument, so it goes through stdin as
+    # through a pipe; it is read back block by block
+    text = "0 = 0" + " & 0 = 0" * 700
+    code, out, err = run_cli(capsys, "encode", "formula", text)
+    assert (code, err, len(out)) == (0, "", 134655)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    code, out, err = run_cli(capsys, "decode", "formula", "-")
+    assert (code, out, err) == (0, render(desugar(parse(text))) + "\n", "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("144\n"))
+    assert run_cli(capsys, "decode", "seq", "-") == (0, "3 1\n", "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("-1"))
+    assert run_cli(capsys, "decode", "seq", "-")[0] == 2
 
 
 def test_encode_decode_formula(capsys):

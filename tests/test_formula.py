@@ -494,6 +494,8 @@ def test_kind_errors_name_the_misplaced_node():
         (Exists(1, Var(1)), "not a formula: Var(index=1)"),
         (d, f"not a formula: {d!r}"),
         (And(zz, d), f"not a formula: {d!r}"),
+        (Lt(Add(5, Zero()), Zero()), "not a term: 5"),
+        (Not(Lt(Zero(), Mul(x0, 5))), "not a term: 5"),
     ]
     terms = [(zz, f"not a term: {zz!r}"), (Add(x0, zz), f"not a term: {zz!r}"),
              (d, f"not a term: {d!r}")]

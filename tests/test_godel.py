@@ -1,4 +1,6 @@
+import gc
 import random
+from math import log2
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,6 +274,132 @@ def test_exponent_extractor_large_exponents(monkeypatch):
         assert _extract(_code(exps + [big, 1])) == exps + [big, 1]
         assert ended == [False]
         assert _extract(_code([big], start=len(exps) + 1)) == "gap in prime support at p_0"
+
+
+# --- recursive division and the block decoder ---
+
+DIVISION_SHAPES = ("random", "prime_power", "exact", "smaller", "ones", "top_digit")
+
+
+def _operands(shape, abits, bbits, seed):
+    rng = random.Random(seed)
+    b = rng.getrandbits(bbits) | 1 << bbits - 1
+    a = rng.getrandbits(abits)
+    if shape == "prime_power":
+        p = nth_prime(rng.randrange(1, 40))
+        b = p ** max(1, round(bbits / log2(p)))
+    elif shape == "exact":
+        a = b * rng.getrandbits(abits)
+    elif shape == "smaller":
+        a %= b
+    elif shape == "ones":  # long runs of equal digits force quotient corrections
+        a, b = (1 << abits) - 1, (1 << bbits) - 1 - ((1 << rng.randrange(bbits)) >> 1)
+    elif shape == "top_digit":  # the top half of a equals the top half of b
+        a = (b << abits) - 1 - rng.getrandbits(bbits)
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(DIVISION_SHAPES), st.integers(0, 3000), st.integers(1, 1500),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 2, 7, 64)), st.sampled_from((1, 32, 256)))
+def test_divmod_matches_builtin_below_lowered_limits(shape, abits, bbits, seed, leaf, least):
+    # small leaf and divisor limits make small operands recurse deeply
+    a, b = _operands(shape, abits, bbits, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(godel, "_DIV_LEAF_BITS", leaf)
+        mp.setattr(godel, "_DIV_MIN_BITS", least)
+        assert godel._divmod(a, b) == divmod(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(DIVISION_SHAPES),
+       st.sampled_from((0, 4000, 9000, 20000, 60000)), st.integers(0, 200),
+       st.sampled_from((100, 8192, 8193, 12000, 30000)), st.integers(0, 2 ** 32 - 1))
+def test_divmod_matches_builtin_at_its_limits(shape, abits, jitter, bbits, seed):
+    # quotients and divisors on both sides of the leaf and divisor limits
+    a, b = _operands(shape, abits + bbits + jitter - 100, bbits, seed)
+    assert godel._divmod(a, b) == divmod(a, b)
+
+
+def test_divmod_makes_no_reference_cycles():
+    # a cycle would keep the big ints it reaches alive until a collection
+    rng = random.Random(41)
+    a, b = rng.getrandbits(1 << 20), rng.getrandbits(1 << 19) | 1 << (1 << 19) - 1
+    gc.collect()
+    gc.disable()
+    try:
+        q, r = godel._divmod(a, b)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert q * b + r == a and 0 <= r < b
+
+
+def _extract_with(code, after):
+    # _contiguous_exponents with the blocks from p_after on whatever the size;
+    # after = -1 removes every prime one at a time
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(godel, "_BLOCKS_AFTER", after)
+        mp.setattr(godel, "_BLOCKS_MIN_BITS", 0)
+        return _extract(code)
+
+
+BLOCK_PERTURBATIONS = ("none", "gap_inside", "gap_after", "junk_tail", "plus_one")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 9) | st.integers(10, 300), min_size=1, max_size=120),
+    st.integers(1, 12),
+    st.sampled_from(BLOCK_PERTURBATIONS),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_block_decoder_matches_one_prime_at_a_time(exps, after, how, seed):
+    # blocks end inside and past the support, exponents above every one seen
+    # before send a leaf to _remove_factor, and gaps give the same message
+    rng = random.Random(seed)
+    code = _code(exps)
+    if how == "gap_inside":  # p_i removed
+        i = rng.randrange(len(exps))
+        code //= nth_prime(i) ** exps[i]
+    elif how == "gap_after":  # p_len skipped
+        code *= nth_prime(len(exps) + rng.randint(1, 40)) ** rng.randint(1, 20)
+    elif how == "junk_tail":
+        code *= rng.getrandbits(rng.randint(1, 4000)) | 1
+    elif how == "plus_one":
+        code += 1
+    expected = _extract_with(code, -1)
+    assert _extract_with(code, after) == expected
+    if how == "none":
+        assert expected == exps
+
+
+def test_long_codes_are_read_by_blocks(monkeypatch):
+    # a long code takes the block path, a short one never does
+    calls = []
+    blocks = godel._block_exponents
+
+    def spy(a, exps):
+        calls.append(len(exps))
+        return blocks(a, exps)
+
+    monkeypatch.setattr(godel, "_block_exponents", spy)
+    rng = random.Random(43)
+    exps = [rng.randint(1, 12) for _ in range(3000)]
+    exps[2000] = 5000
+    assert godel._contiguous_exponents(godel._power_product(exps)) == exps
+    assert calls == [godel._BLOCKS_AFTER]
+    assert decode_seq(encode_seq(list(range(100)))) == list(range(100))
+    assert calls == [godel._BLOCKS_AFTER]
+
+
+def test_power_product_tree_matches_the_loop():
+    # above _TREE_PRIMES primes the code is multiplied up a product tree
+    rng = random.Random(44)
+    for n in (godel._TREE_PRIMES, godel._TREE_PRIMES + 1, 1001):
+        exps = [rng.randint(1, 60) for _ in range(n)]
+        assert godel._power_product(exps) == _code(exps)
+        assert godel._power_product(exps, 7) == _code(exps, start=7)
 
 
 # --- sequence codes ---

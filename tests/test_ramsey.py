@@ -237,6 +237,25 @@ def test_one_subset_qualifying_sets_and_one_color():
             assert find_counterexample(m, k, 1, n, large=large) is None
 
 
+def test_a_one_subset_qualifying_set_ends_the_trigger_build(monkeypatch):
+    # ph_arrow(40, 2, 3, 2) has 63,246,062 minimal qualifying sets, which ran
+    # out of memory when listed in full; the first, {0, 1}, has one 2-subset
+    # and settles the relation, so nothing after it is read
+    from peano_forge import ramsey
+    family = ramsey._qualifying_sets
+    read = []
+
+    def spy(*args):
+        for s in family(*args):
+            read.append(s)
+            assert len(read) < 1000
+            yield s
+
+    monkeypatch.setattr(ramsey, "_qualifying_sets", spy)
+    assert ph_arrow(40, 2, 3, 2, cap=None) is True
+    assert read == [(0, 1)]
+
+
 def test_import_loads_no_process_pool():
     # the search is serial, so importing the package must not pull in the
     # process-pool machinery (it also costs every CLI start-up)
