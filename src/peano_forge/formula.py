@@ -16,89 +16,11 @@ from .errors import (
     ParseError,
     UnboundVariable,
 )
+from .tree import Node, _compiled, _folded, _plan
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
 # ---------------------------------------------------------------------------
-
-
-class Node:
-    """An immutable record whose fields are the names in the __slots__ of
-    its class and its bases that do not start with "_" (those hold caches).
-    == and hash are structural at any depth and meet each distinct node, or
-    pair of nodes, once; a pickle or copy rebuilds a node from its fields."""
-
-    __slots__ = ("_hash", "_code")
-    _fields = ()
-
-    def __init_subclass__(cls):
-        cls._fields += tuple(n for n in vars(cls).get("__slots__", ()) if n[0] != "_")
-        # each class gets _init, which sets each field through its slot
-        # descriptor, and _values; _init is its __init__ unless it has one
-        names, ns = cls._fields, {}
-        exec(f"def make({', '.join('_' + n for n in names)}):\n"
-             f" def __init__(self, {', '.join(names)}):\n"
-             f"  pass; {'; '.join(f'_{n}(self, {n})' for n in names)}\n"
-             f" def _values(self):\n"
-             f"  return ({''.join(f'self.{n}, ' for n in names)})\n"
-             f" return __init__, _values", ns)
-        cls._init, cls._values = ns["make"](*(getattr(cls, n).__set__ for n in names))
-        cls._init.__qualname__ = f"{cls.__qualname__}.__init__"
-        if "__init__" not in vars(cls):
-            cls.__init__ = cls._init
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Node):
-            return NotImplemented
-        pairs, seen = [(self, other)], set()
-        while pairs:
-            a, b = pairs.pop()
-            if type(a) is not type(b) or type(a) is tuple and len(a) != len(b):
-                return False
-            if type(a) is not tuple:
-                if (id(a), id(b)) in seen:
-                    continue
-                seen.add((id(a), id(b)))
-                a, b = a._values(), b._values()
-            for x, y in zip(a, b):
-                if x is y:
-                    continue
-                if isinstance(x, Node) or type(x) is tuple:
-                    pairs.append((x, y))
-                elif x != y:
-                    return False
-        return True
-
-    def __hash__(self):
-        return getattr(self, "_hash", None) or _walk(self, _hash_step)
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-
-def _hash_step(x):
-    # hash of x's type and fields, each node among them (in a tuple too)
-    # standing for its own hash; kept on x
-    h = getattr(x, "_hash", None)
-    if h is None:
-        parts = [type(x)]
-        for value in x._values():
-            for item in value if type(value) is tuple else (value,):
-                parts.append((yield item) if isinstance(item, Node) else item)
-        h = hash(tuple(parts))
-        object.__setattr__(x, "_hash", h)
-    return h
 
 
 class Term(Node):
@@ -427,68 +349,14 @@ _RENDER = {
     **{cls: f"({{}} {op} {{}})" for cls, op in _BINARY.items()},
 }
 
-# field names of each node class, in declaration order
-_FIELDS = {cls: cls._fields for cls in _RENDER}
 
-# the fields that hold a variable index, not a node
-_INDEX_FIELDS = ("index", "var")
-
-
-def _walk(node, step):
-    """Bottom-up walk without recursion.  step(x) is a generator that yields
-    each child of x whose result it needs, receives it, and returns the
-    result for x.  Each distinct node object is stepped once, and only the
-    results of nodes with more than one parent are kept, so the memory of a
-    walk over a tree does not grow with the sizes of its partial results."""
-    seen, shared, kept = {}, set(), {}
-    _find_shared(node, seen, shared)
-    frames, result = [(node, step(node))], None
-    while frames:
-        try:
-            child = frames[-1][1].send(result)
-        except StopIteration as stop:
-            x, result = frames.pop()[0], stop.value
-            if id(x) in shared:
-                kept[id(x)] = result
-        else:
-            if id(child) in kept:
-                result = kept[id(child)]
-            else:  # step the child first, then resume
-                if id(child) not in seen:  # a node that a step built
-                    _find_shared(child, seen, shared)
-                frames.append((child, step(child)))
-                result = None
-    return result
-
-
-def _find_shared(node, seen, shared):
-    """Add to seen (id -> node) the AST nodes under node that it lacks, and
-    to shared the ids of those met more than once.  seen holds each node, so
-    its id stays its own during the walk.  Of any other node, such as a
-    definition, only node is added, as its walks keep results on the nodes."""
-    seen[id(node)] = node
-    stack = [node]
-    while stack:
-        x = stack.pop()
-        for name in _FIELDS.get(type(x), ()):
-            if name in _INDEX_FIELDS:
-                continue
-            c = getattr(x, name)
-            if id(c) in seen:
-                shared.add(id(c))
-            else:
-                seen[id(c)] = c
-                stack.append(c)
-
-
-def _fold_step(x, visit):
-    if type(x) not in _FIELDS:
-        raise TypeError(f"not an AST node: {x!r}")
-    args = []
-    for name in _FIELDS[type(x)]:
-        a = getattr(x, name)
-        args.append(a if type(a) is int and name in _INDEX_FIELDS else (yield a))
-    return visit(x, args)
+def _children(x):
+    # the fields of an AST node but a variable index (Var's and a
+    # quantifier's first field, when it is an int); none of any other object
+    if type(x) not in _RENDER:
+        return ()
+    values = x._values()
+    return values[1:] if type(x) in (Var, ForAll, Exists) and type(values[0]) is int else values
 
 
 def _fold(node, visit):
@@ -496,7 +364,15 @@ def _fold(node, visit):
     children first, where args lists the fields of x in declaration order
     with each child node replaced by its result (the variable index of Var
     and of a quantifier passes through as an int)."""
-    return _walk(node, lambda x: _fold_step(x, visit))
+    def step(x, take):
+        tp = type(x)
+        if tp not in _RENDER:
+            raise TypeError(f"not an AST node: {x!r}")
+        values = x._values()
+        if (tp is Var or tp is ForAll or tp is Exists) and type(values[0]) is int:
+            return visit(x, [values[0], *map(take, values[1:])])
+        return visit(x, list(map(take, values)))
+    return _folded(node, _children, step)
 
 
 def render(node):
@@ -572,20 +448,33 @@ def substitute(f, v, t):
     When a quantifier would capture a variable of t, its bound variable is
     renamed to the smallest index unused in both operands.
     """
-    def step(x):
+    kept = {}  # quantifier id -> its new variable and the body to take
+
+    def children(x):
+        tp = type(x)
+        if tp is not ForAll and tp is not Exists:
+            if tp not in _RENDER:
+                raise TypeError(f"not an AST node: {x!r}")
+            return () if tp is Var else x._values()
+        # decided when first met, so no body is substituted in vain; a
+        # renamed body is planned in the place of the body
+        if x.var == v or v not in free_vars(x.body):
+            return ()
+        if x.var not in term_vars(t):
+            kept[id(x)] = x.var, x.body
+        else:
+            fresh = _fresh_index(_vars(x.body, False) | term_vars(t) | {x.var})
+            kept[id(x)] = fresh, substitute(x.body, x.var, Var(fresh))
+        return kept[id(x)][1:]
+
+    def visit(x, take):
         tp = type(x)
         if tp is Var or tp is Zero or tp is One:
             return t if tp is Var and x.index == v else x
-        if tp is not ForAll and tp is not Exists:
-            return (yield from _fold_step(x, lambda _, args: tp(*args)))
-        # decided before the body is walked, so no body is substituted in vain
-        if x.var == v or v not in free_vars(x.body):
-            return x
-        if x.var not in term_vars(t):
-            return tp(x.var, (yield x.body))
-        fresh = _fresh_index(_vars(x.body, False) | term_vars(t) | {x.var})
-        return tp(fresh, (yield substitute(x.body, x.var, Var(fresh))))
-    return _walk(f, step)
+        if tp is ForAll or tp is Exists:
+            return tp(kept[id(x)][0], take(kept[id(x)][1])) if id(x) in kept else x
+        return tp(*map(take, x._values()))
+    return _folded(f, children, visit)
 
 
 def induction_instance(phi, x, params):
@@ -627,9 +516,12 @@ def _bounded_parts(f):
         if type(eq) is not Eq or type(eq.left) is not Var or eq.left.index != v:
             return None
     if (type(lt) is not Lt or type(lt.left) is not Var or lt.left.index != v
-            or inclusive and lt.right != eq.right or v in term_vars(lt.right)):
+            or inclusive and lt.right != eq.right):
         return None
-    return v, lt.right, inclusive, f.body.right
+    try:
+        return None if v in term_vars(lt.right) else (v, lt.right, inclusive, f.body.right)
+    except TypeError:  # a non-node in the bound: no guard, and compiling names it
+        return None
 
 
 def _check_matrix_node(x, args):
@@ -658,20 +550,6 @@ def classify_prenex(f):
 # ---------------------------------------------------------------------------
 # Evaluation over the standard model
 # ---------------------------------------------------------------------------
-
-
-def _compiled(node, compile):
-    """The compiled form of node: compile(x), a _walk step, builds the form of
-    x from its children's, once per distinct node at any depth.  Each form is
-    kept on its node with compile, and only compile reads it back."""
-    def kept_or_compiled(x):
-        maker, code = getattr(x, "_code", (None, None))
-        if maker is not compile:
-            code = yield from compile(x)
-            object.__setattr__(x, "_code", (compile, code))
-        return code
-    maker, code = getattr(node, "_code", (None, None))
-    return code if maker is compile else _walk(node, kept_or_compiled)
 
 
 def _of_kind(x, kind):
@@ -712,18 +590,18 @@ _INT64_LIMIT = 2 ** 62
 
 
 def _bounding_terms(f):
-    """The compiled forms of the atom sides and product factors of f, read
-    once f is known to hold no quantifier (the guard atoms of an inner one
-    never compile); None when it holds one.  As + and * are monotone on the
-    naturals, their values bound every term value in f, even next to a zero."""
-    terms = []
-
-    def visit(x, args):
-        tp = type(x)
-        if tp is Eq or tp is Lt or tp is Mul:
-            terms.extend((x.left, x.right))
-        return tp is not ForAll and tp is not Exists and (tp is Var or all(args))
-    return [_compiled(t, _compile) for t in terms] if _fold(f, visit) else None
+    """The compiled forms of the atom sides and product factors of f, a
+    compiled formula, or None when f holds a quantifier.  As + and * are
+    monotone on the naturals, their values bound every term value in f,
+    even next to a zero."""
+    order = _plan(f, _children)[0]
+    for x in order:
+        if type(x) not in _RENDER:  # a variable index that is no int
+            raise TypeError(f"not an AST node: {x!r}")
+    if any(type(x) is ForAll or type(x) is Exists for x in order):
+        return None
+    return [_compiled(t, _compile) for x in order if type(x) in (Eq, Lt, Mul)
+            for t in (x.left, x.right)]
 
 
 # numpy, imported by a quantifier the first time it vectorizes a range: the
@@ -745,8 +623,8 @@ def _chunks(count):
         lo, size = hi, min(2 * size, _VECTOR_CHUNK)
 
 
-def _compile(x):
-    """The evaluator of one node, a step of _compiled: run(env) is the value
+def _compile(x, take):
+    """The evaluator of one node, built by _compiled: run(env) is the value
     of a term and run(env, budget) the truth value of a formula, as eval_nat
     gives it; an unbound variable is a KeyError.  Each child's kind is checked
     here, each guard matched and each quantifier's matrix scanned."""
@@ -756,7 +634,7 @@ def _compile(x):
     if tp is Var:
         return itemgetter(x.index)
     if tp is Add or tp is Mul or tp is Eq or tp is Lt:
-        left, right = (yield _of_kind(x.left, Term)), (yield _of_kind(x.right, Term))
+        left, right = take(_of_kind(x.left, Term)), take(_of_kind(x.right, Term))
         if tp is Add:
             return lambda env: left(env) + right(env)
         if tp is Mul:
@@ -765,10 +643,10 @@ def _compile(x):
             return lambda env, budget: left(env) == right(env)
         return lambda env, budget: left(env) < right(env)
     if tp is Not:
-        body = yield _of_kind(x.body, Formula)
+        body = take(_of_kind(x.body, Formula))
         return lambda env, budget: body(env, budget) ^ True
     if tp is And or tp is Or or tp is Implies:
-        left, right = (yield _of_kind(x.left, Formula)), (yield _of_kind(x.right, Formula))
+        left, right = take(_of_kind(x.left, Formula)), take(_of_kind(x.right, Formula))
         if tp is And:
             return lambda env, budget: (False if (a := left(env, budget)) is False
                                         else a & right(env, budget))
@@ -778,12 +656,12 @@ def _compile(x):
         return lambda env, budget: (True if (a := left(env, budget)) is False
                                     else (a ^ True) | right(env, budget))
     if tp is not ForAll and tp is not Exists:
-        raise TypeError(f"not an AST node: {x!r}")
+        raise TypeError(f"not a {'term' if isinstance(x, Term) else 'formula'}: {x!r}")
     universal = tp is ForAll
     v, bound, inclusive, matrix = _bounded_parts(x) or (x.var, None, False, x.body)
     if bound is not None:
-        bound = yield _of_kind(bound, Term)
-    body = yield _of_kind(matrix, Formula)
+        bound = take(_of_kind(bound, Term))
+    body = take(_of_kind(matrix, Formula))
     terms = _bounding_terms(matrix)
 
     def run(env, budget):

@@ -138,6 +138,18 @@ def token_code(tok):
 # ---------------------------------------------------------------------------
 
 
+class _Pending:
+    """A token on _symbols' stack, kept apart from any value in a tree."""
+
+    __slots__ = ("token",)
+
+    def __init__(self, token):
+        self.token = token
+
+
+_PENDING = tuple(map(_Pending, ("(", ")", "=", "1", "+", "·", "¬", "→")))
+
+
 def _symbols(node, kind):
     """Symbol codes of a term (kind Term) or of a formula (kind Formula).
 
@@ -154,14 +166,15 @@ def _symbols(node, kind):
     trees cost neither recursion nor list copies.  While the sides of an
     atom are written only term nodes may occur; None on the stack marks
     where they end."""
-    tokens = []
+    tokens, pending = [], _Pending
+    open_, close, eq, one, plus, times, neg, arrow = _PENDING
     stack = [_of_kind(node, kind)]
     in_term = kind is Term
     while stack:
         x = stack.pop()
         t = type(x)
-        if t is str:
-            tokens.append(x)
+        if t is pending:
+            tokens.append(x.token)
         elif x is None:
             in_term = False
         elif in_term:
@@ -173,11 +186,11 @@ def _symbols(node, kind):
                 tokens.append(f"x{x.index}")
             elif t is Add or t is Mul:
                 tokens.append("(")
-                stack += (")", x.right, "+" if t is Add else "·", x.left)
+                stack += (close, x.right, plus if t is Add else times, x.left)
             else:
                 raise TypeError(f"not a term: {x!r}")
         elif t is Eq:
-            stack += (None, x.right, "=", x.left)
+            stack += (None, x.right, eq, x.left)
             in_term = True
         elif t is Lt:
             try:
@@ -185,7 +198,8 @@ def _symbols(node, kind):
             except TypeError:  # a non-node in the sides, which are written
                 k = "x0"       # next: the term branch names it as eval_nat does
             tokens += ("¬", "∀", k, "¬", "(")
-            stack += (None, x.right, "=", ")", ")", "1", "+", k, "(", "+", x.left)
+            stack += (None, x.right, eq, close, close, one, plus, _Pending(k), open_, plus,
+                      x.left)
             in_term = True
         elif t is Not:
             tokens.append("¬")
@@ -198,13 +212,13 @@ def _symbols(node, kind):
             stack.append(x.body)
         elif t is Implies:
             tokens.append("(")
-            stack += (")", x.right, "→", x.left)
+            stack += (close, x.right, arrow, x.left)
         elif t is And:
             tokens += ("¬", "(")
-            stack += (")", x.right, "¬", "→", x.left)
+            stack += (close, x.right, neg, arrow, x.left)
         elif t is Or:
             tokens += ("(", "¬")
-            stack += (")", x.right, "→", x.left)
+            stack += (close, x.right, arrow, x.left)
         else:
             raise TypeError(f"not a formula: {x!r}")
     return [token_code(tok) for tok in tokens]

@@ -32,8 +32,8 @@ from .errors import (
     SearchSpaceTooLarge,
     ShapeMismatch,
 )
-from .formula import Node
 from .godel import decode_seq, encode_seq, pair, unpair
+from .tree import Node
 
 DEFAULT_ENUM_CAP = 2 ** 30
 

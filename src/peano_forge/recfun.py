@@ -30,7 +30,8 @@ import re
 from collections import namedtuple
 
 from .errors import ArityMismatch, IllFormed, NotCoprime, ParseError, UnknownName
-from .formula import Node, _byte_offset, _check_nesting, _compiled, _tokenize
+from .formula import _byte_offset, _check_nesting, _tokenize
+from .tree import Node, _compiled
 
 # ---------------------------------------------------------------------------
 # Definition trees
@@ -142,9 +143,9 @@ def eval_def(d, args, fuel):
 _Code = namedtuple("_Code", "arity run summary loops")
 
 
-def _compile(d):
-    """The compiled form of one node.  It yields each child whose form it
-    needs and receives that form, checking the node's arities as it goes:
+def _compile(d, take):
+    """The compiled form of one node, built by tree._compiled.  It takes
+    the form of each child it needs, checking the node's arities as it goes:
     the head, then the inner-function count, then each inner function."""
     tp = type(d)
     if tp is ZeroFn:
@@ -156,14 +157,12 @@ def _compile(d):
             raise IllFormed(f"projection index {d.i} outside 1..{d.n}")
         return _summarized(d.n, _unit(d.n, d.i), _unit(d.n, 0))
     if tp is Comp:
-        f = yield d.f
+        f = take(d.f)
         if len(d.gs) != f.arity:
             raise IllFormed(
                 f"composition head takes {f.arity} arguments, got {len(d.gs)} inner functions"
             )
-        gs = []
-        for g in d.gs:
-            gs.append((yield g))
+        gs = [take(g) for g in d.gs]
         if len({g.arity for g in gs}) != 1:
             raise IllFormed("inner functions of a composition disagree on arity")
         k = gs[0].arity
@@ -182,8 +181,8 @@ def _compile(d):
         run = _comp(head, [g.run for g in gs])
         return _Code(k, run, None, f.loops or any(g.loops for g in gs))
     if tp is PrimRec:
-        base = yield d.base
-        step = yield d.step
+        base = take(d.base)
+        step = take(d.step)
         n = base.arity
         if step.arity != n + 2:
             raise IllFormed(
@@ -210,7 +209,7 @@ def _compile(d):
                 return _Code(n + 1, run, None, base.loops)
         return _Code(n + 1, _primrec(base.run, step.run), None, True)
     if tp is BoundedMu or tp is Mu:
-        g = yield d.g
+        g = take(d.g)
         if tp is BoundedMu and g.arity < 2:
             raise IllFormed("bounded search needs an argument to bound it")
         if g.arity < 1:

@@ -11,6 +11,7 @@ from peano_forge import (
     Eq,
     Exists,
     ForAll,
+    Formula,
     Implies,
     InvalidSchemaVariables,
     Lt,
@@ -304,6 +305,29 @@ def test_shared_subformulas_are_walked_once():
     assert got == Eq(Var(1), Var(2))
 
 
+def test_hashing_a_growing_formula_plans_only_the_new_nodes(monkeypatch):
+    # a node's hash is kept, and planning stops at kept hashes, so hashing
+    # each step of a growing chain plans only the node the step adds
+    import peano_forge.tree as tree
+    planned, plan = [], tree._plan
+
+    def counted(node, children):
+        order, shared = plan(node, children)
+        planned.append(len(order))
+        return order, shared
+    monkeypatch.setattr(tree, "_plan", counted)
+    f, g = Eq(Var(0), Zero()), Eq(Zero(), Var(1))
+    hash(f)
+    for _ in range(3000):
+        planned.clear()
+        f = And(f, g)
+        hash(f)
+        assert planned and sum(planned) <= 4
+    # equal chains built apart still hash alike
+    twin = parse("x0 = 0" + " & 0 = x1" * 3000)
+    assert twin == f and hash(twin) == hash(f)
+
+
 # --- induction schema ---
 
 def test_induction_instance_no_params():
@@ -462,7 +486,8 @@ def test_guards_are_matched_once_per_quantifier_node(monkeypatch):
     compile_node = fm._compile
     monkeypatch.setattr(fm, "_bounded_parts", lambda f: matched.append(f) or bounded_parts(f))
     monkeypatch.setattr(fm, "_bounding_terms", lambda f: scanned.append(f) or bounding_terms(f))
-    monkeypatch.setattr(fm, "_compile", lambda x: compiled.append(x) or compile_node(x))
+    monkeypatch.setattr(fm, "_compile",
+                        lambda x, take: compiled.append(x) or compile_node(x, take))
     f, flags = prim_formula(), sieve(11)
     assert [eval_nat(f, {0: x}, 10) for x in range(2, 12)] == flags[2:]
     assert len(matched) == 2 and len({id(q) for q in matched}) == 2
@@ -496,9 +521,14 @@ def test_kind_errors_name_the_misplaced_node():
         (And(zz, d), f"not a formula: {d!r}"),
         (Lt(Add(5, Zero()), Zero()), "not a term: 5"),
         (Not(Lt(Zero(), Mul(x0, 5))), "not a term: 5"),
+        (Eq(Add(One(), "1"), Zero()), "not a term: '1'"),
+        (ForAll(0, Implies(Lt(x0, Add(5, One())), zz)), "not a term: 5"),
+        (Formula(), "not a formula: Formula()"),
+        (Not(Formula()), "not a formula: Formula()"),
     ]
     terms = [(zz, f"not a term: {zz!r}"), (Add(x0, zz), f"not a term: {zz!r}"),
-             (d, f"not a term: {d!r}")]
+             (d, f"not a term: {d!r}"), (Add(One(), "a"), "not a term: 'a'"),
+             (Term(), "not a term: Term()"), (Add(Term(), One()), "not a term: Term()")]
     calls = [(f, m, call) for f, m in formulas
              for call in (lambda f: eval_nat(f, {0: 1, 1: 2}, 1), encode_formula)]
     calls += [(t, m, call) for t, m in terms

@@ -55,7 +55,7 @@ from peano_forge import (
     stdlib,
     stdlib_names,
 )
-from peano_forge.formula import Node
+from peano_forge.formula import Node, numeral
 from helpers import random_valid_prdef, sieve
 from oracles import pr_fuel_eval
 
@@ -126,7 +126,8 @@ def test_compile_runs_once_per_distinct_node(monkeypatch):
     import peano_forge.recfun as rf
     compiled = []
     compile_node = rf._compile
-    monkeypatch.setattr(rf, "_compile", lambda d: compiled.append(d) or compile_node(d))
+    monkeypatch.setattr(rf, "_compile",
+                        lambda d, take: compiled.append(d) or compile_node(d, take))
     d = _doubling_dag(40)
     k, out = arity(d), eval_def(d, [1], 10 ** 20)
     assert (k, out) == (1, Value(2 ** 40))
@@ -365,6 +366,30 @@ def _evaluated(x):
     except BudgetExceeded as exc:
         return str(exc)
     return None
+
+
+def test_deep_and_shared_nodes_pickle_copy_and_print():
+    # a deep chain and a deep sum: pickle, deepcopy and repr run on explicit
+    # stacks, so none of them recurses once per level
+    d = Proj(1, 1)
+    for _ in range(600):
+        d = Comp(stdlib("factorial"), (d,))
+    n = numeral(3000)
+    for x, text in ((d, "Comp(f=" * 600 + "Proj(i=1, n=1)" + ",))" * 600),
+                    (n, "Add(left=" * 2999 + "One()" + ", right=One())" * 2999)):
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert y is not x and y == x
+        head = repr(stdlib("factorial"))
+        assert repr(x).replace(f"Comp(f={head}, gs=(", "Comp(f=") == text
+    # 16 levels of d = Comp(add, (d, d)): a pickle names each of its 22
+    # distinct nodes once, and the copy shares them as d does
+    sizes = []
+    for levels in (8, 16):
+        d = _doubling_dag(levels)
+        sizes.append(len(pickle.dumps(d)))
+    assert sizes[1] - sizes[0] < sizes[0]
+    clone = pickle.loads(pickle.dumps(d))
+    assert clone == d and clone.gs[0] is clone.gs[1]
 
 
 def test_reprs_match_the_dataclass_ones():
