@@ -104,15 +104,17 @@ def numeral(n):
 # Parsing
 # ---------------------------------------------------------------------------
 
-# Deepest nesting parse accepts.  Each level (a parenthesized formula or
-# term, a negation, a quantifier body, the right side of ->) costs the parser
-# at most seven interpreter frames, so 100 levels stay well inside the default
-# recursion limit of 1000 even when parse is called from deep in a stack.
+# Deepest nesting parse accepts: each parenthesized formula or term,
+# negation and quantifier body is a level, and a chain of ->, &, | or + is
+# none.  The parser keeps its stacks as lists and uses no interpreter frame
+# per level, but the compiled evaluator still uses one per tree level, so
+# the budget stays until evaluation runs without recursion.
 _MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"forall\b|exists\b|x\d+|->|[01+*=<!&|()]")
 _WS_RE = re.compile(r"\s*")
 _EOF = "<end of input>"
+_END = "end of input"  # as a ParseError lists it among the expected tokens
 
 
 _EXPECTED_TOKENS = frozenset(
@@ -160,178 +162,150 @@ def _check_nesting(depth, text, tokens, opened_at):
         )
 
 
-class _Retry(Exception):
-    """Internal backtracking signal; never escapes parse()."""
-
-
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text, _TOKEN_RE, _EXPECTED_TOKENS)
-        self.pos = 0
-        self.depth = 0
-        self.far_pos = 0
-        self.far_expected = set()
-
-    def _peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else _EOF
-
-    def _fail(self, expected):
-        if self.pos > self.far_pos:
-            self.far_pos = self.pos
-            self.far_expected = set(expected)
-        elif self.pos == self.far_pos:
-            self.far_expected |= set(expected)
-        raise _Retry
-
-    def _expect(self, tok):
-        if self._peek() != tok:
-            self._fail({tok})
-        self.pos += 1
-
-    def _nested(self, rule, opened_at):
-        # run rule for one nesting level; opened_at indexes its opening token
-        _check_nesting(self.depth, self.text, self.tokens, opened_at)
-        self.depth += 1
-        try:
-            return rule()
-        finally:
-            self.depth -= 1
-
-    def error(self):
-        found = self.tokens[self.far_pos][0] if self.far_pos < len(self.tokens) else _EOF
-        exp = ", ".join(sorted(self.far_expected))
-        off = _byte_offset(self.text, self.tokens, self.far_pos)
-        return ParseError(
-            f"at byte {off}: found {found!r}, expected one of: {exp}",
-            offset=off,
-            expected=frozenset(self.far_expected),
-        )
-
-    def formula(self):
-        return self._implication()
-
-    def _variable(self):
-        tok = self._peek()
-        if tok is _EOF or tok[0] != "x" or len(tok) < 2:
-            self._fail({"variable"})
-        self.pos += 1
-        return int(tok[1:])
-
-    def _implication(self):
-        # right-associative: read the chain, then fold it from the right
-        parts = [self._disjunction()]
-        while self._peek() == "->":
-            self.pos += 1
-            parts.append(self._disjunction())
-        f = parts.pop()
-        while parts:
-            f = Implies(parts.pop(), f)
-        return f
-
-    def _disjunction(self):
-        f = self._conjunction()
-        while self._peek() == "|":
-            self.pos += 1
-            f = Or(f, self._conjunction())
-        return f
-
-    def _conjunction(self):
-        f = self._unary()
-        while self._peek() == "&":
-            self.pos += 1
-            f = And(f, self._unary())
-        return f
-
-    def _unary(self):
-        # quantifiers bind tightly: their body is the next unary formula,
-        # so binary connectives after a quantified group stay outside it
-        tok = self._peek()
-        start = self.pos
-        if tok == "!":
-            self.pos += 1
-            return Not(self._nested(self._unary, start))
-        if tok in ("forall", "exists"):
-            self.pos += 1
-            v = self._variable()
-            body = self._nested(self._unary, start)
-            return ForAll(v, body) if tok == "forall" else Exists(v, body)
-        return self._primary()
-
-    def _primary(self):
-        # "(" may open a grouped formula or a parenthesized left-hand term
-        if self._peek() == "(":
-            saved = self.pos
-            self.pos += 1
-            try:
-                f = self._nested(self.formula, saved)
-                self._expect(")")
-                return f
-            except _Retry:
-                self.pos = saved
-        return self._atom()
-
-    def _atom(self):
-        t1 = self.term()
-        tok = self._peek()
-        if tok not in ("=", "<"):
-            self._fail({"=", "<"})
-        self.pos += 1
-        t2 = self.term()
-        return Eq(t1, t2) if tok == "=" else Lt(t1, t2)
-
-    def term(self):
-        t = self._product()
-        while self._peek() == "+":
-            self.pos += 1
-            t = Add(t, self._product())
-        return t
-
-    def _product(self):
-        t = self._term_primary()
-        while self._peek() == "*":
-            self.pos += 1
-            t = Mul(t, self._term_primary())
-        return t
-
-    def _term_primary(self):
-        tok = self._peek()
-        if tok == "0":
-            self.pos += 1
-            return Zero()
-        if tok == "1":
-            self.pos += 1
-            return One()
-        if tok is not _EOF and tok[0] == "x" and len(tok) > 1:
-            self.pos += 1
-            return Var(int(tok[1:]))
-        if tok == "(":
-            self.pos += 1
-            t = self._nested(self.term, self.pos - 1)
-            self._expect(")")
-            return t
-        self._fail({"0", "1", "(", "variable"})
-
-
-def _parse_with(text, rule):
-    p = _Parser(text)
+def _index(text, tokens, i):
+    """The number tokens[i] spells after its x, if any; a ParseError at that
+    token when it has more digits than int() reads."""
+    digits = tokens[i][0].lstrip("x")
     try:
-        node = rule(p)
-        if p.pos != len(p.tokens):
-            p._fail({"end of input"})
-        return node
-    except _Retry:
-        raise p.error() from None
+        return int(digits)
+    except ValueError:
+        off = _byte_offset(text, tokens, i)
+        raise ParseError(f"at byte {off}: an index of {len(digits)} digits is too long to read",
+                         offset=off) from None
+
+
+def _unexpected(text, tokens, i, expected):
+    """The ParseError for tokens[i] (or the end), naming the tokens that
+    could have stood there."""
+    found = tokens[i][0] if i < len(tokens) else _EOF
+    off = _byte_offset(text, tokens, i)
+    return ParseError(
+        f"at byte {off}: found {found!r}, expected one of: {', '.join(sorted(expected))}",
+        offset=off,
+        expected=frozenset(expected),
+    )
+
+
+# How tightly each operator on _parse's stack binds.  "(" opens a group
+# where a formula may start, "[" one inside a term, and the kind of text
+# (Formula or Term) lies under all of them.  Prefix operators bind tighter
+# than the connectives and looser than = and <, so their body is the next
+# unary formula.  An arriving operator pops those that bind at least as
+# tightly (-> only tighter ones: it groups to the right); ")" and the end
+# pop all of them down to a group.
+_POWER = {Formula: -1, Term: -1, "(": 0, "[": 0, ")": 1, _END: 1, "->": 1,
+          "|": 2, "&": 3, "!": 4, "forall": 4, "exists": 4, "=": 5, "<": 5,
+          "+": 6, "*": 7}
+_BUILD = {"->": Implies, "|": Or, "&": And, "forall": ForAll, "exists": Exists,
+          "=": Eq, "<": Lt, "+": Add, "*": Mul}
+
+# The tokens that may follow an operand, by the innermost operator under
+# the operand's + and *: "=" (or "<") once an atom is complete, "formula"
+# after a complete formula, "(" for a left-hand term just inside a group,
+# "lhs" for any other left-hand term, and "[" or Term inside a term.
+_FOLLOW = {
+    "=": {"+", "*", "&", "|", "->", ")", _END},
+    "formula": {"&", "|", "->", ")", _END},
+    "(": {"+", "*", "=", "<", ")"},
+    "lhs": {"+", "*", "=", "<"},
+    "[": {"+", "*", ")"},
+    Term: {"+", "*", _END},
+}
+
+
+def _parse(text, want):
+    """The Formula or Term (want) that text spells, read in one pass from
+    left to right with an operand and an operator stack: Dijkstra's
+    shunting-yard, with Pratt's prefix operators.  What a group opened
+    where a formula may start holds makes it a formula or a term, so no
+    token is read twice."""
+    tokens = _tokenize(text, _TOKEN_RE, _EXPECTED_TOKENS)
+    toks = list(map(itemgetter(0), tokens))
+    toks.append(_END)
+    out, ops = [], [want]
+    depth = 0  # the "(", "[", "!" and quantifiers on ops
+    lead = want is Formula  # may a formula start at toks[i]?
+    i = 0
+    while True:
+        # prefix operators and opening parentheses, then 0, 1 or a variable
+        t = toks[i]
+        while t == "(" or lead and (t == "!" or t == "forall" or t == "exists"):
+            opened = i
+            if t != "(" and t != "!":  # a quantifier's variable goes to out
+                i += 1
+                if toks[i][0] != "x":
+                    raise _unexpected(text, tokens, i, {"variable"})
+                out.append(_index(text, tokens, i))
+            _check_nesting(depth, text, tokens, opened)
+            depth += 1
+            ops.append(t if lead else "[")
+            i += 1
+            t = toks[i]
+        if t == "0":
+            out.append(Zero())
+        elif t == "1":
+            out.append(One())
+        elif t[0] == "x":
+            out.append(Var(_index(text, tokens, i)))
+        else:
+            raise _unexpected(text, tokens, i, {"0", "1", "(", "variable"})
+        i += 1
+        # closing parentheses, then one binary operator or the end
+        while True:
+            t = toks[i]
+            k = -1
+            m = ops[-1]
+            while m == "+" or m == "*":
+                k -= 1
+                m = ops[k]
+            if m == "<":
+                m = "="
+            elif m != "=" and m != "[" and m is not Term:
+                m = ("(" if m == "(" else "lhs") if isinstance(out[-1], Term) else "formula"
+            if t not in _FOLLOW[m]:
+                # an error names what must come next, never a binary operator
+                if m == "=" or m == "formula":  # either ")" or the end
+                    expected = {")" if "(" in ops else _END}
+                else:
+                    expected = _FOLLOW[m] & {"=", "<", ")", _END}
+                raise _unexpected(text, tokens, i, expected)
+            floor = _POWER[t] + (t == "->")
+            while True:
+                power = _POWER[ops[-1]]
+                if power < floor:
+                    break
+                op = ops.pop()
+                x = out.pop()
+                if power == 4:
+                    depth -= 1
+                    if op == "!":
+                        out.append(Not(x))
+                        continue
+                out[-1] = _BUILD[op](out[-1], x)
+            if t != ")" and t != _END:
+                break
+            if ops[-1] is want:
+                if t == _END:
+                    return out[0]
+                raise _unexpected(text, tokens, i, {_END})
+            if t == _END:
+                raise _unexpected(text, tokens, i, {")"})
+            ops.pop()
+            depth -= 1
+            i += 1
+        ops.append(t)
+        lead = floor < 4  # after &, | or ->
+        i += 1
 
 
 def parse(text):
     """Parse formula text into its AST; raises ParseError on bad input."""
-    return _parse_with(text, _Parser.formula)
+    return _parse(text, Formula)
 
 
 def parse_term(text):
     """Parse a bare term (used by tooling; formulas go through parse)."""
-    return _parse_with(text, _Parser.term)
+    return _parse(text, Term)
 
 
 # ---------------------------------------------------------------------------

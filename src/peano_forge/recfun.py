@@ -30,7 +30,7 @@ import re
 from collections import namedtuple
 
 from .errors import ArityMismatch, IllFormed, NotCoprime, ParseError, UnknownName
-from .formula import _byte_offset, _check_nesting, _tokenize
+from .formula import _byte_offset, _check_nesting, _index, _tokenize
 from .tree import Node, _compiled
 
 # ---------------------------------------------------------------------------
@@ -409,7 +409,7 @@ def parse_def(text):
                 fail(pos + 2, "two integers")
             if need(pos + 4) != ")":
                 fail(pos + 4, ")")
-            return Proj(int(i_tok), int(n_tok)), pos + 5
+            return Proj(_index(text, tokens, pos + 2), _index(text, tokens, pos + 3)), pos + 5
         if head == "comp":
             f, p = read(pos + 2)
             gs = []

@@ -8,10 +8,36 @@ step, prime exponents are found by dividing by one prime at a time,
 formulas are rewritten into the coding alphabet by one recursive call per
 subformula, formulas are evaluated by one recursive call per subformula,
 every range one value at a time, and terms are substituted by one
-recursive call per subformula.
+recursive call per subformula.  The reference text parser is the
+backtracking recursive-descent parser that the engine's one-pass parser
+replaced, kept as it was; it shares only the engine's tokenizer, its byte
+offsets and its nesting check.
 """
 
 from itertools import combinations, product
+
+from peano_forge.errors import ParseError
+from peano_forge.formula import (
+    _EOF,
+    _EXPECTED_TOKENS,
+    _TOKEN_RE,
+    Add,
+    And,
+    Eq,
+    Exists,
+    ForAll,
+    Implies,
+    Lt,
+    Mul,
+    Not,
+    One,
+    Or,
+    Var,
+    Zero,
+    _byte_offset,
+    _check_nesting,
+    _tokenize,
+)
 
 
 def has_qualifying_set(m, n, k, large, color_of):
@@ -342,3 +368,179 @@ def symbol_codes(node):
     if kind == "Eq":
         return left + [_SYMBOL[kind]] + right
     return [6] + left + [_SYMBOL[kind]] + right + [7]  # ( left op right )
+
+
+# --- reference text parser -----------------------------------------------
+
+class _Retry(Exception):
+    """Internal backtracking signal; never escapes parse()."""
+
+
+class _Parser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _tokenize(text, _TOKEN_RE, _EXPECTED_TOKENS)
+        self.pos = 0
+        self.depth = 0
+        self.far_pos = 0
+        self.far_expected = set()
+
+    def _peek(self):
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else _EOF
+
+    def _fail(self, expected):
+        if self.pos > self.far_pos:
+            self.far_pos = self.pos
+            self.far_expected = set(expected)
+        elif self.pos == self.far_pos:
+            self.far_expected |= set(expected)
+        raise _Retry
+
+    def _expect(self, tok):
+        if self._peek() != tok:
+            self._fail({tok})
+        self.pos += 1
+
+    def _nested(self, rule, opened_at):
+        # run rule for one nesting level; opened_at indexes its opening token
+        _check_nesting(self.depth, self.text, self.tokens, opened_at)
+        self.depth += 1
+        try:
+            return rule()
+        finally:
+            self.depth -= 1
+
+    def error(self):
+        found = self.tokens[self.far_pos][0] if self.far_pos < len(self.tokens) else _EOF
+        exp = ", ".join(sorted(self.far_expected))
+        off = _byte_offset(self.text, self.tokens, self.far_pos)
+        return ParseError(
+            f"at byte {off}: found {found!r}, expected one of: {exp}",
+            offset=off,
+            expected=frozenset(self.far_expected),
+        )
+
+    def formula(self):
+        return self._implication()
+
+    def _variable(self):
+        tok = self._peek()
+        if tok is _EOF or tok[0] != "x" or len(tok) < 2:
+            self._fail({"variable"})
+        self.pos += 1
+        return int(tok[1:])
+
+    def _implication(self):
+        # right-associative: read the chain, then fold it from the right
+        parts = [self._disjunction()]
+        while self._peek() == "->":
+            self.pos += 1
+            parts.append(self._disjunction())
+        f = parts.pop()
+        while parts:
+            f = Implies(parts.pop(), f)
+        return f
+
+    def _disjunction(self):
+        f = self._conjunction()
+        while self._peek() == "|":
+            self.pos += 1
+            f = Or(f, self._conjunction())
+        return f
+
+    def _conjunction(self):
+        f = self._unary()
+        while self._peek() == "&":
+            self.pos += 1
+            f = And(f, self._unary())
+        return f
+
+    def _unary(self):
+        # quantifiers bind tightly: their body is the next unary formula,
+        # so binary connectives after a quantified group stay outside it
+        tok = self._peek()
+        start = self.pos
+        if tok == "!":
+            self.pos += 1
+            return Not(self._nested(self._unary, start))
+        if tok in ("forall", "exists"):
+            self.pos += 1
+            v = self._variable()
+            body = self._nested(self._unary, start)
+            return ForAll(v, body) if tok == "forall" else Exists(v, body)
+        return self._primary()
+
+    def _primary(self):
+        # "(" may open a grouped formula or a parenthesized left-hand term
+        if self._peek() == "(":
+            saved = self.pos
+            self.pos += 1
+            try:
+                f = self._nested(self.formula, saved)
+                self._expect(")")
+                return f
+            except _Retry:
+                self.pos = saved
+        return self._atom()
+
+    def _atom(self):
+        t1 = self.term()
+        tok = self._peek()
+        if tok not in ("=", "<"):
+            self._fail({"=", "<"})
+        self.pos += 1
+        t2 = self.term()
+        return Eq(t1, t2) if tok == "=" else Lt(t1, t2)
+
+    def term(self):
+        t = self._product()
+        while self._peek() == "+":
+            self.pos += 1
+            t = Add(t, self._product())
+        return t
+
+    def _product(self):
+        t = self._term_primary()
+        while self._peek() == "*":
+            self.pos += 1
+            t = Mul(t, self._term_primary())
+        return t
+
+    def _term_primary(self):
+        tok = self._peek()
+        if tok == "0":
+            self.pos += 1
+            return Zero()
+        if tok == "1":
+            self.pos += 1
+            return One()
+        if tok is not _EOF and tok[0] == "x" and len(tok) > 1:
+            self.pos += 1
+            return Var(int(tok[1:]))
+        if tok == "(":
+            self.pos += 1
+            t = self._nested(self.term, self.pos - 1)
+            self._expect(")")
+            return t
+        self._fail({"0", "1", "(", "variable"})
+
+
+def _parse_with(text, rule):
+    p = _Parser(text)
+    try:
+        node = rule(p)
+        if p.pos != len(p.tokens):
+            p._fail({"end of input"})
+        return node
+    except _Retry:
+        raise p.error() from None
+
+
+def reference_parse(text):
+    """What formula.parse returned before it read text in one pass."""
+    return _parse_with(text, _Parser.formula)
+
+
+def reference_parse_term(text):
+    """What formula.parse_term returned before it read text in one pass."""
+    return _parse_with(text, _Parser.term)

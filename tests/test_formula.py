@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -41,7 +42,13 @@ from peano_forge import (
     to_json,
 )
 from helpers import le_guard, prim_formula, random_formula, random_term, sieve
-from oracles import bounded_sugar, eval_formula, substituted
+from oracles import (
+    bounded_sugar,
+    eval_formula,
+    reference_parse,
+    reference_parse_term,
+    substituted,
+)
 
 
 # --- parsing ---
@@ -131,6 +138,91 @@ def test_parse_term_error_carries_offset_and_expected():
     with pytest.raises(ParseError) as info:
         parse_term("1 + x0 = 1")  # a formula is no term
     assert (info.value.offset, info.value.expected) == (7, frozenset({"end of input"}))
+
+
+def _parse_outcome(read, text):
+    # the AST read returns, or the text, offset and expected set of its error
+    try:
+        return repr(read(text))
+    except ParseError as e:
+        return str(e), e.offset, e.expected
+
+
+_TOKENS = ["0", "1", "+", "*", "=", "<", "->", "!", "&", "|", "(", ")",
+           "forall", "exists", "x0", "x1"]
+
+
+def _mutated(rng, text):
+    # text with one to three tokens deleted, inserted or replaced
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    for _ in range(rng.randint(1, 3)):
+        j = rng.randrange(len(tokens) + 1)
+        edit = rng.randrange(3)
+        if edit == 1 or not tokens:
+            tokens.insert(j, rng.choice(_TOKENS))
+        elif edit == 0:
+            del tokens[min(j, len(tokens) - 1)]
+        else:
+            tokens[min(j, len(tokens) - 1)] = rng.choice(_TOKENS)
+    return " ".join(tokens)
+
+
+def test_parse_matches_the_reference_parser():
+    # the one-pass parser gives the backtracking parser's AST, or its error
+    # text, offset and expected set, on every text read as a formula and
+    # as a term
+    rng = random.Random(20261019)
+    texts = []
+    for _ in range(600):
+        texts.append(render(random_formula(rng, rng.randint(0, 4))))
+        texts.append(render(random_term(rng, rng.randint(0, 4))))
+        texts.append(_mutated(rng, render(random_formula(rng, rng.randint(0, 3)))))
+        texts.append(_mutated(rng, render(random_term(rng, rng.randint(0, 3)))))
+        texts.append(" ".join(rng.choice(_TOKENS) for _ in range(rng.randint(0, 12))))
+    import peano_forge.formula as fm
+    n = fm._MAX_NESTING
+    for k in (n - 1, n, n + 1):
+        for prefix in ("(", "!", "forall x0 ", "x0 = (", "(x0 + "):
+            for tail in ("0 = 0", "x0", "x0) = 1", "", "0 = 0" + ")" * k, "x0" + ")" * k + " = 1"):
+                texts.append(prefix * k + tail)
+    reduced = ["0", "+", "=", "&", "->", "!", "(", ")", "forall", "x0"]
+    for length in range(5):
+        texts.extend(" ".join(t) for t in itertools.product(reduced, repeat=length))
+    for text in texts:
+        assert _parse_outcome(parse, text) == _parse_outcome(reference_parse, text), text
+        assert _parse_outcome(parse_term, text) == _parse_outcome(reference_parse_term, text), text
+
+
+def test_parse_checks_each_opener_once(monkeypatch):
+    # one pass: a left-hand term inside d parentheses opens d levels, each
+    # checked once (backtracking at each "(" checked d(d+3)/2 of them)
+    import peano_forge.formula as fm
+    calls = []
+    check = fm._check_nesting
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(fm, "_check_nesting", counted)
+    for d in (10, 50, 99):
+        calls.clear()
+        assert parse("(" * d + "x0" + ")" * d + " = 1") == Eq(Var(0), One())
+        assert len(calls) == d
+
+
+def test_an_index_too_long_to_read_is_a_parse_error():
+    # int() reads at most sys.get_int_max_str_digits() digits (4300 by
+    # default); a longer index is a ParseError at its token, not a ValueError
+    import sys
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter reads an int of any length")
+    digits = "9" * 5000
+    for text, offset in ((f"x{digits} = 0", 0), (f"forall x{digits} (0 = 0)", 7)):
+        with pytest.raises(ParseError) as ei:
+            parse(text)
+        assert ei.value.offset == offset
+        assert str(ei.value) == f"at byte {offset}: an index of 5000 digits is too long to read"
 
 
 def test_printers_walk_deep_trees():

@@ -448,6 +448,18 @@ def test_parse_def_nesting_budget():
     assert str(ei.value) == "at byte 1100: nesting deeper than 100 levels"
 
 
+def test_parse_def_index_too_long_to_read():
+    # int() reads at most sys.get_int_max_str_digits() digits (4300 by
+    # default); a longer projection index is a ParseError at its token
+    import sys
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter reads an int of any length")
+    with pytest.raises(ParseError) as ei:
+        parse_def("(proj " + "9" * 5000 + " 1)")
+    assert ei.value.offset == 6
+    assert str(ei.value) == "at byte 6: an index of 5000 digits is too long to read"
+
+
 # --- standard library ---
 
 def test_stdlib_names_complete():
