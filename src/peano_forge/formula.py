@@ -111,8 +111,7 @@ def numeral(n):
 # the budget stays until evaluation runs without recursion.
 _MAX_NESTING = 100
 
-_TOKEN_RE = re.compile(r"forall\b|exists\b|x\d+|->|[01+*=<!&|()]")
-_WS_RE = re.compile(r"\s*")
+_TOKEN_RE = re.compile(r"\s*(forall\b|exists\b|x\d+|->|[01+*=<!&|()])")
 _EOF = "<end of input>"
 _END = "end of input"  # as a ParseError lists it among the expected tokens
 
@@ -124,24 +123,18 @@ _EXPECTED_TOKENS = frozenset(
 
 
 def _tokenize(text, token_re, expected):
-    """The (token, position) pairs of text, read with token_re; a character
-    that starts no token is a ParseError that names the expected tokens."""
-    tokens = []
-    pos = 0
-    while True:
-        pos = _WS_RE.match(text, pos).end()
-        if pos >= len(text):
-            return tokens
-        m = token_re.match(text, pos)
-        if m is None:
-            off = _byte_offset(text[:pos], tokens, len(tokens))  # end of text read
-            raise ParseError(
-                f"unexpected character {text[pos]!r} at byte {off}",
-                offset=off,
-                expected=expected,
-            )
-        tokens.append((m.group(), pos))
-        pos = m.end()
+    """The (token, position) pairs of text, one anchored match of \\s*(token)
+    each; a stray character is a ParseError that names the expected tokens."""
+    tokens, end = [], 0
+    while m := token_re.match(text, end):
+        tokens.append((m[1], m.start(1)))
+        end = m.end()
+    rest = text[end:].lstrip()
+    if rest:
+        off = len(text[:-len(rest)].encode("utf-8"))
+        raise ParseError(f"unexpected character {rest[0]!r} at byte {off}",
+                         offset=off, expected=expected)
+    return tokens
 
 
 def _byte_offset(text, tokens, i):
@@ -375,8 +368,9 @@ def to_json(node):
 def _vars(node, free):
     """Variable indices of node: the free ones, or all (bound ones too).
     Each subtree waits on an explicit stack with the variables bound above
-    it (none when all are wanted), so deep trees cost no recursion."""
-    found = set()
+    it (none when all are wanted), so deep trees cost no recursion; an inner
+    node is walked once per such set, so a shared one is not walked again."""
+    found, seen = set(), set()
     stack = [(node, frozenset())]
     while stack:
         x, bound = stack.pop()
@@ -384,7 +378,11 @@ def _vars(node, free):
         if t is Var:
             if x.index not in bound:
                 found.add(x.index)
-        elif t in _BINARY:
+            continue
+        if t is Zero or t is One or (key := (id(x), bound)) in seen:
+            continue
+        seen.add(key)
+        if t in _BINARY:
             stack += ((x.right, bound), (x.left, bound))
         elif t is Not:
             stack.append((x.body, bound))
@@ -394,7 +392,7 @@ def _vars(node, free):
             else:
                 found.add(x.var)
             stack.append((x.body, bound))
-        elif t is not Zero and t is not One:
+        else:
             raise TypeError(f"not an AST node: {x!r}")
     return found
 
@@ -423,8 +421,10 @@ def substitute(f, v, t):
     renamed to the smallest index unused in both operands.
     """
     kept = {}  # quantifier id -> its new variable and the body to take
+    t_vars = None  # term_vars(t), once a quantifier needs them
 
     def children(x):
+        nonlocal t_vars
         tp = type(x)
         if tp is not ForAll and tp is not Exists:
             if tp not in _RENDER:
@@ -434,10 +434,11 @@ def substitute(f, v, t):
         # renamed body is planned in the place of the body
         if x.var == v or v not in free_vars(x.body):
             return ()
-        if x.var not in term_vars(t):
+        t_vars = term_vars(t) if t_vars is None else t_vars
+        if x.var not in t_vars:
             kept[id(x)] = x.var, x.body
         else:
-            fresh = _fresh_index(_vars(x.body, False) | term_vars(t) | {x.var})
+            fresh = _fresh_index(_vars(x.body, False) | t_vars | {x.var})
             kept[id(x)] = fresh, substitute(x.body, x.var, Var(fresh))
         return kept[id(x)][1:]
 

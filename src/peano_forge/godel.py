@@ -1,7 +1,7 @@
 """Prime-power Goedel coding.
 
-Symbol codes follow the fixed table ('0'->1, '1'->2, '+'->3, '*'->4, '='->5,
-'('->6, ')'->7, '->'->8, '!'->9, 'forall'->10, x_i -> 11+i); a token string
+Symbols are numbers, by SYMBOL_CODES ('0'->1, '1'->2, '+'->3, '*'->4, '='->5,
+'('->6, ')'->7, '->'->8, '!'->9, 'forall'->10, x_i -> 11+i); a symbol string
 a1...an is coded as 2^#a1 * 3^#a2 * ... * p_n^#an.  Sequence codes carry a +1
 exponent shift so element 0 survives; set codes use the bare exponents and
 therefore exclude element 0.
@@ -37,7 +37,6 @@ from .formula import (
     Zero,
     _fresh_index,
     _of_kind,
-    free_vars,
 )
 
 # ---------------------------------------------------------------------------
@@ -122,16 +121,6 @@ SYMBOL_CODES = {
     "∀": 10,
 }
 
-_CODE_SYMBOLS = {c: s for s, c in SYMBOL_CODES.items()}
-
-
-def token_code(tok):
-    if tok in SYMBOL_CODES:
-        return SYMBOL_CODES[tok]
-    if len(tok) > 1 and tok[0] == "x" and tok[1:].isdigit():
-        return 11 + int(tok[1:])
-    raise ValueError(f"unknown symbol {tok!r}")
-
 
 # ---------------------------------------------------------------------------
 # The symbol stream of a term or formula, and the one code builder
@@ -139,15 +128,27 @@ def token_code(tok):
 
 
 class _Pending:
-    """A token on _symbols' stack, kept apart from any value in a tree."""
+    """A marker on the stack of _symbols or _parse, apart from any value in
+    a tree and equal to no code: a code to write, or a quantifier's index."""
 
-    __slots__ = ("token",)
+    __slots__ = ("value",)
 
-    def __init__(self, token):
-        self.token = token
+    def __init__(self, value):
+        self.value = value
 
 
-_PENDING = tuple(map(_Pending, ("(", ")", "=", "1", "+", "·", "¬", "→")))
+# codes ( ) = 1 + * ! -> to write, a < atom's placeholder -1 for x_k (no
+# code, not even a bad index's 0, can equal it), and the end of sides
+_PENDING = tuple(map(_Pending, (6, 7, 5, 2, 3, 4, 9, 8, -1, None)))
+
+
+def _var_code(i, bad):
+    # 11 + i for x_i.  Another index codes as 0 and goes to bad, which
+    # _symbols raises on once its walk is done, so a non-node is named first
+    if type(i) is int and i >= 0:
+        return 11 + i
+    bad.append(f"x{i}")
+    return 0
 
 
 def _symbols(node, kind):
@@ -162,66 +163,66 @@ def _symbols(node, kind):
         a | b       (!a -> b)
         exists v a  !forall v !a
 
-    The walk runs on an explicit stack of nodes and pending tokens, so deep
-    trees cost neither recursion nor list copies.  While the sides of an
-    atom are written only term nodes may occur; None on the stack marks
-    where they end."""
-    tokens, pending = [], _Pending
-    open_, close, eq, one, plus, times, neg, arrow = _PENDING
+    The walk runs on an explicit stack of nodes and _Pending markers, so
+    deep trees cost neither recursion nor list copies.  While the sides of an
+    atom are written only term nodes may occur, up to a marker of their end;
+    k is then read off the variable codes that the sides wrote."""
+    codes, bad, pending = [], [], _Pending
+    open_, close, eq, one, plus, times, neg, arrow, slot, end = _PENDING
     stack = [_of_kind(node, kind)]
-    in_term = kind is Term
+    # None outside the sides of an atom; in them -1, or where a < atom's codes begin
+    sides = -1 if kind is Term else None
     while stack:
         x = stack.pop()
         t = type(x)
         if t is pending:
-            tokens.append(x.token)
-        elif x is None:
-            in_term = False
-        elif in_term:
+            if x is not end:
+                codes.append(x.value)
+                continue
+            if sides >= 0:
+                k = 11 + _fresh_index({c - 11 for c in codes[sides:]})
+                codes[sides + 2] = codes[codes.index(-1, sides + 3)] = k
+            sides = None
+        elif sides is not None:
             if t is Zero:
-                tokens.append("0")
+                codes.append(1)
             elif t is One:
-                tokens.append("1")
+                codes.append(2)
             elif t is Var:
-                tokens.append(f"x{x.index}")
+                codes.append(_var_code(x.index, bad))
             elif t is Add or t is Mul:
-                tokens.append("(")
+                codes.append(6)  # (
                 stack += (close, x.right, plus if t is Add else times, x.left)
             else:
                 raise TypeError(f"not a term: {x!r}")
         elif t is Eq:
-            stack += (None, x.right, eq, x.left)
-            in_term = True
+            stack += (end, x.right, eq, x.left)
+            sides = -1
         elif t is Lt:
-            try:
-                k = f"x{_fresh_index(free_vars(x))}"
-            except TypeError:  # a non-node in the sides, which are written
-                k = "x0"       # next: the term branch names it as eval_nat does
-            tokens += ("¬", "∀", k, "¬", "(")
-            stack += (None, x.right, eq, close, close, one, plus, _Pending(k), open_, plus,
-                      x.left)
-            in_term = True
+            sides = len(codes)
+            codes += (9, 10, -1, 9, 6)  # ! forall x_k ! (
+            stack += (end, x.right, eq, close, close, one, plus, slot, open_, plus, x.left)
         elif t is Not:
-            tokens.append("¬")
+            codes.append(9)
             stack.append(x.body)
-        elif t is ForAll:
-            tokens += ("∀", f"x{x.var}")
-            stack.append(x.body)
-        elif t is Exists:
-            tokens += ("¬", "∀", f"x{x.var}", "¬")
+        elif t is ForAll or t is Exists:
+            v = _var_code(x.var, bad)
+            codes += (10, v) if t is ForAll else (9, 10, v, 9)
             stack.append(x.body)
         elif t is Implies:
-            tokens.append("(")
+            codes.append(6)
             stack += (close, x.right, arrow, x.left)
         elif t is And:
-            tokens += ("¬", "(")
+            codes += (9, 6)
             stack += (close, x.right, neg, arrow, x.left)
         elif t is Or:
-            tokens += ("(", "¬")
+            codes += (6, 9)
             stack += (close, x.right, arrow, x.left)
         else:
             raise TypeError(f"not a formula: {x!r}")
-    return [token_code(tok) for tok in tokens]
+    if bad:
+        raise ValueError(f"unknown symbol {bad[0]!r}")
+    return codes
 
 
 # largest code _power_product builds, in bits (32 MiB)
@@ -238,8 +239,10 @@ def _power_product(exps, start=0):
     primes = _PRIMES[start:start + len(exps)]
     bits = sum(e * p.bit_length() for e, p in zip(exps, primes))
     if bits > _MAX_CODE_BITS:
+        n = bits.bit_length()  # past 3 * 640 bits str may refuse it, so it is named as 2^n
+        size = f"2^{n}" if n > 3 * 640 else bits
         raise BudgetExceeded(
-            f"a code of up to {bits} bits is over the budget of {_MAX_CODE_BITS} bits")
+            f"a code of up to {size} bits is over the budget of {_MAX_CODE_BITS} bits")
     if len(exps) > _TREE_PRIMES:
         return _product(list(map(pow, primes, exps)))
     code = 1
@@ -501,15 +504,13 @@ def _block_exponents(a, exps):
 def _close(stack):
     # the node that ")" completes on top of stack, popping "(" left op right;
     # None when the top does not read so
-    if len(stack) < 4 or stack[-4] != "(":
+    if len(stack) < 4 or stack[-4] != 6:  # (
         return None
     left, op, right = stack[-3:]
-    if op == "→" and isinstance(left, Formula) and isinstance(right, Formula):
+    if op == 8 and isinstance(left, Formula) and isinstance(right, Formula):  # ->
         node = Implies(left, right)
-    elif op == "+" and isinstance(left, Term) and isinstance(right, Term):
-        node = Add(left, right)
-    elif op == "·" and isinstance(left, Term) and isinstance(right, Term):
-        node = Mul(left, right)
+    elif (op == 3 or op == 4) and isinstance(left, Term) and isinstance(right, Term):  # + or *
+        node = (Add if op == 3 else Mul)(left, right)
     else:
         return None
     del stack[-4:]
@@ -528,37 +529,35 @@ def _parse(exps):
     if not exps:
         raise NotACode("the empty string is not a formula")
     # Shift-reduce: every term and formula of the alphabet is complete at its
-    # last token, so it is reduced there and nothing is ever retried.  The
-    # stack holds symbols, nodes, and the bare index of a quantifier variable.
+    # last symbol, so it is reduced there and nothing is ever retried.  The
+    # stack holds codes, nodes, and each quantifier's index in a _Pending.
     stack = []
-    tok = None
     for e in exps:
-        prev, tok = tok, _CODE_SYMBOLS.get(e)
-        if tok is None:  # exponents are >= 1, so this is the variable x_(e-11)
-            if prev == "∀":
-                stack.append(e - 11)
+        if e > 10:  # the variable x_(e-11)
+            if stack and stack[-1] == 10:  # after forall
+                stack.append(_Pending(e - 11))
                 continue
             x = Var(e - 11)
-        elif tok == "0":
+        elif e == 1:
             x = Zero()
-        elif tok == "1":
+        elif e == 2:
             x = One()
-        elif tok != ")" or (x := _close(stack)) is None:
-            stack.append(tok)
+        elif e != 7 or (x := _close(stack)) is None:
+            stack.append(e)
             continue
         # x is complete: fold it into the constructs that it closes
         while stack:
             top = stack[-1]
             if isinstance(x, Term):
-                if top != "=" or len(stack) < 2 or not isinstance(stack[-2], Term):
+                if top != 5 or len(stack) < 2 or not isinstance(stack[-2], Term):  # =
                     break
                 x = Eq(stack[-2], x)
                 del stack[-2:]
-            elif top == "¬":
+            elif top == 9:  # !
                 x = Not(x)
                 stack.pop()
-            elif type(top) is int:
-                x = ForAll(top, x)
+            elif type(top) is _Pending:
+                x = ForAll(top.value, x)
                 del stack[-2:]
             else:
                 break

@@ -362,7 +362,7 @@ def _search(g, bounded):
 # S-expression reader
 # ---------------------------------------------------------------------------
 
-_SEXPR_TOKEN = re.compile(r"[()]|[a-z_]+|\d+")
+_SEXPR_TOKEN = re.compile(r"\s*([()]|[a-z_]+|\d+)")
 _SEXPR_EXPECTED = frozenset({"(", ")", "atom"})
 
 

@@ -11,12 +11,13 @@ every range one value at a time, and terms are substituted by one
 recursive call per subformula.  The reference text parser is the
 backtracking recursive-descent parser that the engine's one-pass parser
 replaced, kept as it was; it shares only the engine's tokenizer, its byte
-offsets and its nesting check.
+offsets and its nesting check.  The reference symbol reader is the Goedel
+decoder's reader as it was when it spelled each code as a token string.
 """
 
 from itertools import combinations, product
 
-from peano_forge.errors import ParseError
+from peano_forge.errors import NotACode, ParseError
 from peano_forge.formula import (
     _EOF,
     _EXPECTED_TOKENS,
@@ -26,12 +27,14 @@ from peano_forge.formula import (
     Eq,
     Exists,
     ForAll,
+    Formula,
     Implies,
     Lt,
     Mul,
     Not,
     One,
     Or,
+    Term,
     Var,
     Zero,
     _byte_offset,
@@ -544,3 +547,75 @@ def reference_parse(text):
 def reference_parse_term(text):
     """What formula.parse_term returned before it read text in one pass."""
     return _parse_with(text, _Parser.term)
+
+
+# --- reference symbol reader ----------------------------------------------
+
+_CODE_SYMBOLS = {1: "0", 2: "1", 3: "+", 4: "·", 5: "=", 6: "(", 7: ")", 8: "→", 9: "¬",
+                 10: "∀"}
+
+
+def _close(stack):
+    # the node that ")" completes on top of stack, popping "(" left op right;
+    # None when the top does not read so
+    if len(stack) < 4 or stack[-4] != "(":
+        return None
+    left, op, right = stack[-3:]
+    if op == "→" and isinstance(left, Formula) and isinstance(right, Formula):
+        node = Implies(left, right)
+    elif op == "+" and isinstance(left, Term) and isinstance(right, Term):
+        node = Add(left, right)
+    elif op == "·" and isinstance(left, Term) and isinstance(right, Term):
+        node = Mul(left, right)
+    else:
+        return None
+    del stack[-4:]
+    return node
+
+
+def reference_read(exps):
+    """The formula whose symbol codes are exps; NotACode when they spell
+    none.  godel._parse as it was when it read each code as a token."""
+    if not exps:
+        raise NotACode("the empty string is not a formula")
+    # Shift-reduce: every term and formula of the alphabet is complete at its
+    # last token, so it is reduced there and nothing is ever retried.  The
+    # stack holds symbols, nodes, and the bare index of a quantifier variable.
+    stack = []
+    tok = None
+    for e in exps:
+        prev, tok = tok, _CODE_SYMBOLS.get(e)
+        if tok is None:  # exponents are >= 1, so this is the variable x_(e-11)
+            if prev == "∀":
+                stack.append(e - 11)
+                continue
+            x = Var(e - 11)
+        elif tok == "0":
+            x = Zero()
+        elif tok == "1":
+            x = One()
+        elif tok != ")" or (x := _close(stack)) is None:
+            stack.append(tok)
+            continue
+        # x is complete: fold it into the constructs that it closes
+        while stack:
+            top = stack[-1]
+            if isinstance(x, Term):
+                if top != "=" or len(stack) < 2 or not isinstance(stack[-2], Term):
+                    break
+                x = Eq(stack[-2], x)
+                del stack[-2:]
+            elif top == "¬":
+                x = Not(x)
+                stack.pop()
+            elif type(top) is int:
+                x = ForAll(top, x)
+                del stack[-2:]
+            else:
+                break
+        stack.append(x)
+    if not isinstance(stack[0], Formula):
+        raise NotACode("token string is not a formula")
+    if len(stack) > 1:
+        raise NotACode("trailing symbols after a complete formula")
+    return stack[0]

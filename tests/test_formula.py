@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -39,6 +40,7 @@ from peano_forge import (
     parse_term,
     render,
     substitute,
+    term_vars,
     to_json,
 )
 from helpers import le_guard, prim_formula, random_formula, random_term, sieve
@@ -80,6 +82,46 @@ def test_parse_error_carries_offset_and_expected():
         parse("forall y0 (0 = 0)")
     with pytest.raises(ParseError):
         parse("0 = 0 0")
+
+
+def test_tokenizer_reads_each_token_once_and_names_a_stray_character():
+    # one match per token, each where the last one ended; the first
+    # character that starts no token is named at its UTF-8 byte offset
+    text = " forall\tx12 (x3 ->\n !x0 = 1)  "
+    assert fm_tokenize(text) == [("forall", 1), ("x12", 8), ("(", 12), ("x3", 13),
+                                 ("->", 16), ("!", 20), ("x0", 21), ("=", 24), ("1", 26),
+                                 (")", 27)]
+    assert fm_tokenize("") == [] and fm_tokenize(" \n ") == []
+    for text, char, off in (("0 = $", "$", 4), ("0 = é 1", "é", 4), ("é = 0", "é", 0),
+                            ("0 =\u00a0é", "é", 5), ("forallx = 0", "f", 0),
+                            ("0 = 0 # 0 = 0", "#", 6)):
+        with pytest.raises(ParseError) as ei:
+            parse(text)
+        assert str(ei.value) == f"unexpected character {char!r} at byte {off}", text
+        assert ei.value.offset == off and "x<i>" in ei.value.expected
+    from peano_forge import parse_def
+    with pytest.raises(ParseError, match=r"^unexpected character 'é' at byte 6$"):
+        parse_def("(succ é)")
+
+
+def test_tokenizer_reads_a_long_whitespace_run_in_linear_time():
+    # a run of whitespace that no token follows is read once, not rescanned
+    # from each of its characters (200000^2/2 steps would take minutes)
+    from peano_forge import Succ, parse_def
+    n = 200_000
+    start = time.perf_counter()
+    assert parse("0 = 1" + " " * n) == Eq(Zero(), One())
+    assert type(parse_def("succ" + "\n" * n)) is Succ
+    for call, text in ((parse, "0 = 1" + " " * n + "$"), (parse_def, "succ" + " " * n + "$")):
+        with pytest.raises(ParseError) as ei:
+            call(text)
+        assert str(ei.value) == f"unexpected character '$' at byte {len(text) - 1}"
+    assert time.perf_counter() - start < 1.0
+
+
+def fm_tokenize(text):
+    from peano_forge.formula import _EXPECTED_TOKENS, _TOKEN_RE, _tokenize
+    return _tokenize(text, _TOKEN_RE, _EXPECTED_TOKENS)
 
 
 def test_parse_nesting_budget():
@@ -395,6 +437,42 @@ def test_shared_subformulas_are_walked_once():
         assert type(got) is And and got.left is got.right
         got = got.left
     assert got == Eq(Var(1), Var(2))
+
+
+def test_variable_sets_walk_a_shared_dag_once(monkeypatch):
+    # 16 nested Ands over one Eq, each with its two sides the same object:
+    # each walk looks every distinct inner node up in _BINARY once per set
+    # of variables bound above it, 17 times here, where a walk of the tree
+    # would look up 131071 nodes
+    import peano_forge.formula as fm
+    met = []
+
+    class Counted(dict):
+        def __contains__(self, t):
+            met.append(t)
+            return dict.__contains__(self, t)
+    monkeypatch.setattr(fm, "_BINARY", Counted(fm._BINARY))
+    dag = Eq(Var(0), Var(1))
+    for _ in range(16):
+        dag = And(dag, dag)
+
+    def lookups(call):
+        met.clear()
+        result = call()
+        return result, len(met)
+    assert lookups(lambda: free_vars(dag)) == ({0, 1}, 17)
+    assert lookups(lambda: fm._vars(dag, False)) == ({0, 1}, 17)
+    assert lookups(lambda: free_vars(And(ForAll(1, dag), dag))) == ({0, 1}, 36)
+    t = Var(2)
+    for _ in range(16):
+        t = Add(t, t)
+    assert lookups(lambda: term_vars(t)) == ({2}, 16)
+    # free_vars of the body, then term_vars of the term (a leaf is no lookup)
+    got, n = lookups(lambda: substitute(ForAll(1, dag), 0, One()))
+    assert n == 17 and got.body.left is got.body.right
+    # with a renaming, _vars of the body too
+    got, n = lookups(lambda: substitute(ForAll(1, dag), 0, Var(1)))
+    assert n == 34 and got.var == 2 and got.body.left is got.body.right
 
 
 def test_hashing_a_growing_formula_plans_only_the_new_nodes(monkeypatch):

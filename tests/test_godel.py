@@ -1,5 +1,7 @@
 import gc
+import itertools
 import random
+import sys
 from math import log2
 
 import pytest
@@ -15,6 +17,7 @@ from peano_forge import (
     Implies,
     IndexOutOfRange,
     Lt,
+    Mul,
     Not,
     NotACode,
     One,
@@ -31,6 +34,7 @@ from peano_forge import (
     encode_seq,
     encode_set,
     encode_term,
+    eval_nat,
     is_seq_code,
     nth_prime,
     numeral,
@@ -43,9 +47,15 @@ from peano_forge import (
     unpair,
 )
 from peano_forge import godel
-from peano_forge.godel import token_code
+from peano_forge.godel import SYMBOL_CODES
 from helpers import random_formula, sieve
-from oracles import desugared, factorial_mu_prime_chain, prime_exponents, symbol_codes
+from oracles import (
+    desugared,
+    factorial_mu_prime_chain,
+    prime_exponents,
+    reference_read,
+    symbol_codes,
+)
 
 
 # --- primes ---
@@ -108,7 +118,7 @@ def test_encode_term_deep_numeral():
     tokens = ["("] * 999 + ["1"] + ["+", "1", ")"] * 999
     code = 1
     for i, tok in enumerate(tokens):
-        code *= nth_prime(i) ** token_code(tok)
+        code *= nth_prime(i) ** SYMBOL_CODES[tok]
     assert encode_term(numeral(1000)) == code
 
 
@@ -184,6 +194,71 @@ def test_decode_formula_accepts_exactly_its_own_codes(symbols):
     except NotACode:
         return
     assert encode_formula(f) == code
+
+
+def test_reader_matches_the_token_reader_on_every_short_code():
+    # every string of up to 4 symbol codes from 1..13 (the alphabet and x0,
+    # x1, x2) reads to the same AST, or the same NotACode message, as the
+    # reader that spelled each code as a token string
+    def outcome(read, exps):
+        try:
+            return read(exps)
+        except NotACode as e:
+            return str(e)
+    for n in range(5):
+        for exps in map(list, itertools.product(range(1, 14), repeat=n)):
+            assert outcome(godel._parse, exps) == outcome(reference_read, exps), exps
+
+
+def test_none_inside_a_tree_is_named_like_any_non_node():
+    # the writer's end-of-atom marker is no bare None, so a None in a tree is
+    # not taken for one: it is named, as eval_nat names it
+    f = Eq(Var(0), Mul(Var(0), None))
+    for call in (encode_formula, desugar, lambda f: eval_nat(f, {0: 1}, 1)):
+        with pytest.raises(TypeError, match=r"^not a term: None$"):
+            call(f)
+    with pytest.raises(TypeError, match=r"^not a term: None$"):
+        encode_term(Add(One(), None))
+    with pytest.raises(TypeError, match=r"^not a formula: None$"):
+        encode_formula(Not(None))
+
+
+def test_a_huge_variable_index_is_over_the_code_budget():
+    # x_(10^5000) is a natural index whose code needs about 2^16610 bits:
+    # BudgetExceeded before anything is multiplied, and the message names
+    # the bound as a power of 2, as str would refuse its 5000 digits
+    for call in (lambda: encode_term(Var(10 ** 5000)),
+                 lambda: encode_formula(ForAll(10 ** 5000, Eq(Zero(), Zero())))):
+        with pytest.raises(BudgetExceeded, match=r"^a code of up to 2\^16611 bits is over "):
+            call()
+    # a bound is printed in full only if str prints it under any digit
+    # limit, the least of which is 640: 501 digits are, 701 are not
+    for index, size in ((10 ** 500, r"2\d{500}"), (10 ** 700, r"2\^2327")):
+        with pytest.raises(BudgetExceeded, match=rf"^a code of up to {size} bits is over "):
+            encode_term(Var(index))
+    if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(BudgetExceeded, match=r"^a code of up to 2\d{500} bits is over "):
+                encode_term(Var(10 ** 500))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_a_variable_index_is_a_natural_int():
+    # Var("1") spells x1 but is no x1; a bad index is raised once the walk
+    # is done, so a non-node met later is still named first
+    bad = [(Var("1"), "x1"), (Var(-1), "x-1"), (Var(True), "xTrue"), (Var(1.0), "x1.0")]
+    for t, name in bad:
+        with pytest.raises(ValueError, match=f"^unknown symbol '{name}'$"):
+            encode_term(t)
+        with pytest.raises(ValueError, match=f"^unknown symbol '{name}'$"):
+            desugar(Lt(Var(0), Add(t, Var(2))))
+    with pytest.raises(ValueError, match="^unknown symbol 'x2'$"):
+        encode_formula(ForAll("2", Eq(Zero(), Zero())))
+    with pytest.raises(TypeError, match="^not a term: 3$"):
+        encode_formula(Eq(Var("1"), Add(One(), 3)))
 
 
 @settings(max_examples=300, deadline=None)
