@@ -16,7 +16,7 @@ from .errors import (
     ParseError,
     UnboundVariable,
 )
-from .tree import Node, _compiled, _folded, _plan
+from .tree import Node, _compiled, _folded, _plan, _printer
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
@@ -342,11 +342,13 @@ def _fold(node, visit):
     return _folded(node, _children, step)
 
 
+@_printer
 def render(node):
     """Fully parenthesized canonical text; parse(render(f)) == f."""
     return _fold(node, lambda x, args: _RENDER[type(x)].format(*args))
 
 
+@_printer
 def ast_text(node):
     """Compact constructor-style rendering of an AST, e.g. Eq(Zero, Zero)."""
     def visit(x, args):
@@ -365,46 +367,47 @@ def to_json(node):
 # ---------------------------------------------------------------------------
 
 
-def _vars(node, free):
-    """Variable indices of node: the free ones, or all (bound ones too).
-    Each subtree waits on an explicit stack with the variables bound above
-    it (none when all are wanted), so deep trees cost no recursion; an inner
-    node is walked once per such set, so a shared one is not walked again."""
-    found, seen = set(), set()
-    stack = [(node, frozenset())]
-    while stack:
-        x, bound = stack.pop()
-        t = type(x)
-        if t is Var:
-            if x.index not in bound:
-                found.add(x.index)
-            continue
-        if t is Zero or t is One or (key := (id(x), bound)) in seen:
-            continue
-        seen.add(key)
-        if t in _BINARY:
-            stack += ((x.right, bound), (x.left, bound))
-        elif t is Not:
-            stack.append((x.body, bound))
-        elif t is ForAll or t is Exists:
-            if free:
-                bound = bound | {x.var}
-            else:
-                found.add(x.var)
-            stack.append((x.body, bound))
-        else:
-            raise TypeError(f"not an AST node: {x!r}")
-    return found
+def _scope(node, kept):
+    """The free variables of node and its binders (the variables its
+    quantifiers bind), by one explicit-stack walk.  The two sets of each
+    quantifier's body are kept in kept[id(quantifier)] and read from there,
+    and a shared node is walked once per quantifier body it lies in."""
+    free, binders, seen, stack, outer = set(), set(), set(), [node], []
+    while True:
+        while stack:
+            x = stack.pop()
+            tp = type(x)
+            if tp is Var:
+                free.add(x.index)
+            elif tp is not Zero and tp is not One and id(x) not in seen:
+                seen.add(id(x))
+                if tp in _BINARY:
+                    stack += (x.right, x.left)
+                elif tp is Not:
+                    stack.append(x.body)
+                elif tp is ForAll or tp is Exists:
+                    binders.add(x.var)
+                    outer.append((x, free, binders, seen, stack))
+                    free, binders = kept.get(id(x)) or (set(), set())
+                    seen, stack = set(), [] if id(x) in kept else [x.body]
+                else:
+                    raise TypeError(f"not an AST node: {x!r}")
+        if not outer:
+            return free, binders
+        (q, free, binders, seen, stack), body = outer.pop(), (free, binders)
+        kept[id(q)] = body
+        free |= body[0] - {q.var}
+        binders |= body[1]
 
 
 def term_vars(t):
     """All variable indices occurring in a term."""
-    return _vars(t, True)
+    return _scope(t, {})[0]
 
 
 def free_vars(f):
     """Variable indices with at least one free occurrence; empty iff sentence."""
-    return _vars(f, True)
+    return _scope(f, {})[0]
 
 
 def _fresh_index(used):
@@ -414,40 +417,81 @@ def _fresh_index(used):
     return i
 
 
+class _Under(tuple):
+    # (node, renamings): node as substitute plans it where more than x_v -> t
+    # is in force; renamings maps variables to the terms that replace them
+    __slots__ = ()
+
+
+def _under(nodes, renamings, entries):
+    # the _Under entry of each of nodes under renamings, made once per pair
+    return [entries.setdefault((id(c), id(renamings)), _Under((c, renamings))) for c in nodes]
+
+
 def substitute(f, v, t):
     """Capture-avoiding substitution of term t for free occurrences of x_v.
 
     When a quantifier would capture a variable of t, its bound variable is
-    renamed to the smallest index unused in both operands.
+    renamed to the smallest index unused in both operands.  The renamings in
+    force travel with the one pass (simultaneous substitution: Stoughton,
+    "Substitution revisited", 1988), so no renamed body is walked again.
     """
-    kept = {}  # quantifier id -> its new variable and the body to take
+    scopes = {}  # id(quantifier) -> _scope of its body, walked when first needed
+    # id(entry) -> (variable, body entry) of a quantifier that changes, and
+    # (id(node), id(renamings)) -> the _Under entry of node under renamings
+    kept = {}
     t_vars = None  # term_vars(t), once a quantifier needs them
 
-    def children(x):
+    def children(e):
         nonlocal t_vars
-        tp = type(x)
-        if tp is not ForAll and tp is not Exists:
+        x, tp, renamings = e, type(e), None
+        if tp is _Under:
+            x, renamings = e
+            tp = type(x)
+            if tp is not ForAll and tp is not Exists:
+                return () if tp is Var else _under(x._values(), renamings, kept)
+        elif tp is not ForAll and tp is not Exists:
             if tp not in _RENDER:
                 raise TypeError(f"not an AST node: {x!r}")
             return () if tp is Var else x._values()
-        # decided when first met, so no body is substituted in vain; a
-        # renamed body is planned in the place of the body
-        if x.var == v or v not in free_vars(x.body):
+        # decided when first met, so no body is substituted in vain: the
+        # body takes the renamings in force of its free variables but var
+        var = x.var
+        if renamings is None and var == v:
             return ()
-        t_vars = term_vars(t) if t_vars is None else t_vars
-        if x.var not in t_vars:
-            kept[id(x)] = x.var, x.body
+        free, binders = scopes.get(id(x)) or scopes.setdefault(id(x), _scope(x.body, scopes))
+        if renamings is None:  # x_v -> t alone, and var is not v
+            renamings, names = {v: t}, {v} & free
         else:
-            fresh = _fresh_index(_vars(x.body, False) | t_vars | {x.var})
-            kept[id(x)] = fresh, substitute(x.body, x.var, Var(fresh))
-        return kept[id(x)][1:]
+            names = renamings.keys() & free - {var}
+        inner = dict(zip(names, map(renamings.get, names)))
+        if v in inner:
+            t_vars = term_vars(t) if t_vars is None else t_vars
+            if var in t_vars:  # renamed to an index that none of these hold
+                renamed = {r.index for r in inner.values() if r is not t}
+                inner[var] = Var(_fresh_index(free | binders | t_vars | renamed))
+                var = inner[var].index
+        if not inner:
+            return ()
+        inner = None if list(inner) == [v] else renamings if inner == renamings else inner
+        body = x.body if inner is None else _under((x.body,), inner, kept)[0]
+        kept[id(e)] = var, body
+        return (body,)
 
-    def visit(x, take):
-        tp = type(x)
+    def visit(e, take):
+        x, tp = e, type(e)
         if tp is Var or tp is Zero or tp is One:
             return t if tp is Var and x.index == v else x
+        if tp is _Under:
+            x, renamings = e
+            tp = type(x)
+            if tp is Var:
+                return renamings.get(x.index, x)
+            if tp is not ForAll and tp is not Exists:
+                values = _under(x._values(), renamings, kept)
+                return tp(*map(take, values)) if values else x
         if tp is ForAll or tp is Exists:
-            return tp(kept[id(x)][0], take(kept[id(x)][1])) if id(x) in kept else x
+            return tp(kept[id(e)][0], take(kept[id(e)][1])) if id(e) in kept else x
         return tp(*map(take, x._values()))
     return _folded(f, children, visit)
 

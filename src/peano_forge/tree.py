@@ -2,6 +2,29 @@
 one way such a tree is walked: a plan of its distinct nodes, children first,
 and loops over that plan."""
 
+from functools import wraps
+
+from .errors import BudgetExceeded
+
+
+def _printer(text):
+    """text(node), where an int past the interpreter's limit on the digits
+    of an int-to-str conversion is a BudgetExceeded that gives its size as
+    2^n, as the Goedel coder names a code too large to build, in place of
+    the interpreter's ValueError."""
+    @wraps(text)
+    def printed(node):
+        try:
+            return text(node)
+        except ValueError:
+            n = max([v.bit_length() for x in _plan(node, _subnodes)[0]
+                     for v in x._values() if type(v) is int] or [0])
+            if n <= 3 * 640:  # under 640 digits, which every limit allows
+                raise
+            raise BudgetExceeded(f"an int of at least 2^{n - 1} has more digits than "
+                                 "the interpreter's int-to-str limit") from None
+    return printed
+
 
 class Node:
     """An immutable record whose fields are the names in the __slots__ of
@@ -79,6 +102,7 @@ class Node:
             entries[id(x)] = [type(x), tuple(_swap(v, entries) for v in x._values())]
         return _rebuilt, (list(entries.values()),)
 
+    @_printer
     def __repr__(self):
         def visit(x, take):
             if type(x).__repr__ is not Node.__repr__:

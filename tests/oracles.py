@@ -13,11 +13,15 @@ backtracking recursive-descent parser that the engine's one-pass parser
 replaced, kept as it was; it shares only the engine's tokenizer, its byte
 offsets and its nesting check.  The reference symbol reader is the Goedel
 decoder's reader as it was when it spelled each code as a token string.
+The reference capture-avoiding substitution is the engine's as it was
+before one scope walk replaced its per-quantifier calls: it asks for the
+free variables of each quantifier's body and substitutes each renamed body
+again; it shares only the plan of tree._folded.
 """
 
 from itertools import combinations, product
 
-from peano_forge.errors import NotACode, ParseError
+from peano_forge.errors import InvalidSchemaVariables, NotACode, ParseError
 from peano_forge.formula import (
     _EOF,
     _EXPECTED_TOKENS,
@@ -41,6 +45,7 @@ from peano_forge.formula import (
     _check_nesting,
     _tokenize,
 )
+from peano_forge.tree import _folded
 
 
 def has_qualifying_set(m, n, k, large, color_of):
@@ -619,3 +624,102 @@ def reference_read(exps):
     if len(stack) > 1:
         raise NotACode("trailing symbols after a complete formula")
     return stack[0]
+
+
+# --- reference substitution -----------------------------------------------
+
+_BINARY = (Add, Mul, Eq, Lt, And, Or, Implies)
+_NODES = (Zero, One, Var, Not, ForAll, Exists, *_BINARY)
+
+
+def _vars(node, free):
+    """Variable indices of node: the free ones, or all (bound ones too).
+    Each subtree waits on an explicit stack with the variables bound above
+    it (none when all are wanted), so deep trees cost no recursion; an inner
+    node is walked once per such set, so a shared one is not walked again."""
+    found, seen = set(), set()
+    stack = [(node, frozenset())]
+    while stack:
+        x, bound = stack.pop()
+        t = type(x)
+        if t is Var:
+            if x.index not in bound:
+                found.add(x.index)
+            continue
+        if t is Zero or t is One or (key := (id(x), bound)) in seen:
+            continue
+        seen.add(key)
+        if t in _BINARY:
+            stack += ((x.right, bound), (x.left, bound))
+        elif t is Not:
+            stack.append((x.body, bound))
+        elif t is ForAll or t is Exists:
+            if free:
+                bound = bound | {x.var}
+            else:
+                found.add(x.var)
+            stack.append((x.body, bound))
+        else:
+            raise TypeError(f"not an AST node: {x!r}")
+    return found
+
+
+def _fresh_index(used):
+    i = 0
+    while i in used:
+        i += 1
+    return i
+
+
+def reference_substitute(f, v, t):
+    """Capture-avoiding substitution of term t for free occurrences of x_v.
+
+    When a quantifier would capture a variable of t, its bound variable is
+    renamed to the smallest index unused in both operands.
+    """
+    kept = {}  # quantifier id -> its new variable and the body to take
+    t_vars = None  # term_vars(t), once a quantifier needs them
+
+    def children(x):
+        nonlocal t_vars
+        tp = type(x)
+        if tp is not ForAll and tp is not Exists:
+            if tp not in _NODES:
+                raise TypeError(f"not an AST node: {x!r}")
+            return () if tp is Var else x._values()
+        # decided when first met, so no body is substituted in vain; a
+        # renamed body is planned in the place of the body
+        if x.var == v or v not in _vars(x.body, True):
+            return ()
+        t_vars = _vars(t, True) if t_vars is None else t_vars
+        if x.var not in t_vars:
+            kept[id(x)] = x.var, x.body
+        else:
+            fresh = _fresh_index(_vars(x.body, False) | t_vars | {x.var})
+            kept[id(x)] = fresh, reference_substitute(x.body, x.var, Var(fresh))
+        return kept[id(x)][1:]
+
+    def visit(x, take):
+        tp = type(x)
+        if tp is Var or tp is Zero or tp is One:
+            return t if tp is Var and x.index == v else x
+        if tp is ForAll or tp is Exists:
+            return tp(kept[id(x)][0], take(kept[id(x)][1])) if id(x) in kept else x
+        return tp(*map(take, x._values()))
+    return _folded(f, children, visit)
+
+
+def reference_induction_instance(phi, x, params):
+    """induction_instance as it was, over reference_substitute."""
+    if x in params:
+        raise InvalidSchemaVariables(
+            f"induction variable x{x} also appears in the parameter list"
+        )
+    if len(set(params)) != len(params):
+        raise InvalidSchemaVariables("duplicate parameter variables")
+    base = reference_substitute(phi, x, Zero())
+    step = ForAll(x, Implies(phi, reference_substitute(phi, x, Add(Var(x), One()))))
+    out = Implies(And(base, step), ForAll(x, phi))
+    for p in reversed(list(params)):
+        out = ForAll(p, out)
+    return out

@@ -43,12 +43,22 @@ from peano_forge import (
     term_vars,
     to_json,
 )
-from helpers import le_guard, prim_formula, random_formula, random_term, sieve
+from helpers import (
+    capturing_formula,
+    le_guard,
+    messy_formula,
+    prim_formula,
+    random_formula,
+    random_term,
+    sieve,
+)
 from oracles import (
     bounded_sugar,
     eval_formula,
+    reference_induction_instance,
     reference_parse,
     reference_parse_term,
+    reference_substitute,
     substituted,
 )
 
@@ -292,6 +302,23 @@ def test_printers_reject_non_nodes():
                 printer(bad)
 
 
+def test_printers_name_an_index_past_the_digit_limit():
+    # the interpreter refuses to write an int of more than
+    # sys.get_int_max_str_digits() digits (4300 by default); the printers
+    # name such an index by its size instead of raising its ValueError
+    import sys
+    if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("this interpreter writes ints of any length")
+    from peano_forge import desugar
+    big = Var(10 ** 5000)  # 16610 bits
+    for f in (Eq(Zero(), big), desugar(Lt(big, One())), ForAll(10 ** 5000, Eq(big, Zero()))):
+        for printer in (render, ast_text, repr):
+            with pytest.raises(BudgetExceeded, match=r"^an int of at least 2\^16609 has more"):
+                printer(f)
+    assert render(Eq(Zero(), Var(10 ** 500))) == f"(0 = x{10 ** 500})"
+    assert repr(Var(10 ** 500)) == f"Var(index={10 ** 500})"
+
+
 # --- numerals ---
 
 def test_numeral_shape():
@@ -379,6 +406,41 @@ def test_substitute_matches_the_plain_oracle(seed):
     assert induction_instance(f, v, params) == expected
 
 
+def _outcome(call):
+    # ("value", what call() returns), or the type and text of what it raises
+    try:
+        return "value", call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_substitute_matches_the_reference_on_messy_input(seed):
+    # DAGs, capture in nested scopes, and junk: a None child, Var("a"),
+    # unhashable indices, and terms that are no node, under a live
+    # quantifier and under none.  The value, or the exception's type and
+    # message, is the reference's, the walk that one scope walk replaced.
+    rng = random.Random(seed)
+    t_picks = [Var(1), Add(Var(1), One()), Add(Var(2), Var(3)), Zero(), None, 5]
+    cases = [(Eq(Var(0), Zero()), 0, None), (ForAll(1, Eq(Var(0), Var(1))), 0, None),
+             (Eq(Var([1]), Var(0)), 0, One()), (ForAll(2, Eq(Var([1]), Var(0))), 0, One()),
+             (ForAll([1], Eq(Var(0), Var(1))), 0, None),
+             (ForAll(1, Eq(Var(0), Zero())), [1], One())]
+    for i in range(300):
+        v, t = rng.randrange(5), rng.choice(t_picks)
+        if i % 2:
+            f, _ = messy_formula(rng, rng.randint(0, 5))
+        else:
+            f = capturing_formula(rng, v, {1, 2, 3}, rng.randint(1, 5))
+        cases.append((f, v, t))
+    for f, v, t in cases:
+        assert _outcome(lambda: substitute(f, v, t)) == _outcome(
+            lambda: reference_substitute(f, v, t)), (f, v, t)
+        params = [p for p in range(3) if p != v][:rng.randrange(3)]
+        assert _outcome(lambda: induction_instance(f, v, params)) == _outcome(
+            lambda: reference_induction_instance(f, v, params)), (f, v, params)
+
+
 def test_substitute_and_induction_on_deep_trees():
     # 1500 and 3000 levels deep; == on such trees recurses, so the results
     # are compared as text
@@ -439,10 +501,34 @@ def test_shared_subformulas_are_walked_once():
     assert got == Eq(Var(1), Var(2))
 
 
+def test_a_renamed_body_stays_shared_under_inner_quantifiers(monkeypatch):
+    # 16 levels of L = forall x3 L & forall x4 L under forall x1, where x1 is
+    # renamed: both inner quantifiers keep the renamings in force, so their
+    # shared body is planned once under them, not once per path (2^16)
+    import peano_forge.tree as tree
+    planned, plan = [], tree._plan
+
+    def counted(node, children):
+        order, shared = plan(node, children)
+        planned.append(len(order))
+        return order, shared
+    monkeypatch.setattr(tree, "_plan", counted)
+    body = Eq(Var(0), Var(1))
+    for _ in range(16):
+        body = And(ForAll(3, body), ForAll(4, body))
+    got = substitute(ForAll(1, body), 0, Var(1))
+    assert planned == [3 * 16 + 4] and got.var == 2
+    got = got.body
+    for _ in range(16):
+        assert got.left.body is got.right.body and (got.left.var, got.right.var) == (3, 4)
+        got = got.left.body
+    assert got == Eq(Var(1), Var(2))
+
+
 def test_variable_sets_walk_a_shared_dag_once(monkeypatch):
     # 16 nested Ands over one Eq, each with its two sides the same object:
-    # each walk looks every distinct inner node up in _BINARY once per set
-    # of variables bound above it, 17 times here, where a walk of the tree
+    # each walk looks every distinct inner node up in _BINARY once per
+    # quantifier body it lies in, 17 times here, where a walk of the tree
     # would look up 131071 nodes
     import peano_forge.formula as fm
     met = []
@@ -461,18 +547,54 @@ def test_variable_sets_walk_a_shared_dag_once(monkeypatch):
         result = call()
         return result, len(met)
     assert lookups(lambda: free_vars(dag)) == ({0, 1}, 17)
-    assert lookups(lambda: fm._vars(dag, False)) == ({0, 1}, 17)
+    assert lookups(lambda: fm._scope(dag, {})) == (({0, 1}, set()), 17)
     assert lookups(lambda: free_vars(And(ForAll(1, dag), dag))) == ({0, 1}, 36)
     t = Var(2)
     for _ in range(16):
         t = Add(t, t)
     assert lookups(lambda: term_vars(t)) == ({2}, 16)
-    # free_vars of the body, then term_vars of the term (a leaf is no lookup)
+    # the scope walk of the body, then term_vars of the term (a leaf is no
+    # lookup); a renaming reads the same walk's sets and walks nothing again
     got, n = lookups(lambda: substitute(ForAll(1, dag), 0, One()))
     assert n == 17 and got.body.left is got.body.right
-    # with a renaming, _vars of the body too
     got, n = lookups(lambda: substitute(ForAll(1, dag), 0, Var(1)))
-    assert n == 34 and got.var == 2 and got.body.left is got.body.right
+    assert n == 17 and got.var == 2 and got.body.left is got.body.right
+
+
+def test_nested_capture_is_linear(monkeypatch):
+    # n nested forall x1 (f & x0 = x1): substituting x1 + 1 for x0 renames
+    # every quantifier, each once.  One scope walk serves them all (3n
+    # lookups: each level's ForAll, And and Eq but the root's ForAll, plus
+    # one for term_vars of x1 + 1), and one plan of 5n + 3 entries; the
+    # induction instance renames nothing and takes two such passes
+    import peano_forge.formula as fm
+    import peano_forge.tree as tree
+    met, planned, renamings = [], [], []
+
+    class Counted(dict):
+        def __contains__(self, t):
+            met.append(t)
+            return dict.__contains__(self, t)
+    monkeypatch.setattr(fm, "_BINARY", Counted(fm._BINARY))
+    plan, fresh_index = tree._plan, fm._fresh_index
+
+    def counted(node, children):
+        order, shared = plan(node, children)
+        planned.append(len(order))
+        return order, shared
+    monkeypatch.setattr(tree, "_plan", counted)
+    monkeypatch.setattr(fm, "_fresh_index", lambda used: renamings.append(1) or fresh_index(used))
+    for n in (100, 200, 400):
+        f = Eq(Var(0), Var(1))
+        for _ in range(n):
+            f = ForAll(1, And(f, Eq(Var(0), Var(1))))
+        met.clear(), planned.clear(), renamings.clear()
+        got = substitute(f, 0, Add(Var(1), One()))
+        assert (len(renamings), len(met), planned) == (n, 3 * n + 1, [5 * n + 3])
+        assert render(got).startswith("forall x2 ((forall x2 ((") and got.var == 2
+        met.clear(), planned.clear(), renamings.clear()
+        induction_instance(f, 0, [1])
+        assert (len(renamings), len(met), planned) == (0, 6 * n + 1, [5 * n + 3] * 2)
 
 
 def test_hashing_a_growing_formula_plans_only_the_new_nodes(monkeypatch):
