@@ -11,7 +11,6 @@ import json
 import os
 import sys
 
-from . import formula, godel, ramsey, recfun
 from .errors import DomainError
 
 
@@ -20,6 +19,7 @@ class UsageError(Exception):
 
 
 def _enum_cap():
+    from . import ramsey
     raw = os.environ.get("PEANO_FORGE_ENUM_CAP")
     if raw is None:
         return ramsey.DEFAULT_ENUM_CAP
@@ -30,6 +30,8 @@ def _enum_cap():
 
 
 def _build_parser():
+    # each handler imports the layers it uses, so building the parser loads
+    # none and a process pays only for its own command
     p = argparse.ArgumentParser(
         prog="peano-forge",
         description="Workbench for the language of arithmetic: parsing, "
@@ -109,10 +111,9 @@ def _build_parser():
     q.set_defaults(handler=_cmd_fastgrow)
     q.add_argument("n", type=int)
     q.add_argument("x", type=int)
-    q.add_argument("--max-iterations", type=int,
-                   default=ramsey.DEFAULT_FAST_BUDGET.max_iterations)
-    q.add_argument("--max-bits", type=int,
-                   default=ramsey.DEFAULT_FAST_BUDGET.max_result_bits)
+    # None stands for DEFAULT_FAST_BUDGET's field, read by _cmd_fastgrow
+    q.add_argument("--max-iterations", type=int)
+    q.add_argument("--max-bits", type=int)
     return p
 
 
@@ -125,6 +126,7 @@ def _nat(text):
 def _json_text(f):
     # json.dumps(formula.to_json(f)) byte for byte, written by the iterative
     # fold: the json encoder recurses once per level of the tree
+    from . import formula
     def visit(x, args):
         kind = type(x).__name__.lower()
         return f'{{"kind": "{kind}", "args": [{", ".join(map(str, args))}]}}'
@@ -132,6 +134,7 @@ def _json_text(f):
 
 
 def _cmd_parse(args):
+    from . import formula
     f = formula.parse(args.text)
     if args.json:
         return 0, _json_text(f) + "\n"
@@ -140,21 +143,30 @@ def _cmd_parse(args):
 
 def _cmd_encode(args):
     if args.kind == "formula":
+        from . import formula, godel
         code = godel.encode_formula(formula.parse(args.text))
         return 0, f"{code}\n"
+    if args.kind == "partition":
+        from . import ramsey
+        P = ramsey.read_partition(args.file)
+        return 0, f"{ramsey.encode_partition(P)}\n"
+    from . import godel
     if args.kind == "seq":
         return 0, f"{godel.encode_seq(args.elements)}\n"
-    if args.kind == "set":
-        return 0, f"{godel.encode_set(args.elements)}\n"
-    P = ramsey.read_partition(args.file)
-    return 0, f"{ramsey.encode_partition(P)}\n"
+    return 0, f"{godel.encode_set(args.elements)}\n"
 
 
 def _cmd_decode(args):
     # a code of over 128 KiB of digits is past the length limit of one
     # command-line argument, so "-" reads it from stdin
     code = _nat(sys.stdin.read().strip() if args.code == "-" else args.code)
+    if args.kind == "partition":
+        from . import ramsey
+        P = ramsey.decode_partition(code, args.m, args.n, args.r)
+        return 0, ramsey.partition_to_text(P)
+    from . import godel
     if args.kind == "formula":
+        from . import formula
         return 0, formula.render(godel.decode_formula(code)) + "\n"
     if args.kind == "seq":
         elements = godel.decode_seq(code)
@@ -162,14 +174,12 @@ def _cmd_decode(args):
             doc = {"code": str(code), "elements": elements}
             return 0, json.dumps(doc) + "\n"
         return 0, " ".join(str(x) for x in elements) + "\n"
-    if args.kind == "set":
-        elements = godel.decode_set(code)
-        return 0, " ".join(str(x) for x in elements) + "\n"
-    P = ramsey.decode_partition(code, args.m, args.n, args.r)
-    return 0, ramsey.partition_to_text(P)
+    elements = godel.decode_set(code)
+    return 0, " ".join(str(x) for x in elements) + "\n"
 
 
 def _cmd_pr_eval(args):
+    from . import recfun
     with open(args.file, "r", encoding="utf-8") as fh:
         d = recfun.parse_def(fh.read())
     values = [_nat(a) for a in args.args]
@@ -182,6 +192,7 @@ def _cmd_pr_eval(args):
 def _cmd_arrow(args):
     if args.n > args.k:
         raise UsageError(f"need n <= k, got n={args.n}, k={args.k}")
+    from . import ramsey
     cap = _enum_cap()
     if args.find_min:
         if args.max_m is None:
@@ -202,6 +213,7 @@ def _cmd_arrow(args):
 
 
 def _cmd_check_homog(args):
+    from . import ramsey
     P = ramsey.read_partition(args.file)
     H = tuple(args.elements)
     homogeneous = ramsey.is_homogeneous(P, H)
@@ -217,16 +229,22 @@ def _cmd_check_homog(args):
 
 
 def _cmd_fastgrow(args):
-    budget = ramsey.FastGrowingBudget(max_result_bits=args.max_bits,
-                                      max_iterations=args.max_iterations)
+    from . import ramsey
+    default = ramsey.DEFAULT_FAST_BUDGET
+    bits, iterations = args.max_bits, args.max_iterations
+    budget = ramsey.FastGrowingBudget(
+        max_result_bits=default.max_result_bits if bits is None else bits,
+        max_iterations=default.max_iterations if iterations is None else iterations)
     return 0, f"{ramsey.fast_growing(args.n, args.x, budget)}\n"
 
 
 def _cmd_pair(args):
+    from . import godel
     return 0, f"{godel.pair(_nat(args.x), _nat(args.y))}\n"
 
 
 def _cmd_unpair(args):
+    from . import godel
     x, y = godel.unpair(_nat(args.z))
     return 0, f"{x} {y}\n"
 

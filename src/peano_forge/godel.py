@@ -16,6 +16,7 @@ divisor goes to _divmod, a recursive division built on Karatsuba products
 
 from __future__ import annotations
 
+from itertools import compress
 from math import isqrt, log2
 
 from .errors import BudgetExceeded, IndexOutOfRange, NotACode, ZeroElement
@@ -58,21 +59,22 @@ def nth_prime(n):
     if not isinstance(n, int) or n < 0:  # tested inline: decoding calls this per prime
         _naturals(n)
     while len(_PRIMES) <= n:
-        c = _PRIMES[-1] + 2
-        while not _trial_prime(c):
-            c += 2
-        _PRIMES.append(c)
+        _sieve_next_segment()
     return _PRIMES[n]
 
 
-def _trial_prime(c):
-    # _PRIMES always covers every prime up to sqrt(c) while growing one by one
+def _sieve_next_segment():
+    # appends the primes in (q, 2q], q the largest known prime, by the sieve
+    # of Eratosthenes: the segment holds a prime (Bertrand's postulate), and
+    # _PRIMES holds every prime up to sqrt(2q), whose multiples it strikes
+    lo, hi = _PRIMES[-1] + 1, 2 * _PRIMES[-1]
+    flags = bytearray(b"\1") * (hi - lo + 1)
     for p in _PRIMES:
-        if p * p > c:
-            return True
-        if c % p == 0:
-            return False
-    return True
+        if p * p > hi:
+            break
+        first = -lo % p  # offset of p's first multiple in the segment, never p: lo > p
+        flags[first::p] = bytes(len(range(first, len(flags), p)))
+    _PRIMES.extend(compress(range(lo, hi + 1), flags))
 
 
 def bounded_mu(g, bound):
@@ -147,7 +149,11 @@ def _var_code(i, bad):
     # _symbols raises on once its walk is done, so a non-node is named first
     if type(i) is int and i >= 0:
         return 11 + i
-    bad.append(f"x{i}")
+    try:
+        bad.append(f"x{i}")
+    except ValueError:  # an int past the interpreter's int-to-str digit limit
+        # is named by its size, as the printers name one
+        bad.append(f"x{'-' if i < 0 else ''}<an int of at least 2^{abs(i).bit_length() - 1}>")
     return 0
 
 

@@ -4,6 +4,8 @@ import random
 import sys
 import tracemalloc
 
+import pytest
+
 from peano_forge import Partition, desugar, parse, partition_to_text, render, to_json
 from peano_forge.cli import main
 from helpers import random_formula
@@ -464,3 +466,102 @@ def test_malformed_inputs_never_raise(capsys, tmp_path):
         2, "", "usage error: expected a natural number, got '²'\n")
     code, out, err = run_cli(capsys, "check-homog", str(sup), "1")
     assert (code, out) == (1, "") and "InvalidPartitionFile" in err
+
+
+# --- start-up and the package surface ---
+
+# the names the package exported at its eager imports, by defining module
+EXPORTS = {
+    "errors": [
+        "ArityMismatch", "BadSubset", "BudgetExceeded", "DivisionByZero", "DomainError",
+        "EmptySet", "IllFormed", "IndexOutOfRange", "InvalidPartitionFile",
+        "InvalidSchemaVariables", "NotACode", "NotCoprime", "NotPrenex", "ParseError",
+        "SearchSpaceTooLarge", "ShapeMismatch", "UnboundVariable", "UnknownName",
+        "ZeroElement"],
+    "formula": [
+        "Add", "And", "Eq", "Exists", "ForAll", "Formula", "Implies", "Lt", "Mul", "Not",
+        "One", "Or", "QuantClass", "Term", "Var", "Zero", "ast_text", "classify_prenex",
+        "eval_nat", "eval_term", "euclid_div", "free_vars", "induction_instance",
+        "numeral", "parse", "parse_term", "render", "substitute", "term_vars", "to_json"],
+    "godel": [
+        "SYMBOL_CODES", "bounded_mu", "decode_formula", "decode_seq", "decode_set",
+        "desugar", "encode_formula", "encode_seq", "encode_set", "encode_term",
+        "is_seq_code", "nth_prime", "pair", "seq_at", "seq_concat", "seq_long", "unpair"],
+    "ramsey": [
+        "DEFAULT_ENUM_CAP", "FastGrowingBudget", "HomogReport", "Partition", "arrow",
+        "ceil_sqrt", "check_subset_criterion", "combine", "decode_partition",
+        "encode_partition", "fast_growing", "find_counterexample", "find_homogeneous",
+        "is_homogeneous", "is_relatively_large", "min_witness", "partition_from_text",
+        "partition_to_text", "ph_arrow", "product_partition", "raise_arity",
+        "read_partition", "subsets_colex", "write_partition"],
+    "recfun": [
+        "BoundedMu", "BudgetExhausted", "Comp", "Mu", "PRDef", "PrimRec", "Proj", "Succ",
+        "Undefined", "Value", "ZeroFn", "arity", "bezout_inverse", "eval_def", "parse_def",
+        "stdlib", "stdlib_names"],
+}
+
+
+def test_package_surface():
+    import importlib
+    import peano_forge
+    names = sorted(n for module_names in EXPORTS.values() for n in module_names)
+    assert sorted(peano_forge.__all__) == names
+    for module, module_names in EXPORTS.items():
+        layer = importlib.import_module(f"peano_forge.{module}")
+        assert getattr(peano_forge, module) is layer
+        for name in module_names:
+            assert getattr(peano_forge, name) is getattr(layer, name), name
+    star = {}
+    exec("from peano_forge import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == names
+    assert all(star[n] is getattr(peano_forge, n) for n in names)
+    # public names: the exports and the modules they come from, and cli,
+    # which importing peano_forge.cli binds
+    assert [n for n in dir(peano_forge) if not n.startswith("_")] == sorted(
+        names + [*EXPORTS, "tree", "cli"])
+    assert "__version__" in dir(peano_forge)
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        peano_forge.nope
+    assert not hasattr(peano_forge, "cli_main")
+
+
+def test_commands_load_only_their_layers(tmp_path):
+    # sys.modules of a child process after one command, not -X importtime,
+    # which does not see imports through importlib
+    import os
+    import subprocess
+
+    import peano_forge
+    (tmp_path / "add.pr").write_text(ADD_SRC)
+    (tmp_path / "p.part").write_text("3 2 2\n0 1 : 0\n0 2 : 1\n1 2 : 0\n")
+    src = os.path.dirname(os.path.dirname(peano_forge.__file__))
+    base = {"peano_forge", "peano_forge.cli", "peano_forge.errors"}
+    formula = base | {"peano_forge.formula", "peano_forge.tree"}
+    godel = formula | {"peano_forge.godel"}
+    ramsey = godel | {"peano_forge.ramsey"}
+    probe = ("import json, sys\n{}\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'peano_forge')))")
+    run = "from peano_forge.cli import main\nmain({!r})"
+    for code, loaded in (
+        ("import peano_forge", {"peano_forge"}),
+        (run.format(["parse", "forall x1 (x1 < x0)"]), formula),
+        (run.format(["parse", "--json", "0 = 1"]), formula),
+        (run.format(["pr-eval", "add.pr", "2", "3"]), formula | {"peano_forge.recfun"}),
+        (run.format(["pair", "1", "2"]), godel),
+        (run.format(["unpair", "8"]), godel),
+        (run.format(["encode", "seq", "1", "2"]), godel),
+        (run.format(["decode", "set", "90"]), godel),
+        (run.format(["encode", "formula", "0 = 0"]), godel),
+        (run.format(["decode", "formula", "2430"]), godel),
+        (run.format(["ramsey", "--m", "5", "--k", "3", "--r", "2", "--n", "2"]), ramsey),
+        (run.format(["ph", "--m", "8", "--k", "3", "--r", "2", "--n", "2"]), ramsey),
+        (run.format(["check-homog", "p.part", "0", "1"]), ramsey),
+        (run.format(["fastgrow", "2", "3"]), ramsey),
+        (run.format(["encode", "partition", "p.part"]), ramsey),
+        (run.format(["--help"]), base),
+    ):
+        proc = subprocess.run([sys.executable, "-c", probe.format(code)], cwd=tmp_path,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, (code, proc.stderr)
+        assert set(json.loads(proc.stdout.splitlines()[-1])) == loaded, code

@@ -73,6 +73,23 @@ def test_nth_prime_agrees_with_sieve():
         assert nth_prime(i) == expected[i]
 
 
+def test_prime_table_matches_an_independent_sieve(monkeypatch):
+    # perfbench/expect.py calls nothing in peano_forge.  The table is grown
+    # from the twelve primes it starts with and from the first two alone
+    import importlib.util
+    import os
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "expect.py")
+    spec = importlib.util.spec_from_file_location("expect", path)
+    expect = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(expect)
+    limit = 10 ** 6
+    expected = [x for x, is_p in enumerate(expect.sieve(limit)) if is_p]
+    for table in (godel._PRIMES[:12], [2, 3]):
+        monkeypatch.setattr(godel, "_PRIMES", table)
+        assert nth_prime(len(expected)) > limit
+        assert godel._PRIMES[:len(expected)] == expected
+
+
 def test_factorial_bounded_mu_definition_matches():
     # the definitional route (search below p!+1) cross-checks the sieve path
     chain = factorial_mu_prime_chain(9)
@@ -244,6 +261,22 @@ def test_a_huge_variable_index_is_over_the_code_budget():
                 encode_term(Var(10 ** 500))
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+def test_a_variable_index_past_the_digit_limit_is_named_by_its_size():
+    # the interpreter refuses to write an int of more than
+    # sys.get_int_max_str_digits() digits (4300 by default), so a bad index
+    # of more is named by its size; a natural one is coded, or refused as
+    # too large, without being written
+    with pytest.raises(BudgetExceeded, match=r"^a code of up to 2\^16611 bits is over "):
+        encode_formula(Eq(Var(10 ** 5000), Zero()))
+    if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("this interpreter writes ints of any length")
+    name = r"^unknown symbol 'x-<an int of at least 2\^16609>'$"
+    for f in (Eq(Var(-10 ** 5000), Zero()), Eq(Zero(), Var(-(2 ** 16609))),
+              ForAll(-10 ** 5000, Eq(Zero(), Zero()))):
+        with pytest.raises(ValueError, match=name):
+            encode_formula(f)
 
 
 def test_a_variable_index_is_a_natural_int():

@@ -273,33 +273,38 @@ def test_import_loads_no_process_pool():
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
-def test_commands_load_no_numpy():
+def test_commands_load_no_numpy(tmp_path):
     # numpy is imported only when a bounded range is vectorized, so neither
     # the package import nor these commands pay for it; nor do they load
-    # dataclasses
+    # dataclasses, or a layer that they do not use
     import os
     import subprocess
     import sys
 
     import peano_forge
     src = os.path.dirname(os.path.dirname(peano_forge.__file__))
-    for args, out in (
-        (["-c", "import peano_forge"], ""),
-        (["-m", "peano_forge", "pair", "1", "2"], "8\n"),
+    (tmp_path / "add.pr").write_text("(primrec (proj 1 1) (comp succ (proj 3 3)))\n")
+    for args, out, unused in (
+        (["-c", "import peano_forge"], "", ("formula", "godel", "ramsey", "recfun")),
+        (["-m", "peano_forge", "pair", "1", "2"], "8\n", ("ramsey", "recfun")),
         (["-m", "peano_forge", "ramsey", "--m", "6", "--k", "3", "--r", "2", "--n", "2"],
-         "true\n"),
+         "true\n", ("recfun",)),
         (["-m", "peano_forge", "parse", "forall x1 (x1 < x0 -> exists x2 (x2 < x1 & x0 = x2))"],
          "ForAll(1, Implies(Lt(Var(1), Var(0)), Exists(2, And(Lt(Var(2), Var(1)), "
-         "Eq(Var(0), Var(2))))))\n"),
+         "Eq(Var(0), Var(2))))))\n", ("godel", "ramsey", "recfun")),
+        (["-m", "peano_forge", "pr-eval", "add.pr", "2", "3"], "5\n", ("godel", "ramsey")),
+        (["-m", "peano_forge", "fastgrow", "2", "3"], "30\n", ("recfun",)),
     ):
         proc = subprocess.run([sys.executable, "-X", "importtime", *args],
-                              capture_output=True, text=True,
+                              capture_output=True, text=True, cwd=tmp_path,
                               env={**os.environ, "PYTHONPATH": src})
-        loaded = {line.rsplit("|", 1)[-1].strip().split(".")[0]
-                  for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        modules = {line.rsplit("|", 1)[-1].strip()
+                   for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        loaded = {m.split(".")[0] for m in modules}
         assert (proc.returncode, proc.stdout) == (0, out), args
         assert "peano_forge" in loaded and "numpy" not in loaded, args
         assert "dataclasses" not in loaded, args
+        assert not modules & {f"peano_forge.{m}" for m in unused}, args
 
 
 def test_search_space_cap():
