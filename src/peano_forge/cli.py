@@ -199,12 +199,12 @@ def _cmd_arrow(args):
             raise UsageError("--find-min needs --max-m")
         m = ramsey.min_witness(args.k, args.r, args.n,
                                relation="ph" if args.large else "ramsey",
-                               max_m=args.max_m, jobs=args.jobs, cap=cap)
+                               max_m=args.max_m, cap=cap)
         return 0, ("none" if m is None else str(m)) + "\n"
     if args.m is None:
         raise UsageError("give --m, or --find-min with --max-m")
     cex = ramsey.find_counterexample(args.m, args.k, args.r, args.n,
-                                     large=args.large, jobs=args.jobs, cap=cap)
+                                     large=args.large, cap=cap)
     if cex is None:
         return 0, "true\n"
     if args.counterexample:

@@ -32,7 +32,6 @@ from .errors import (
     SearchSpaceTooLarge,
     ShapeMismatch,
 )
-from .godel import decode_seq, encode_seq, pair, unpair
 from .tree import Node
 
 DEFAULT_ENUM_CAP = 2 ** 30
@@ -293,13 +292,13 @@ def find_counterexample(m, k, r, n, large=False, jobs=1, cap=DEFAULT_ENUM_CAP):
 
 def arrow(m, k, r, n, jobs=1, cap=DEFAULT_ENUM_CAP):
     """The Ramsey relation m -> (k)^n_r, decided by full enumeration."""
-    return find_counterexample(m, k, r, n, large=False, jobs=jobs, cap=cap) is None
+    return find_counterexample(m, k, r, n, large=False, cap=cap) is None
 
 
 def ph_arrow(m, k, r, n, jobs=1, cap=DEFAULT_ENUM_CAP):
     """The Paris-Harrington relation m ->* (k)^n_r: the homogeneous set must
     additionally be relatively large."""
-    return find_counterexample(m, k, r, n, large=True, jobs=jobs, cap=cap) is None
+    return find_counterexample(m, k, r, n, large=True, cap=cap) is None
 
 
 def min_witness(k, r, n, relation="ramsey", max_m=32, jobs=1, cap=DEFAULT_ENUM_CAP):
@@ -308,7 +307,7 @@ def min_witness(k, r, n, relation="ramsey", max_m=32, jobs=1, cap=DEFAULT_ENUM_C
         raise ValueError("relation must be 'ramsey' or 'ph'")
     rel = arrow if relation == "ramsey" else ph_arrow
     for m in range(max(k, n), max_m + 1):
-        if rel(m, k, r, n, jobs=jobs, cap=cap):
+        if rel(m, k, r, n, cap=cap):
             return m
     return None
 
@@ -443,17 +442,22 @@ def fast_growing(n, x, budget=DEFAULT_FAST_BUDGET):
 # Partition Goedel coding
 # ---------------------------------------------------------------------------
 
+# godel, and the formula layer it imports, is loaded by these two functions
+# only, so the search commands start without it
+
 
 def encode_partition(P):
     """Three-step coding: every n-subset becomes a sequence code, every
     (subset code, color) pair is fused with the pairing function, and the
     resulting list (subsets in colex order) becomes one sequence code."""
+    from .godel import encode_seq, pair
     items = [pair(encode_seq(list(sub)), c) for sub, c in P.items()]
     return encode_seq(items)
 
 
 def decode_partition(code, m, n, r):
     """Exact inverse of encode_partition for a matching (m, n, r) header."""
+    from .godel import decode_seq, unpair
     if n < 1 or n > m or r < 1:
         raise NotACode("impossible header")
     elems = decode_seq(code)
@@ -508,26 +512,24 @@ def partition_from_text(text):
         sub = tuple(int(w) for w in parts)
         if any(sub[i] >= sub[i + 1] for i in range(n - 1)):
             raise InvalidPartitionFile(f"subset not ascending in line {ln!r}")
-        if sub[0] < 0 or sub[-1] >= m:
+        if sub[-1] >= m:
             raise InvalidPartitionFile(f"subset outside the ground set: {ln!r}")
         color_text = right.strip()
         if not color_text.isdecimal():
             raise InvalidPartitionFile(f"bad color in line {ln!r}")
         c = int(color_text)
-        if not 0 <= c < r:
+        if c >= r:
             raise InvalidPartitionFile(f"color {c} outside 0..{r - 1}")
         if sub in seen:
             raise InvalidPartitionFile(f"duplicate subset {sub}")
         seen[sub] = c
-    if len(seen) != math.comb(m, n):  # cheap check before materializing
+    # the subsets are distinct, ascending and inside 0..m-1, so C(m, n) of
+    # them are all the n-subsets
+    if len(seen) != math.comb(m, n):
         raise InvalidPartitionFile(
             f"{len(seen)} subsets listed, {math.comb(m, n)} required"
         )
-    expected = set(subsets_colex(m, n))
-    if set(seen) != expected:
-        missing = sorted(expected - set(seen))[:3]
-        raise InvalidPartitionFile(f"missing subsets, e.g. {missing}")
-    return Partition(m, n, r, seen)
+    return Partition(m, n, r, [seen[s] for s in subsets_colex(m, n)])
 
 
 def read_partition(path):

@@ -364,12 +364,15 @@ def _search(g, bounded):
 
 _SEXPR_TOKEN = re.compile(r"\s*([()]|[a-z_]+|\d+)")
 _SEXPR_EXPECTED = frozenset({"(", ")", "atom"})
+_ATOMS = {"zero": ZeroFn, "succ": Succ}
+_COMBINATORS = {"comp": Comp, "primrec": PrimRec, "mu": Mu, "bmu": BoundedMu}
 
 
 def parse_def(text):
     """Read a definition from the s-expression DSL: atoms zero, succ,
     (proj i n); combinators (comp f g1 ... gk), (primrec f g), (mu g),
-    (bmu g).  Structural violations raise IllFormed."""
+    (bmu g).  Structural violations raise IllFormed.  One pass from left to
+    right keeps the combinators still open on a stack."""
     tokens = _tokenize(text, _SEXPR_TOKEN, _SEXPR_EXPECTED)
 
     def fail(pos, what):
@@ -382,61 +385,50 @@ def parse_def(text):
             fail(pos, "more input")
         return tokens[pos][0]
 
-    depth = 0
-
-    def read(pos):
-        nonlocal depth
+    forms = []  # (head, parts read so far) of each open combinator, innermost last
+    pos = 0
+    while True:
         tok = need(pos)
-        if tok == "zero":
-            return ZeroFn(), pos + 1
-        if tok == "succ":
-            return Succ(), pos + 1
-        if tok != "(":
+        if tok in _ATOMS:
+            d, pos = _ATOMS[tok](), pos + 1
+        elif tok != "(":
             fail(pos, "definition")
-        _check_nesting(depth, text, tokens, pos)
-        depth += 1
-        try:
-            return form(pos)
-        finally:
-            depth -= 1
-
-    def form(pos):
-        # one parenthesized form, opened at tokens[pos]
-        head = need(pos + 1)
-        if head == "proj":
+        else:
+            _check_nesting(len(forms), text, tokens, pos)
+            head = need(pos + 1)
+            if head in _COMBINATORS:
+                forms.append((head, []))
+                pos += 2
+                continue
+            if head != "proj":
+                fail(pos + 1, "proj, comp, primrec, mu, or bmu")
             i_tok, n_tok = need(pos + 2), need(pos + 3)
             if not (i_tok.isdigit() and n_tok.isdigit()):
                 fail(pos + 2, "two integers")
             if need(pos + 4) != ")":
                 fail(pos + 4, ")")
-            return Proj(_index(text, tokens, pos + 2), _index(text, tokens, pos + 3)), pos + 5
-        if head == "comp":
-            f, p = read(pos + 2)
-            gs = []
-            while need(p) != ")":
-                g, p = read(p)
-                gs.append(g)
-            if not gs:
+            d, pos = Proj(_index(text, tokens, pos + 2), _index(text, tokens, pos + 3)), pos + 5
+        # d is complete: it is the next part of the innermost form, and each
+        # form that a ")" then closes is the next part of the one around it
+        while forms:
+            head, parts = forms[-1]
+            parts.append(d)
+            closed = need(pos) == ")"
+            if head == "primrec" and len(parts) == 1 or head == "comp" and not closed:
+                break
+            if not closed:
+                fail(pos, ")")
+            if head == "comp" and len(parts) == 1:
                 raise IllFormed("composition needs at least one inner function")
-            return Comp(f, tuple(gs)), p + 1
-        if head == "primrec":
-            base, p = read(pos + 2)
-            step, p = read(p)
-            if need(p) != ")":
-                fail(p, ")")
-            return PrimRec(base, step), p + 1
-        if head in ("mu", "bmu"):
-            g, p = read(pos + 2)
-            if need(p) != ")":
-                fail(p, ")")
-            return (Mu(g) if head == "mu" else BoundedMu(g)), p + 1
-        fail(pos + 1, "proj, comp, primrec, mu, or bmu")
-
-    d, p = read(0)
-    if p != len(tokens):
-        fail(p, "end of input")
-    arity(d)  # surfaces IllFormed for structurally bad trees
-    return d
+            forms.pop()
+            build = _COMBINATORS[head]
+            d = build(parts[0], parts[1:]) if head == "comp" else build(*parts)
+            pos += 1
+        if not forms:
+            if pos != len(tokens):
+                fail(pos, "end of input")
+            arity(d)  # surfaces IllFormed for structurally bad trees
+            return d
 
 
 # ---------------------------------------------------------------------------

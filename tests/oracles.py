@@ -16,12 +16,15 @@ decoder's reader as it was when it spelled each code as a token string.
 The reference capture-avoiding substitution is the engine's as it was
 before one scope walk replaced its per-quantifier calls: it asks for the
 free variables of each quantifier's body and substitutes each renamed body
-again; it shares only the plan of tree._folded.
+again; it shares only the plan of tree._folded.  The reference definition
+reader is recfun.parse_def as it was when it called itself once per nesting
+level; it shares only the engine's tokenizer, byte offsets, index reader and
+nesting check.
 """
 
 from itertools import combinations, product
 
-from peano_forge.errors import InvalidSchemaVariables, NotACode, ParseError
+from peano_forge.errors import IllFormed, InvalidSchemaVariables, NotACode, ParseError
 from peano_forge.formula import (
     _EOF,
     _EXPECTED_TOKENS,
@@ -43,6 +46,7 @@ from peano_forge.formula import (
     Zero,
     _byte_offset,
     _check_nesting,
+    _index,
     _tokenize,
 )
 from peano_forge.tree import _folded
@@ -723,3 +727,84 @@ def reference_induction_instance(phi, x, params):
     for p in reversed(list(params)):
         out = ForAll(p, out)
     return out
+
+
+# --- reference definition reader ------------------------------------------
+
+def reference_parse_def(text):
+    """What recfun.parse_def returned before it read text in one pass.
+
+    Read a definition from the s-expression DSL: atoms zero, succ,
+    (proj i n); combinators (comp f g1 ... gk), (primrec f g), (mu g),
+    (bmu g).  Structural violations raise IllFormed."""
+    # imported on call: the benchmark loads these oracles in each set-up
+    # process, and most of its workloads never load recfun
+    from peano_forge.recfun import (_SEXPR_EXPECTED, _SEXPR_TOKEN, BoundedMu, Comp, Mu,
+                                    PrimRec, Proj, Succ, ZeroFn, arity)
+    tokens = _tokenize(text, _SEXPR_TOKEN, _SEXPR_EXPECTED)
+
+    def fail(pos, what):
+        off = _byte_offset(text, tokens, pos)
+        raise ParseError(f"at byte {off}: expected {what}",
+                         offset=off, expected=frozenset({what}))
+
+    def need(pos):
+        if pos >= len(tokens):
+            fail(pos, "more input")
+        return tokens[pos][0]
+
+    depth = 0
+
+    def read(pos):
+        nonlocal depth
+        tok = need(pos)
+        if tok == "zero":
+            return ZeroFn(), pos + 1
+        if tok == "succ":
+            return Succ(), pos + 1
+        if tok != "(":
+            fail(pos, "definition")
+        _check_nesting(depth, text, tokens, pos)
+        depth += 1
+        try:
+            return form(pos)
+        finally:
+            depth -= 1
+
+    def form(pos):
+        # one parenthesized form, opened at tokens[pos]
+        head = need(pos + 1)
+        if head == "proj":
+            i_tok, n_tok = need(pos + 2), need(pos + 3)
+            if not (i_tok.isdigit() and n_tok.isdigit()):
+                fail(pos + 2, "two integers")
+            if need(pos + 4) != ")":
+                fail(pos + 4, ")")
+            return Proj(_index(text, tokens, pos + 2), _index(text, tokens, pos + 3)), pos + 5
+        if head == "comp":
+            f, p = read(pos + 2)
+            gs = []
+            while need(p) != ")":
+                g, p = read(p)
+                gs.append(g)
+            if not gs:
+                raise IllFormed("composition needs at least one inner function")
+            return Comp(f, tuple(gs)), p + 1
+        if head == "primrec":
+            base, p = read(pos + 2)
+            step, p = read(p)
+            if need(p) != ")":
+                fail(p, ")")
+            return PrimRec(base, step), p + 1
+        if head in ("mu", "bmu"):
+            g, p = read(pos + 2)
+            if need(p) != ")":
+                fail(p, ")")
+            return (Mu(g) if head == "mu" else BoundedMu(g)), p + 1
+        fail(pos + 1, "proj, comp, primrec, mu, or bmu")
+
+    d, p = read(0)
+    if p != len(tokens):
+        fail(p, "end of input")
+    arity(d)  # surfaces IllFormed for structurally bad trees
+    return d

@@ -291,6 +291,14 @@ def test_ph_find_min(capsys):
     assert (code, out) == (0, "none\n")
 
 
+def test_arrow_usage_errors(capsys, monkeypatch):
+    assert run_cli(capsys, "ramsey", "--find-min", "--k", "3", "--r", "2", "--n", "2") == (
+        2, "", "usage error: --find-min needs --max-m\n")
+    monkeypatch.setenv("PEANO_FORGE_ENUM_CAP", "abc")
+    assert run_cli(capsys, "ph", "--m", "6", "--k", "3", "--r", "2", "--n", "2") == (
+        2, "", "usage error: PEANO_FORGE_ENUM_CAP must be an integer, got 'abc'\n")
+
+
 def test_ramsey_cap_exceeded(capsys, monkeypatch):
     monkeypatch.setenv("PEANO_FORGE_ENUM_CAP", "100")
     code, out, err = run_cli(capsys, "ramsey", "--m", "6", "--k", "3", "--r", "2",
@@ -466,6 +474,13 @@ def test_malformed_inputs_never_raise(capsys, tmp_path):
         2, "", "usage error: expected a natural number, got '²'\n")
     code, out, err = run_cli(capsys, "check-homog", str(sup), "1")
     assert (code, out) == (1, "") and "InvalidPartitionFile" in err
+    # each file reader's message is printed as it is raised
+    (tmp_path / "empty.pr").write_text("(comp succ)\n")
+    assert run_cli(capsys, "pr-eval", str(tmp_path / "empty.pr"), "0") == (
+        1, "", "error: IllFormed: composition needs at least one inner function\n")
+    (tmp_path / "colon.part").write_text("3 2 2\n0 1 0\n")
+    assert run_cli(capsys, "check-homog", str(tmp_path / "colon.part"), "0", "1") == (
+        1, "", "error: InvalidPartitionFile: missing ':' in line '0 1 0'\n")
 
 
 # --- start-up and the package surface ---
@@ -538,7 +553,8 @@ def test_commands_load_only_their_layers(tmp_path):
     base = {"peano_forge", "peano_forge.cli", "peano_forge.errors"}
     formula = base | {"peano_forge.formula", "peano_forge.tree"}
     godel = formula | {"peano_forge.godel"}
-    ramsey = godel | {"peano_forge.ramsey"}
+    # ramsey imports godel only to code partitions
+    ramsey = base | {"peano_forge.tree", "peano_forge.ramsey"}
     probe = ("import json, sys\n{}\n"
              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'peano_forge')))")
     run = "from peano_forge.cli import main\nmain({!r})"
@@ -557,7 +573,8 @@ def test_commands_load_only_their_layers(tmp_path):
         (run.format(["ph", "--m", "8", "--k", "3", "--r", "2", "--n", "2"]), ramsey),
         (run.format(["check-homog", "p.part", "0", "1"]), ramsey),
         (run.format(["fastgrow", "2", "3"]), ramsey),
-        (run.format(["encode", "partition", "p.part"]), ramsey),
+        (run.format(["encode", "partition", "p.part"]), ramsey | godel),
+        (run.format(["decode", "partition", "1", "3", "2", "2"]), ramsey | godel),
         (run.format(["--help"]), base),
     ):
         proc = subprocess.run([sys.executable, "-c", probe.format(code)], cwd=tmp_path,

@@ -832,6 +832,14 @@ def test_kind_errors_name_the_misplaced_node():
     assert eval_nat(Or(zz, Eq(x0, x0)), {0: 1}, 1) is True
 
 
+def test_a_variable_index_that_is_no_int_is_named_in_a_bounded_matrix():
+    # the matrix of a bounded quantifier is scanned for the terms that bound
+    # it when the quantifier compiles; an index such as "a" is named there
+    f = ForAll(0, Implies(Lt(Var(0), One()), Eq(Var("a"), Zero())))
+    with pytest.raises(TypeError, match=r"^not an AST node: 'a'$"):
+        eval_nat(f, {}, 10)
+
+
 def test_evaluation_depth_matches_the_tree_depth():
     # a compiled form spends one interpreter frame per tree level, as the
     # recursive evaluator did, so 800 levels fit inside pytest's own stack

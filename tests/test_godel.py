@@ -157,6 +157,12 @@ def test_decode_golden_and_rejections():
     assert decode_formula(2430) == Eq(Zero(), Zero())
     with pytest.raises(NotACode):
         decode_formula(2 ** 11)  # a term is not a formula
+    # "( 0 -> 0 )": the ")" closes no term and no formula
+    code = 1
+    for i, tok in enumerate(["(", "0", "→", "0", ")"]):
+        code *= nth_prime(i) ** SYMBOL_CODES[tok]
+    with pytest.raises(NotACode, match="^token string is not a formula$"):
+        decode_formula(code)
     with pytest.raises(NotACode):
         decode_formula(2 * 3)  # "00"
     with pytest.raises(NotACode):

@@ -55,6 +55,11 @@ def test_partition_validation():
         Partition(4, 2, 2, [0] * 5)
     with pytest.raises(ShapeMismatch):
         Partition(4, 2, 2, [2] * 6)
+    with pytest.raises(ShapeMismatch, match="^need at least one color$"):
+        Partition(3, 2, 0, [0, 0, 0])
+    for colors in ({(0, 1): 0, (0, 2): 0}, {(0, 1): 0, (0, 2): 0, (1, 3): 0}):
+        with pytest.raises(ShapeMismatch, match="^coloring must cover exactly the n-subsets$"):
+            Partition(3, 2, 2, colors)
     P = Partition(4, 2, 2, [0, 1, 0, 1, 0, 1])
     assert P.color((0, 1)) == 0
     with pytest.raises(BadSubset):
@@ -115,6 +120,8 @@ def test_find_homogeneous():
     P = random_partition(random.Random(1), 5, 2, 3)
     rep = find_homogeneous(P, 2)
     assert rep is not None and rep.size >= 2
+    with pytest.raises(BadSubset, match=r"^need k >= n, got k=1, n=2$"):
+        find_homogeneous(P, 1)
 
 
 # --- the arrow relations against the dumb oracle ---
@@ -288,12 +295,12 @@ def test_commands_load_no_numpy(tmp_path):
         (["-c", "import peano_forge"], "", ("formula", "godel", "ramsey", "recfun")),
         (["-m", "peano_forge", "pair", "1", "2"], "8\n", ("ramsey", "recfun")),
         (["-m", "peano_forge", "ramsey", "--m", "6", "--k", "3", "--r", "2", "--n", "2"],
-         "true\n", ("recfun",)),
+         "true\n", ("formula", "godel", "recfun")),
         (["-m", "peano_forge", "parse", "forall x1 (x1 < x0 -> exists x2 (x2 < x1 & x0 = x2))"],
          "ForAll(1, Implies(Lt(Var(1), Var(0)), Exists(2, And(Lt(Var(2), Var(1)), "
          "Eq(Var(0), Var(2))))))\n", ("godel", "ramsey", "recfun")),
         (["-m", "peano_forge", "pr-eval", "add.pr", "2", "3"], "5\n", ("godel", "ramsey")),
-        (["-m", "peano_forge", "fastgrow", "2", "3"], "30\n", ("recfun",)),
+        (["-m", "peano_forge", "fastgrow", "2", "3"], "30\n", ("formula", "godel", "recfun")),
     ):
         proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                               capture_output=True, text=True, cwd=tmp_path,
@@ -327,6 +334,8 @@ def test_min_witness():
         min_witness(4, 2, 2, "ramsey", max_m=10)  # m=9 needs 2^36 colorings
     with pytest.raises(ValueError):
         min_witness(3, 2, 2, "frobnicate", max_m=5)
+    with pytest.raises(ValueError, match="^subset size n must be at least 1$"):
+        find_counterexample(3, 2, 2, 0)
 
 
 def test_ph_min_witnesses_match_oracle_goldens():
@@ -544,6 +553,15 @@ def test_partition_file_line_order_irrelevant():
     lines = partition_to_text(pentagon()).splitlines()
     shuffled = [lines[0]] + list(reversed(lines[1:]))
     assert partition_from_text("\n".join(shuffled)) == pentagon()
+    rng = random.Random(23)
+    for _ in range(200):
+        m = rng.randint(1, 7)
+        n, r = rng.randint(1, m), rng.randint(1, 4)
+        colors = [rng.randrange(r) for _ in range(math.comb(m, n))]
+        body = partition_to_text(Partition(m, n, r, colors)).splitlines()[1:]
+        rng.shuffle(body)
+        text = "\n".join([f"{m} {n} {r}", *(rng.choice(["", " ", "\t"]) + ln for ln in body)])
+        assert partition_from_text(text) == Partition(m, n, r, colors)
 
 
 def test_partition_file_rejects_garbage():
@@ -565,3 +583,19 @@ def test_partition_file_rejects_garbage():
                 good.replace(": 0", ": ²", 1)):
         with pytest.raises(InvalidPartitionFile):
             partition_from_text(bad)
+    # each message names what is wrong, and where
+    for text, message in (
+        ("", "empty partition file"),
+        ("3 4 2\n", "impossible header m=3 n=4 r=2"),
+        ("3 2 0\n", "impossible header m=3 n=2 r=0"),
+        ("3 2 2\n0 1 0\n", "missing ':' in line '0 1 0'"),
+        ("3 2 2\n1 0 : 0\n", "subset not ascending in line '1 0 : 0'"),
+        ("3 2 2\n1 1 : 0\n", "subset not ascending in line '1 1 : 0'"),
+        ("3 2 2\n0 3 : 0\n", "subset outside the ground set: '0 3 : 0'"),
+        ("3 2 2\n0 1 : 2\n", "color 2 outside 0..1"),
+        ("3 2 2\n0 1 : 0\n0 2 : 1\n", "2 subsets listed, 3 required"),
+        ("3 2 2\n0 1 : 0\n0 1 : 1\n", "duplicate subset (0, 1)"),
+    ):
+        with pytest.raises(InvalidPartitionFile) as ei:
+            partition_from_text(text)
+        assert str(ei.value) == message, text

@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -56,8 +57,8 @@ from peano_forge import (
     stdlib_names,
 )
 from peano_forge.formula import Node, numeral
-from helpers import random_valid_prdef, sieve
-from oracles import pr_fuel_eval
+from helpers import random_prdef, random_valid_prdef, sieve
+from oracles import pr_fuel_eval, reference_parse_def
 
 ADD = PrimRec(Proj(1, 1), Comp(Succ(), (Proj(3, 3),)))
 FUEL = 10 ** 8
@@ -434,6 +435,23 @@ def test_parse_def_errors():
         parse_def("(comp succ zero zero)")
     with pytest.raises(IllFormed):
         parse_def("(proj 3 2)")
+    # each message names the byte and what was expected there
+    for text, off, what in (("(proj a 1)", 6, "two integers"),
+                            ("(proj 1 1 1)", 10, ")"),
+                            ("(primrec zero succ succ)", 19, ")"),
+                            ("(mu succ zero)", 9, ")"),
+                            ("(bmu succ zero)", 10, ")"),
+                            ("(proj 1", 7, "more input"),
+                            ("(frob)", 1, "proj, comp, primrec, mu, or bmu"),
+                            ("(comp succ zero) succ", 17, "end of input"),
+                            (")", 0, "definition")):
+        with pytest.raises(ParseError) as ei:
+            parse_def(text)
+        assert str(ei.value) == f"at byte {off}: expected {what}", text
+        assert (ei.value.offset, ei.value.expected) == (off, frozenset({what})), text
+    for text in ("(comp succ)", "(comp (comp succ) zero"):
+        with pytest.raises(IllFormed, match="^composition needs at least one inner function$"):
+            parse_def(text)
 
 
 def test_parse_def_nesting_budget():
@@ -446,6 +464,87 @@ def test_parse_def_nesting_budget():
         parse_def(nest(100))
     assert ei.value.offset == 1100
     assert str(ei.value) == "at byte 1100: nesting deeper than 100 levels"
+
+
+def test_parse_def_does_not_recurse_per_level():
+    # 99 nested forms are read with 40 frames to spare above the caller: the
+    # open forms are kept on a stack, not in one call per level
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    expected = Proj(1, 1)
+    for _ in range(99):
+        expected = Comp(Succ(), (expected,))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        d = parse_def("(comp succ " * 99 + "(proj 1 1)" + ")" * 99)
+    finally:
+        sys.setrecursionlimit(old)
+    assert d == expected
+
+
+def _sexpr(d):
+    t = type(d)
+    if t is ZeroFn or t is Succ:
+        return "zero" if t is ZeroFn else "succ"
+    if t is Proj:
+        return f"(proj {d.i} {d.n})"
+    if t is Comp:
+        return "(comp " + " ".join(map(_sexpr, (d.f, *d.gs))) + ")"
+    if t is PrimRec:
+        return f"(primrec {_sexpr(d.base)} {_sexpr(d.step)})"
+    return f"({'mu' if t is Mu else 'bmu'} {_sexpr(d.g)})"
+
+
+def _read_outcome(read, text):
+    try:
+        return read(text)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "offset", None), getattr(e, "expected", None)
+
+
+def test_parse_def_matches_the_recursive_reader():
+    # the one-pass reader returns the recursive reader's definition, or
+    # raises its exception with the same message, offset and expected set
+    rng = random.Random(23)
+    vocab = ["(", ")", "zero", "succ", "proj", "comp", "primrec", "mu", "bmu",
+             "0", "1", "2", "3", "12", "x", "\u0663", "\u00b2"]
+    spaces = [" ", "  ", "\n", "\t", "\u00a0"]
+
+    def spell(tokens):
+        return "".join(tok + rng.choice(spaces) for tok in tokens)
+
+    texts = []
+    for _ in range(2000):
+        d = random_prdef(rng, rng.randint(1, 3), rng.randint(0, 4), mu=rng.random() < 0.5)
+        tokens = _sexpr(d).replace("(", "( ").replace(")", " )").split()
+        texts.append(spell(tokens))
+        i = rng.randrange(len(tokens))
+        texts.append(spell(tokens[:i] + tokens[i + 1:]))
+        texts.append(spell(tokens[:i] + [rng.choice(vocab)] + tokens[i:]))
+        replaced = tokens[:i] + [rng.choice(vocab)] + tokens[i + 1:]
+        texts.append(spell(replaced))
+        texts.append(spell(tokens[:i]))
+        texts.append(spell(replaced[:rng.randint(i, len(tokens))]))
+    for _ in range(2000):
+        texts.append(spell(rng.choice(vocab) for _ in range(rng.randint(0, 12))))
+    for k in (99, 100, 101):
+        for opener, closer in (("(comp succ ", ")"), ("(mu ", ")"), ("(primrec zero ", ")"),
+                               ("(comp ", " zero)")):
+            texts.append(opener * k + "(proj 1 1)" + closer * k)
+            texts.append(opener * k + "succ" + closer * (k - 1))
+    # every token prefix of a few bad texts, at the top and at the budget
+    for text in ("(proj x 1)", "(proj 1 x)", "(primrec zero (proj 2 2) succ)",
+                 "(comp (comp succ) zero)", "(bmu (proj 1 x))"):
+        tokens = text.replace("(", "( ").replace(")", " )").split()
+        for outer in ("", "(comp succ " * 100):
+            texts += [outer + spell(tokens[:i]) for i in range(len(tokens) + 1)]
+    for index in ("9" * 5000, "\u0663", "\u0661\u0662", "\uff11"):
+        texts += [f"(proj {index} 1)", f"(proj 1 {index})", f"(comp succ (proj {index} 3))"]
+    assert len(texts) >= 10000
+    mismatches = [t for t in texts if _read_outcome(parse_def, t) != _read_outcome(reference_parse_def, t)]
+    assert mismatches == []
 
 
 def test_parse_def_index_too_long_to_read():
