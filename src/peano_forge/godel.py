@@ -439,8 +439,7 @@ def _remove_factor(a, p):
     return (div(a, rest)[0] if rest > 1 else a), e
 
 
-# a code whose first _BLOCKS_AFTER primes leave over _BLOCKS_MIN_BITS bits is
-# read on in blocks
+# the bounds of the single-prime steps of _contiguous_exponents
 _BLOCKS_AFTER = 16
 _BLOCKS_MIN_BITS = 1 << 16
 
@@ -449,61 +448,55 @@ def _contiguous_exponents(a):
     """Exponent list of a under p_0, p_1, ...; a gap in the prime support
     (or a < 1) is NotACode.
 
-    The first primes are removed one at a time.  A code still long after
-    them is read on in blocks of primes, each twice the size of the one
-    before and no larger than a's bit length allows: a is reduced down the
+    One loop reads every code.  The first _BLOCKS_AFTER primes, and every
+    prime once the cofactor has at most _BLOCKS_MIN_BITS bits, are removed
+    one at a time.  Otherwise a is read in a block of up to twice as many
+    primes as the block before (for the first block, the _BLOCKS_AFTER
+    single primes), as many as a's bit length allows: a is reduced down the
     remainder tree of the block's p^K, with K one more than the largest
-    exponent of the block before.  A leaf residue below p^K holds the
+    exponent among those earlier primes.  A leaf residue below p^K holds the
     exponent of p in full, and a residue 0 sends p to _remove_factor on a
     itself.  a is then divided by the block's prime powers at once; the
-    first p that does not divide a ends the block."""
+    first p that does not divide a ends the block.  Either step is followed
+    by the one gap check."""
     if a < 1:
         raise NotACode("codes are positive")
     exps = []
-    i = 0
+    size = _BLOCKS_AFTER
     while a > 1:
-        if i == _BLOCKS_AFTER and a.bit_length() > _BLOCKS_MIN_BITS:
-            return _block_exponents(a, exps)
-        a, e = _remove_factor(a, nth_prime(i))
-        if e == 0:
-            raise NotACode(f"gap in prime support at p_{i}")
-        exps.append(e)
-        i += 1
-    return exps
-
-
-def _block_exponents(a, exps):
-    # _contiguous_exponents from p_len(exps) on, for a with those primes removed
-    i = size = len(exps)
-    while a > 1:
-        k = max(exps[-size:]) + 1
-        nth_prime(i + 2 * size)
-        room = a.bit_length() // k  # sum of bitlen(p) over the block
-        primes = []
-        for p in _PRIMES[i:i + 2 * size]:
-            room -= p.bit_length()
-            if room < 0 and primes:
-                break
-            primes.append(p)
-        levels = _product_tree([p ** k for p in primes])
-        residues = [a]
-        while levels:  # each level is dropped once it has been used
-            residues = [_divmod(residues[j >> 1], m)[1] for j, m in enumerate(levels.pop())]
-        powers = []
-        for p, r in zip(primes, residues):
-            if r:
-                e = _remove_factor(r, p)[1]
-                if e == 0:
+        i = len(exps)
+        if i < _BLOCKS_AFTER or a.bit_length() <= _BLOCKS_MIN_BITS:
+            a, e = _remove_factor(a, nth_prime(i))
+            if e:
+                exps.append(e)
+        else:
+            k = max(exps[-size:]) + 1
+            nth_prime(i + 2 * size)
+            room = a.bit_length() // k  # sum of bitlen(p) over the block
+            primes = []
+            for p in _PRIMES[i:i + 2 * size]:
+                room -= p.bit_length()
+                if room < 0 and primes:
                     break
-                powers.append(p ** e)
-            else:
-                a, e = _remove_factor(a, p)
-            exps.append(e)
-            i += 1
-        a = _divmod(a, _product(powers))[0]
+                primes.append(p)
+            levels = _product_tree([p ** k for p in primes])
+            residues = [a]
+            while levels:  # each level is dropped once it has been used
+                residues = [_divmod(residues[j >> 1], m)[1] for j, m in enumerate(levels.pop())]
+            powers = []
+            for p, r in zip(primes, residues):
+                if r:
+                    e = _remove_factor(r, p)[1]
+                    if e == 0:
+                        break
+                    powers.append(p ** e)
+                else:
+                    a, e = _remove_factor(a, p)
+                exps.append(e)
+            a = _divmod(a, _product(powers))[0]
+            size = len(primes)
         if e == 0 and a > 1:
-            raise NotACode(f"gap in prime support at p_{i}")
-        size = len(primes)
+            raise NotACode(f"gap in prime support at p_{len(exps)}")
     return exps
 
 

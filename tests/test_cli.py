@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from peano_forge import Partition, desugar, parse, partition_to_text, render, to_json
-from peano_forge.cli import main
+from peano_forge.cli import main, run
 from helpers import random_formula
 
 
@@ -148,6 +148,16 @@ def test_encode_set_negative_is_a_usage_error(capsys):
 def test_decode_not_a_code(capsys):
     code, out, err = run_cli(capsys, "decode", "formula", "2048")
     assert code == 1 and "NotACode" in err
+
+
+def test_run_exits_with_the_code_of_main(capsys, monkeypatch):
+    # the console script's entry point
+    for argv, status, out in ((["pair", "1", "2"], 0, "8\n"), (["decode", "formula", "2048"], 1, "")):
+        monkeypatch.setattr(sys, "argv", ["peano-forge", *argv])
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == status
+        assert capsys.readouterr().out == out
 
 
 def test_encode_decode_partition(capsys, tmp_path):

@@ -449,12 +449,12 @@ def test_divmod_makes_no_reference_cycles():
     assert q * b + r == a and 0 <= r < b
 
 
-def _extract_with(code, after):
-    # _contiguous_exponents with the blocks from p_after on whatever the size;
-    # after = -1 removes every prime one at a time
+def _extract_with(code, after, min_bits=0):
+    # _contiguous_exponents with blocks from p_after on while the cofactor
+    # has over min_bits bits; min_bits = 2^62 removes every prime one at a time
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(godel, "_BLOCKS_AFTER", after)
-        mp.setattr(godel, "_BLOCKS_MIN_BITS", 0)
+        mp.setattr(godel, "_BLOCKS_MIN_BITS", min_bits)
         return _extract(code)
 
 
@@ -470,7 +470,8 @@ BLOCK_PERTURBATIONS = ("none", "gap_inside", "gap_after", "junk_tail", "plus_one
 )
 def test_block_decoder_matches_one_prime_at_a_time(exps, after, how, seed):
     # blocks end inside and past the support, exponents above every one seen
-    # before send a leaf to _remove_factor, and gaps give the same message
+    # before send a leaf to _remove_factor, a cofactor that shrinks to
+    # min_bits goes back to single primes, and gaps give the same message
     rng = random.Random(seed)
     code = _code(exps)
     if how == "gap_inside":  # p_i removed
@@ -482,29 +483,32 @@ def test_block_decoder_matches_one_prime_at_a_time(exps, after, how, seed):
         code *= rng.getrandbits(rng.randint(1, 4000)) | 1
     elif how == "plus_one":
         code += 1
-    expected = _extract_with(code, -1)
+    expected = _extract_with(code, 1, 1 << 62)
     assert _extract_with(code, after) == expected
+    assert _extract_with(code, after, rng.randint(0, code.bit_length())) == expected
     if how == "none":
         assert expected == exps
 
 
 def test_long_codes_are_read_by_blocks(monkeypatch):
-    # a long code takes the block path, a short one never does
+    # a long code takes the block branch after its first _BLOCKS_AFTER primes,
+    # a short one never does; only that branch builds a product tree
     calls = []
-    blocks = godel._block_exponents
+    tree = godel._product_tree
 
-    def spy(a, exps):
-        calls.append(len(exps))
-        return blocks(a, exps)
+    def spy(xs):
+        calls.append(xs[0])  # p^K for the block's first prime p
+        return tree(xs)
 
-    monkeypatch.setattr(godel, "_block_exponents", spy)
+    monkeypatch.setattr(godel, "_product_tree", spy)
     rng = random.Random(43)
     exps = [rng.randint(1, 12) for _ in range(3000)]
     exps[2000] = 5000
     assert godel._contiguous_exponents(godel._power_product(exps)) == exps
-    assert calls == [godel._BLOCKS_AFTER]
+    assert calls and calls[0] % nth_prime(godel._BLOCKS_AFTER) == 0
+    seen = len(calls)
     assert decode_seq(encode_seq(list(range(100)))) == list(range(100))
-    assert calls == [godel._BLOCKS_AFTER]
+    assert len(calls) == seen
 
 
 def test_power_product_tree_matches_the_loop():

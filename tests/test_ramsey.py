@@ -9,6 +9,7 @@ from peano_forge import (
     BudgetExceeded,
     EmptySet,
     FastGrowingBudget,
+    HomogReport,
     InvalidPartitionFile,
     NotACode,
     Partition,
@@ -64,6 +65,7 @@ def test_partition_validation():
     assert P.color((0, 1)) == 0
     with pytest.raises(BadSubset):
         P.color((0, 5))
+    assert repr(P) == "Partition(m=4, n=2, r=2)"
 
 
 def test_partition_is_immutable():
@@ -122,6 +124,12 @@ def test_find_homogeneous():
     assert rep is not None and rep.size >= 2
     with pytest.raises(BadSubset, match=r"^need k >= n, got k=1, n=2$"):
         find_homogeneous(P, 1)
+    # {5, 6, 7} is the largest homogeneous set but too small for its minimum,
+    # so a relatively large search skips it and goes on to {1, 2}
+    P = Partition.from_function(8, 1, 5, lambda s: (0, 1, 1, 2, 3, 4, 4, 4)[s[0]])
+    assert find_homogeneous(P, 2) == HomogReport((5, 6, 7), 4, 3, False)
+    assert find_homogeneous(P, 2, require_large=True) == HomogReport((1, 2), 1, 2, True)
+    assert find_homogeneous(P, 3, require_large=True) is None
 
 
 # --- the arrow relations against the dumb oracle ---

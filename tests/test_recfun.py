@@ -406,6 +406,16 @@ def test_reprs_match_the_dataclass_ones():
         "FastGrowingBudget(max_result_bits=8, max_iterations=100)")
 
 
+def test_repr_passes_on_a_value_error_not_about_digits():
+    # only an int past the digit limit turns a ValueError into BudgetExceeded
+    class Unprintable:
+        def __repr__(self):
+            raise ValueError("no text")
+
+    with pytest.raises(ValueError, match="^no text$"):
+        repr(Value(Unprintable()))
+
+
 def test_eq_and_hash_of_a_shared_dag():
     # 40 levels of d = Comp(add, (d, d)): 2^40 paths through 46 distinct
     # nodes, each of which == and hash meet once
