@@ -1,7 +1,11 @@
 """Batch command-line front end.
 
-Exit codes: 0 success, 1 domain error (the error name is reported verbatim),
-2 usage error.  All big numbers cross the boundary as decimal strings.
+Exit codes: 0 success; 1 for a domain error, printed as
+``error: <name>: <text>`` with the error's ``name`` (an unreadable file is
+``error: <text>``), and for ``pr-eval``'s ``budget-exhausted`` on stdout; 2
+for a usage error, which is argparse's own message, or ``usage error: <text>``
+for a ValueError that a command raises.  All big numbers cross the boundary
+as decimal strings.
 """
 
 from __future__ import annotations
@@ -14,10 +18,6 @@ import sys
 from .errors import DomainError
 
 
-class UsageError(Exception):
-    pass
-
-
 def _enum_cap():
     from . import ramsey
     raw = os.environ.get("PEANO_FORGE_ENUM_CAP")
@@ -26,7 +26,7 @@ def _enum_cap():
     try:
         return int(raw)
     except ValueError:
-        raise UsageError(f"PEANO_FORGE_ENUM_CAP must be an integer, got {raw!r}")
+        raise ValueError(f"PEANO_FORGE_ENUM_CAP must be an integer, got {raw!r}")
 
 
 def _build_parser():
@@ -119,7 +119,7 @@ def _build_parser():
 
 def _nat(text):
     if not text.isdecimal():
-        raise UsageError(f"expected a natural number, got {text!r}")
+        raise ValueError(f"expected a natural number, got {text!r}")
     return int(text)
 
 
@@ -191,18 +191,18 @@ def _cmd_pr_eval(args):
 
 def _cmd_arrow(args):
     if args.n > args.k:
-        raise UsageError(f"need n <= k, got n={args.n}, k={args.k}")
+        raise ValueError(f"need n <= k, got n={args.n}, k={args.k}")
     from . import ramsey
     cap = _enum_cap()
     if args.find_min:
         if args.max_m is None:
-            raise UsageError("--find-min needs --max-m")
+            raise ValueError("--find-min needs --max-m")
         m = ramsey.min_witness(args.k, args.r, args.n,
                                relation="ph" if args.large else "ramsey",
                                max_m=args.max_m, cap=cap)
         return 0, ("none" if m is None else str(m)) + "\n"
     if args.m is None:
-        raise UsageError("give --m, or --find-min with --max-m")
+        raise ValueError("give --m, or --find-min with --max-m")
     cex = ramsey.find_counterexample(args.m, args.k, args.r, args.n,
                                      large=args.large, cap=cap)
     if cex is None:
@@ -266,12 +266,11 @@ def main(argv=None):
 def _main(argv):
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # argparse's own: 0 for --help, 2 for a bad argument
+        return exc.code
     try:
         exit_code, text = args.handler(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -2,23 +2,23 @@
 
 The CLI maps every :class:`DomainError` to exit code 1 and reports the
 error's :attr:`name`, so error names here are part of the tool's contract.
+The name is the class name, unless a class sets ``name`` itself, as
+:class:`ParseError` does.
 """
 
 
 class DomainError(Exception):
     """Base class for failures that are part of an operation's contract."""
 
-    error_name = None  # override when the reported name differs from the class
-
     @property
     def name(self):
-        return self.error_name or type(self).__name__
+        return type(self).__name__
 
 
 class ParseError(DomainError):
     """Malformed input text; reported as "SyntaxError" with a byte offset."""
 
-    error_name = "SyntaxError"
+    name = "SyntaxError"
 
     def __init__(self, message, offset, expected=frozenset()):
         super().__init__(message)

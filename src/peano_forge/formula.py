@@ -554,7 +554,7 @@ def classify_prenex(f):
     blocks of unbounded quantifiers; bounded-quantifier sugar belongs to the
     matrix.  Quantifier-free formulas are Sigma(0) (= Pi(0)) by convention."""
     blocks = []
-    g = f
+    g = _of_kind(f, Formula)
     while isinstance(g, (ForAll, Exists)) and _bounded_parts(g) is None:
         kind = "E" if isinstance(g, Exists) else "A"
         if not blocks or blocks[-1] != kind:
@@ -576,6 +576,13 @@ def _of_kind(x, kind):
     if not isinstance(x, kind):
         raise TypeError(f"not a {kind.__name__.lower()}: {x!r}")
     return x
+
+
+def _naturals(*xs):
+    """ValueError unless each of xs is a natural number, an int >= 0."""
+    for x in xs:
+        if not isinstance(x, int) or x < 0:
+            raise ValueError(f"expected a natural number, got {x!r}")
 
 
 def eval_term(t, env):
@@ -715,7 +722,9 @@ def _compile(x, take):
 
 
 def euclid_div(b, a):
-    """The unique pair (s, r) with b == a*s + r and r < a; a must be nonzero."""
+    """The unique pair (s, r) with b == a*s + r and r < a, for naturals b and
+    a; a must be nonzero."""
+    _naturals(b, a)
     if a == 0:
         raise DivisionByZero("division by zero")
     return divmod(b, a)

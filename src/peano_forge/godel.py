@@ -37,6 +37,7 @@ from .formula import (
     Var,
     Zero,
     _fresh_index,
+    _naturals,
     _of_kind,
 )
 
@@ -45,13 +46,6 @@ from .formula import (
 # ---------------------------------------------------------------------------
 
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-
-
-def _naturals(*xs):
-    """ValueError unless each of xs is a natural number, an int >= 0."""
-    for x in xs:
-        if not isinstance(x, int) or x < 0:
-            raise ValueError(f"expected a natural number, got {x!r}")
 
 
 def nth_prime(n):
@@ -576,10 +570,9 @@ def _parse(exps):
 def encode_seq(xs):
     """Code of a finite list: the empty list is 1, otherwise the product of
     p_i^(xs[i]+1)."""
-    exps = [x + 1 for x in xs]
-    if not all(isinstance(e, int) and e >= 1 for e in exps):
+    if not all(isinstance(x, int) and x >= 0 for x in xs):
         raise ValueError("sequence elements must be naturals")
-    return _power_product(exps)
+    return _power_product([x + 1 for x in xs])
 
 
 def decode_seq(a):

@@ -1,6 +1,10 @@
 """Shared builders for the test suite: seeded random AST generators and the
 number-theory formulas used as evaluation subjects."""
 
+import functools
+
+import pytest
+
 from peano_forge import (
     Add,
     And,
@@ -190,3 +194,21 @@ def random_valid_prdef(rng, depth=3, mu=False):
         except Exception:
             continue
         return d
+
+
+def recursion_defect(reason):
+    """Marks a test of a known RecursionError input as a strict xfail, so the
+    change that mends the input has to turn it into a plain test.
+
+    pytest renders each of the about 1000 frames of a RecursionError for the
+    report, seconds per test, so the error is raised again with one frame."""
+    def mark(test):
+        @functools.wraps(test)
+        def run(*args, **kwargs):
+            try:
+                return test(*args, **kwargs)
+            except RecursionError as exc:
+                message = str(exc)
+            raise RecursionError(message)
+        return pytest.mark.xfail(strict=True, raises=RecursionError, reason=reason)(run)
+    return mark

@@ -50,6 +50,7 @@ from helpers import (
     prim_formula,
     random_formula,
     random_term,
+    recursion_defect,
     sieve,
 )
 from oracles import (
@@ -695,6 +696,20 @@ def test_classify_long_chain_without_recursion():
         classify_prenex(And(chain, Exists(1, Eq(Var(1), Zero()))))
 
 
+def test_classify_rejects_a_root_that_is_no_formula():
+    # the root is checked as eval_nat and desugar check it; a junk node
+    # inside the formula is named by the walk that visits it
+    for node, message in ((Var(0), "not a formula: Var(index=0)"),
+                          (Add(One(), One()), "not a formula: Add(left=One(), right=One())"),
+                          (None, "not a formula: None"),
+                          (5, "not a formula: 5")):
+        with pytest.raises(TypeError) as info:
+            classify_prenex(node)
+        assert str(info.value) == message
+    with pytest.raises(TypeError, match=r"^not an AST node: 5$"):
+        classify_prenex(Not(5))
+
+
 def test_classify_inclusive_guard_with_deep_bounds():
     # the two copies of t in x0 < t | x0 = t are separate 1500-level sums,
     # which _bounded_parts compares with == on an explicit stack
@@ -838,6 +853,32 @@ def test_a_variable_index_that_is_no_int_is_named_in_a_bounded_matrix():
     f = ForAll(0, Implies(Lt(Var(0), One()), Eq(Var("a"), Zero())))
     with pytest.raises(TypeError, match=r"^not an AST node: 'a'$"):
         eval_nat(f, {}, 10)
+
+
+_RECURSION_DEFECT = "ROADMAP item 3: a compiled form spends one frame per tree level"
+
+
+@recursion_defect(_RECURSION_DEFECT)
+def test_eval_nat_long_and_chain():
+    assert eval_nat(parse("0 = 0" + " & 0 = 0" * 1500), {}, 5) is True
+
+
+@recursion_defect(_RECURSION_DEFECT)
+def test_eval_nat_long_flat_sum():
+    assert eval_nat(parse("0 = 1" + " + 1" * 1500), {}, 5) is False
+
+
+@recursion_defect(_RECURSION_DEFECT)
+def test_eval_term_deep_numeral():
+    assert eval_term(numeral(3000), {}) == 3000
+
+
+@recursion_defect(_RECURSION_DEFECT)
+def test_eval_nat_bounded_forall_with_a_long_bound():
+    # forall x0 ((x0 < t | x0 = t) -> 0 = 0), t a sum of 1500 additions
+    t = parse_term("1" + " + 1" * 1500)
+    guard = Or(Lt(Var(0), t), Eq(Var(0), t))
+    assert eval_nat(ForAll(0, Implies(guard, Eq(Zero(), Zero()))), {}, 5) is True
 
 
 def test_evaluation_depth_matches_the_tree_depth():
@@ -1107,6 +1148,18 @@ def test_euclid_examples():
     assert euclid_div(17, 5) == (3, 2)
     with pytest.raises(DivisionByZero):
         euclid_div(3, 0)
+
+
+def test_euclid_rejects_non_naturals():
+    # a negative argument would give a pair outside the contract, such as
+    # divmod(5, -2) == (-3, -1) with r < 0
+    for b, a, bad in ((5, -2, "-2"), (-5, 2, "-5"), (-1, 0, "-1"),
+                      (1.0, 2, "1.0"), (4, "2", "'2'"), (None, 1, "None")):
+        with pytest.raises(ValueError) as info:
+            euclid_div(b, a)
+        assert str(info.value) == f"expected a natural number, got {bad}"
+    with pytest.raises(DivisionByZero, match="^division by zero$"):
+        euclid_div(0, 0)
 
 
 def test_euclid_total_and_unique_exhaustive():

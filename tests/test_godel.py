@@ -528,6 +528,14 @@ def test_encode_seq_values():
     assert encode_seq([3, 1]) == 144
 
 
+def test_encode_seq_rejects_non_naturals_before_computing():
+    # each element is checked before x + 1 is formed, so a str or a None is
+    # named like a float or a negative, not by the operator it would break
+    for xs in (["a"], [None], [0.5], [-1], [2, "3"], [1, None, 2], [[1]]):
+        with pytest.raises(ValueError, match="^sequence elements must be naturals$"):
+            encode_seq(xs)
+
+
 def test_seq_long_values():
     assert seq_long(1) == 0
     assert seq_long(144) == 1

@@ -57,7 +57,7 @@ from peano_forge import (
     stdlib_names,
 )
 from peano_forge.formula import Node, numeral
-from helpers import random_prdef, random_valid_prdef, sieve
+from helpers import random_prdef, random_valid_prdef, recursion_defect, sieve
 from oracles import pr_fuel_eval, reference_parse_def
 
 ADD = PrimRec(Proj(1, 1), Comp(Succ(), (Proj(3, 3),)))
@@ -144,6 +144,16 @@ def test_deep_chain_compiles_without_recursion():
         d = Comp(Succ(), (d,))
     assert eval_def(d, [0], 1201) == Value(600)
     assert eval_def(d, [0], 1200) == BudgetExhausted()
+
+
+@recursion_defect("ROADMAP item 3: a node with no closed-form summary "
+                  "recurses once per level at run time")
+def test_deep_chain_without_a_summary_evaluates():
+    # factorial has no affine summary, so each of the 600 levels is a frame
+    d = Proj(1, 1)
+    for _ in range(600):
+        d = Comp(stdlib("factorial"), (d,))
+    assert eval_def(d, [1], 10 ** 9) == Value(1)
 
 
 # --- evaluation ---
