@@ -15,12 +15,12 @@ _EXPORTS = {
         NotACode NotCoprime NotPrenex ParseError SearchSpaceTooLarge ShapeMismatch
         UnboundVariable UnknownName ZeroElement""",
     "formula": """Add And Eq Exists ForAll Formula Implies Lt Mul Not One Or QuantClass
-        Term Var Zero ast_text classify_prenex eval_nat eval_term euclid_div free_vars
+        SYMBOL_CODES Term Var Zero ast_text classify_prenex decode_formula desugar
+        encode_formula encode_term eval_nat eval_term euclid_div free_vars
         induction_instance numeral parse parse_term render substitute term_vars
         to_json""",
-    "godel": """SYMBOL_CODES bounded_mu decode_formula decode_seq decode_set desugar
-        encode_formula encode_seq encode_set encode_term is_seq_code nth_prime pair
-        seq_at seq_concat seq_long unpair""",
+    "godel": """bounded_mu decode_seq decode_set encode_seq encode_set is_seq_code
+        nth_prime pair seq_at seq_concat seq_long unpair""",
     "ramsey": """DEFAULT_ENUM_CAP FastGrowingBudget HomogReport Partition arrow ceil_sqrt
         check_subset_criterion combine decode_partition encode_partition fast_growing
         find_counterexample find_homogeneous is_homogeneous is_relatively_large

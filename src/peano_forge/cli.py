@@ -143,8 +143,8 @@ def _cmd_parse(args):
 
 def _cmd_encode(args):
     if args.kind == "formula":
-        from . import formula, godel
-        code = godel.encode_formula(formula.parse(args.text))
+        from . import formula
+        code = formula.encode_formula(formula.parse(args.text))
         return 0, f"{code}\n"
     if args.kind == "partition":
         from . import ramsey
@@ -164,10 +164,10 @@ def _cmd_decode(args):
         from . import ramsey
         P = ramsey.decode_partition(code, args.m, args.n, args.r)
         return 0, ramsey.partition_to_text(P)
-    from . import godel
     if args.kind == "formula":
         from . import formula
-        return 0, formula.render(godel.decode_formula(code)) + "\n"
+        return 0, formula.render(formula.decode_formula(code)) + "\n"
+    from . import godel
     if args.kind == "seq":
         elements = godel.decode_seq(code)
         if args.json:

@@ -1,9 +1,10 @@
-"""Domain error types shared across the package.
+"""Domain error types shared across the package, and the helpers with which
+the two text readers, formula.parse and recfun.parse_def, build ParseErrors.
 
 The CLI maps every :class:`DomainError` to exit code 1 and reports the
 error's :attr:`name`, so error names here are part of the tool's contract.
 The name is the class name, unless a class sets ``name`` itself, as
-:class:`ParseError` does.
+:class:`ParseError` does.  This module imports nothing.
 """
 
 
@@ -104,3 +105,56 @@ class ShapeMismatch(DomainError):
 
 class InvalidPartitionFile(DomainError):
     pass
+
+
+# Deepest nesting a reader accepts: each parenthesized formula or term,
+# negation, quantifier body or open combinator is a level, and a chain of
+# ->, &, | or + is none.  The readers use no interpreter frame per level, but
+# the compiled evaluators still use one per tree level, so the budget stays
+# until evaluation runs without recursion.
+_MAX_NESTING = 100
+
+
+def _tokenize(text, token_re, expected):
+    """The (token, position) pairs of text, one anchored match of \\s*(token)
+    each; a stray character is a ParseError that names the expected tokens."""
+    tokens, end = [], 0
+    while m := token_re.match(text, end):
+        tokens.append((m[1], m.start(1)))
+        end = m.end()
+    rest = text[end:].lstrip()
+    if rest:
+        off = len(text[:-len(rest)].encode("utf-8"))
+        raise ParseError(f"unexpected character {rest[0]!r} at byte {off}",
+                         offset=off, expected=expected)
+    return tokens
+
+
+def _byte_offset(text, tokens, i):
+    """The UTF-8 byte offset of tokens[i] in text, or of the end of text
+    when i is past the last token."""
+    pos = tokens[i][1] if i < len(tokens) else len(text)
+    return len(text[:pos].encode("utf-8"))
+
+
+def _check_nesting(depth, text, tokens, opened_at):
+    """ParseError when a form opened at tokens[opened_at] would nest deeper
+    than _MAX_NESTING levels, at depth levels already open."""
+    if depth == _MAX_NESTING:
+        off = _byte_offset(text, tokens, opened_at)
+        raise ParseError(
+            f"at byte {off}: nesting deeper than {_MAX_NESTING} levels",
+            offset=off,
+        )
+
+
+def _index(text, tokens, i):
+    """The number tokens[i] spells after its x, if any; a ParseError at that
+    token when it has more digits than int() reads."""
+    digits = tokens[i][0].lstrip("x")
+    try:
+        return int(digits)
+    except ValueError:
+        off = _byte_offset(text, tokens, i)
+        raise ParseError(f"at byte {off}: an index of {len(digits)} digits is too long to read",
+                         offset=off) from None

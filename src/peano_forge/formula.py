@@ -1,6 +1,7 @@
 """Syntax and standard-model semantics for the first-order language of
 arithmetic: constants 0 and 1, binary + and *, relations = and <, the
-propositional connectives, and quantifiers over variables x0, x1, ...
+propositional connectives, and quantifiers over variables x0, x1, ...;
+and the Goedel codes of its terms and formulas, built on godel's number codes.
 """
 
 from __future__ import annotations
@@ -12,10 +13,16 @@ from .errors import (
     BudgetExceeded,
     DivisionByZero,
     InvalidSchemaVariables,
+    NotACode,
     NotPrenex,
     ParseError,
     UnboundVariable,
+    _byte_offset,
+    _check_nesting,
+    _index,
+    _tokenize,
 )
+from .godel import _contiguous_exponents, _naturals, _power_product
 from .tree import Node, _compiled, _folded, _plan, _printer
 
 # ---------------------------------------------------------------------------
@@ -104,13 +111,6 @@ def numeral(n):
 # Parsing
 # ---------------------------------------------------------------------------
 
-# Deepest nesting parse accepts: each parenthesized formula or term,
-# negation and quantifier body is a level, and a chain of ->, &, | or + is
-# none.  The parser keeps its stacks as lists and uses no interpreter frame
-# per level, but the compiled evaluator still uses one per tree level, so
-# the budget stays until evaluation runs without recursion.
-_MAX_NESTING = 100
-
 _TOKEN_RE = re.compile(r"\s*(forall\b|exists\b|x\d+|->|[01+*=<!&|()])")
 _EOF = "<end of input>"
 _END = "end of input"  # as a ParseError lists it among the expected tokens
@@ -120,51 +120,6 @@ _EXPECTED_TOKENS = frozenset(
     {"0", "1", "+", "*", "=", "<", "->", "!", "&", "|",
      "(", ")", "forall", "exists", "x<i>"}
 )
-
-
-def _tokenize(text, token_re, expected):
-    """The (token, position) pairs of text, one anchored match of \\s*(token)
-    each; a stray character is a ParseError that names the expected tokens."""
-    tokens, end = [], 0
-    while m := token_re.match(text, end):
-        tokens.append((m[1], m.start(1)))
-        end = m.end()
-    rest = text[end:].lstrip()
-    if rest:
-        off = len(text[:-len(rest)].encode("utf-8"))
-        raise ParseError(f"unexpected character {rest[0]!r} at byte {off}",
-                         offset=off, expected=expected)
-    return tokens
-
-
-def _byte_offset(text, tokens, i):
-    """The UTF-8 byte offset of tokens[i] in text, or of the end of text
-    when i is past the last token."""
-    pos = tokens[i][1] if i < len(tokens) else len(text)
-    return len(text[:pos].encode("utf-8"))
-
-
-def _check_nesting(depth, text, tokens, opened_at):
-    """ParseError when a form opened at tokens[opened_at] would nest deeper
-    than _MAX_NESTING levels, at depth levels already open."""
-    if depth == _MAX_NESTING:
-        off = _byte_offset(text, tokens, opened_at)
-        raise ParseError(
-            f"at byte {off}: nesting deeper than {_MAX_NESTING} levels",
-            offset=off,
-        )
-
-
-def _index(text, tokens, i):
-    """The number tokens[i] spells after its x, if any; a ParseError at that
-    token when it has more digits than int() reads."""
-    digits = tokens[i][0].lstrip("x")
-    try:
-        return int(digits)
-    except ValueError:
-        off = _byte_offset(text, tokens, i)
-        raise ParseError(f"at byte {off}: an index of {len(digits)} digits is too long to read",
-                         offset=off) from None
 
 
 def _unexpected(text, tokens, i, expected):
@@ -578,13 +533,6 @@ def _of_kind(x, kind):
     return x
 
 
-def _naturals(*xs):
-    """ValueError unless each of xs is a natural number, an int >= 0."""
-    for x in xs:
-        if not isinstance(x, int) or x < 0:
-            raise ValueError(f"expected a natural number, got {x!r}")
-
-
 def eval_term(t, env):
     """Value of a term under env (variable index -> natural)."""
     try:
@@ -605,6 +553,7 @@ def eval_nat(f, env, budget):
     int64 array: the connectives then combine elementwise, and they stop
     early only when their left side is the bool that decides them.
     """
+    _naturals(budget)
     try:
         return _compiled(_of_kind(f, Formula), _compile)(env, budget)
     except KeyError as exc:
@@ -728,3 +677,214 @@ def euclid_div(b, a):
     if a == 0:
         raise DivisionByZero("division by zero")
     return divmod(b, a)
+
+
+# ---------------------------------------------------------------------------
+# Goedel coding of terms and formulas
+# ---------------------------------------------------------------------------
+
+# The code #a of each symbol a of the coding alphabet, in which ·, →, ¬ and ∀
+# stand for *, ->, ! and forall; x_i's code is 11 + i.  A symbol string
+# a1...an is coded as 2^#a1 * 3^#a2 * ... * p_n^#an.
+SYMBOL_CODES = {
+    "0": 1,
+    "1": 2,
+    "+": 3,
+    "·": 4,
+    "=": 5,
+    "(": 6,
+    ")": 7,
+    "→": 8,
+    "¬": 9,
+    "∀": 10,
+}
+
+
+class _Pending:
+    """A marker on the stack of _symbols or _from_symbols, apart from any
+    value in a tree and equal to no code: a code to write, or a quantifier's
+    index."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+# codes ( ) = 1 + * ! -> to write, a < atom's placeholder -1 for x_k (no
+# code, not even a bad index's 0, can equal it), and the end of sides
+_PENDING = tuple(map(_Pending, (6, 7, 5, 2, 3, 4, 9, 8, -1, None)))
+
+
+def _var_code(i, bad):
+    # 11 + i for x_i.  Another index codes as 0 and goes to bad, which
+    # _symbols raises on once its walk is done, so a non-node is named first
+    if type(i) is int and i >= 0:
+        return 11 + i
+    try:
+        bad.append(f"x{i}")
+    except ValueError:  # an int past the interpreter's int-to-str digit limit
+        # is named by its size, as the printers name one
+        bad.append(f"x{'-' if i < 0 else ''}<an int of at least 2^{abs(i).bit_length() - 1}>")
+    return 0
+
+
+def _symbols(node, kind):
+    """Symbol codes of a term (kind Term) or of a formula (kind Formula).
+
+    A formula is written in the coding alphabet (=, ->, !, forall), so this
+    walk is the one place where the abbreviations are spelled out:
+
+        t1 < t2     !forall xk !((t1 + (xk + 1)) = t2), k the least index
+                    not free in the atom
+        a & b       !(a -> !b)
+        a | b       (!a -> b)
+        exists v a  !forall v !a
+
+    The walk runs on an explicit stack of nodes and _Pending markers, so
+    deep trees cost neither recursion nor list copies.  While the sides of an
+    atom are written only term nodes may occur, up to a marker of their end;
+    k is then read off the variable codes that the sides wrote."""
+    codes, bad, pending = [], [], _Pending
+    open_, close, eq, one, plus, times, neg, arrow, slot, end = _PENDING
+    stack = [_of_kind(node, kind)]
+    # None outside the sides of an atom; in them -1, or where a < atom's codes begin
+    sides = -1 if kind is Term else None
+    while stack:
+        x = stack.pop()
+        t = type(x)
+        if t is pending:
+            if x is not end:
+                codes.append(x.value)
+                continue
+            if sides >= 0:
+                k = 11 + _fresh_index({c - 11 for c in codes[sides:]})
+                codes[sides + 2] = codes[codes.index(-1, sides + 3)] = k
+            sides = None
+        elif sides is not None:
+            if t is Zero:
+                codes.append(1)
+            elif t is One:
+                codes.append(2)
+            elif t is Var:
+                codes.append(_var_code(x.index, bad))
+            elif t is Add or t is Mul:
+                codes.append(6)  # (
+                stack += (close, x.right, plus if t is Add else times, x.left)
+            else:
+                raise TypeError(f"not a term: {x!r}")
+        elif t is Eq:
+            stack += (end, x.right, eq, x.left)
+            sides = -1
+        elif t is Lt:
+            sides = len(codes)
+            codes += (9, 10, -1, 9, 6)  # ! forall x_k ! (
+            stack += (end, x.right, eq, close, close, one, plus, slot, open_, plus, x.left)
+        elif t is Not:
+            codes.append(9)
+            stack.append(x.body)
+        elif t is ForAll or t is Exists:
+            v = _var_code(x.var, bad)
+            codes += (10, v) if t is ForAll else (9, 10, v, 9)
+            stack.append(x.body)
+        elif t is Implies:
+            codes.append(6)
+            stack += (close, x.right, arrow, x.left)
+        elif t is And:
+            codes += (9, 6)
+            stack += (close, x.right, neg, arrow, x.left)
+        elif t is Or:
+            codes += (6, 9)
+            stack += (close, x.right, arrow, x.left)
+        else:
+            raise TypeError(f"not a formula: {x!r}")
+    if bad:
+        raise ValueError(f"unknown symbol {bad[0]!r}")
+    return codes
+
+
+
+
+def encode_formula(f):
+    """Goedel code of the formula's symbol string in the coding alphabet."""
+    return _power_product(_symbols(f, Formula))
+
+
+def encode_term(t):
+    """Goedel code of a term's symbol string."""
+    return _power_product(_symbols(t, Term))
+
+
+def desugar(f):
+    """The formula in the coding alphabet (=, ->, !, forall only): its
+    symbol string read back, so decode_formula(encode_formula(f)) ==
+    desugar(f) by construction.  The rewrite rules are those of _symbols."""
+    return _from_symbols(_symbols(f, Formula))
+
+
+def _close(stack):
+    # the node that ")" completes on top of stack, popping "(" left op right;
+    # None when the top does not read so
+    if len(stack) < 4 or stack[-4] != 6:  # (
+        return None
+    left, op, right = stack[-3:]
+    if op == 8 and isinstance(left, Formula) and isinstance(right, Formula):  # ->
+        node = Implies(left, right)
+    elif (op == 3 or op == 4) and isinstance(left, Term) and isinstance(right, Term):  # + or *
+        node = (Add if op == 3 else Mul)(left, right)
+    else:
+        return None
+    del stack[-4:]
+    return node
+
+
+def decode_formula(code):
+    """Inverse of encode_formula on the desugared alphabet.  NotACode on a
+    prime-support gap or an ungrammatical string."""
+    return _from_symbols(_contiguous_exponents(code))
+
+
+def _from_symbols(exps):
+    """The formula whose symbol codes are exps; NotACode when they spell
+    none."""
+    if not exps:
+        raise NotACode("the empty string is not a formula")
+    # Shift-reduce: every term and formula of the alphabet is complete at its
+    # last symbol, so it is reduced there and nothing is ever retried.  The
+    # stack holds codes, nodes, and each quantifier's index in a _Pending.
+    stack = []
+    for e in exps:
+        if e > 10:  # the variable x_(e-11)
+            if stack and stack[-1] == 10:  # after forall
+                stack.append(_Pending(e - 11))
+                continue
+            x = Var(e - 11)
+        elif e == 1:
+            x = Zero()
+        elif e == 2:
+            x = One()
+        elif e != 7 or (x := _close(stack)) is None:
+            stack.append(e)
+            continue
+        # x is complete: fold it into the constructs that it closes
+        while stack:
+            top = stack[-1]
+            if isinstance(x, Term):
+                if top != 5 or len(stack) < 2 or not isinstance(stack[-2], Term):  # =
+                    break
+                x = Eq(stack[-2], x)
+                del stack[-2:]
+            elif top == 9:  # !
+                x = Not(x)
+                stack.pop()
+            elif type(top) is _Pending:
+                x = ForAll(top.value, x)
+                del stack[-2:]
+            else:
+                break
+        stack.append(x)
+    if not isinstance(stack[0], Formula):
+        raise NotACode("token string is not a formula")
+    if len(stack) > 1:
+        raise NotACode("trailing symbols after a complete formula")
+    return stack[0]

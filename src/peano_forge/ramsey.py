@@ -280,6 +280,8 @@ def find_counterexample(m, k, r, n, large=False, jobs=1, cap=DEFAULT_ENUM_CAP):
     colors admitting no qualifying homogeneous set, or None when the arrow
     relation holds.  jobs is accepted without effect: the search is serial."""
     _validate_arrow_params(m, k, r, n)
+    if cap is not None and (not isinstance(cap, int) or cap < 0):
+        raise ValueError(f"the enumeration cap must be a natural number, got {cap!r}")
     N = math.comb(m, n)
     required = r ** N
     if cap is not None and required > cap:
@@ -442,8 +444,8 @@ def fast_growing(n, x, budget=DEFAULT_FAST_BUDGET):
 # Partition Goedel coding
 # ---------------------------------------------------------------------------
 
-# godel, and the formula layer it imports, is loaded by these two functions
-# only, so the search commands start without it
+# godel is loaded by these two functions only, so the search commands start
+# without it
 
 
 def encode_partition(P):

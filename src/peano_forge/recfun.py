@@ -29,8 +29,8 @@ import math
 import re
 from collections import namedtuple
 
-from .errors import ArityMismatch, IllFormed, NotCoprime, ParseError, UnknownName
-from .formula import _byte_offset, _check_nesting, _index, _tokenize
+from .errors import (ArityMismatch, IllFormed, NotCoprime, ParseError, UnknownName,
+                     _byte_offset, _check_nesting, _index, _tokenize)
 from .tree import Node, _compiled
 
 # ---------------------------------------------------------------------------
@@ -128,6 +128,8 @@ def eval_def(d, args, fuel):
     for x in args:
         if not isinstance(x, int) or x < 0:
             raise ValueError(f"arguments must be naturals, got {list(args)}")
+    if not isinstance(fuel, int) or fuel < 0:
+        raise ValueError(f"fuel must be a natural number, got {fuel!r}")
     call = [fuel, {}]  # fuel left, and the memo of this evaluation
     try:
         return Value(code.run(args, call))

@@ -24,7 +24,16 @@ nesting check.
 
 from itertools import combinations, product
 
-from peano_forge.errors import IllFormed, InvalidSchemaVariables, NotACode, ParseError
+from peano_forge.errors import (
+    IllFormed,
+    InvalidSchemaVariables,
+    NotACode,
+    ParseError,
+    _byte_offset,
+    _check_nesting,
+    _index,
+    _tokenize,
+)
 from peano_forge.formula import (
     _EOF,
     _EXPECTED_TOKENS,
@@ -44,10 +53,6 @@ from peano_forge.formula import (
     Term,
     Var,
     Zero,
-    _byte_offset,
-    _check_nesting,
-    _index,
-    _tokenize,
 )
 from peano_forge.tree import _folded
 
@@ -584,7 +589,7 @@ def _close(stack):
 
 def reference_read(exps):
     """The formula whose symbol codes are exps; NotACode when they spell
-    none.  godel._parse as it was when it read each code as a token."""
+    none.  formula._from_symbols as it was when it read each code as a token."""
     if not exps:
         raise NotACode("the empty string is not a formula")
     # Shift-reduce: every term and formula of the alphabet is complete at its

@@ -232,6 +232,16 @@ def test_pr_eval_budget(capsys, tmp_path):
     assert (code, out) == (1, "budget-exhausted\n")
 
 
+def test_pr_eval_negative_fuel_is_a_usage_error(capsys, tmp_path):
+    # a fuel that is no natural is refused, never run out of at once
+    path = tmp_path / "add.pr"
+    path.write_text(ADD_SRC)
+    assert run_cli(capsys, "pr-eval", str(path), "2", "3", "--fuel", "-1") == (
+        2, "", "usage error: fuel must be a natural number, got -1\n")
+    assert run_cli(capsys, "pr-eval", str(path), "2", "3", "--fuel", "0") == (
+        1, "budget-exhausted\n", "")
+
+
 def test_pr_eval_arity_mismatch(capsys, tmp_path):
     path = tmp_path / "add.pr"
     path.write_text(ADD_SRC)
@@ -307,6 +317,16 @@ def test_arrow_usage_errors(capsys, monkeypatch):
     monkeypatch.setenv("PEANO_FORGE_ENUM_CAP", "abc")
     assert run_cli(capsys, "ph", "--m", "6", "--k", "3", "--r", "2", "--n", "2") == (
         2, "", "usage error: PEANO_FORGE_ENUM_CAP must be an integer, got 'abc'\n")
+
+
+def test_negative_enum_cap_is_a_usage_error(capsys, monkeypatch):
+    # a cap that is no natural is refused, never reported as a space too large
+    monkeypatch.setenv("PEANO_FORGE_ENUM_CAP", "-5")
+    assert run_cli(capsys, "ramsey", "--m", "3", "--k", "2", "--r", "2", "--n", "1") == (
+        2, "", "usage error: the enumeration cap must be a natural number, got -5\n")
+    monkeypatch.setenv("PEANO_FORGE_ENUM_CAP", "0")
+    code, out, err = run_cli(capsys, "ramsey", "--m", "3", "--k", "2", "--r", "2", "--n", "1")
+    assert (code, out) == (1, "") and err.startswith("error: SearchSpaceTooLarge: ")
 
 
 def test_ramsey_cap_exceeded(capsys, monkeypatch):
@@ -505,12 +525,12 @@ EXPORTS = {
         "ZeroElement"],
     "formula": [
         "Add", "And", "Eq", "Exists", "ForAll", "Formula", "Implies", "Lt", "Mul", "Not",
-        "One", "Or", "QuantClass", "Term", "Var", "Zero", "ast_text", "classify_prenex",
+        "One", "Or", "QuantClass", "SYMBOL_CODES", "Term", "Var", "Zero", "ast_text",
+        "classify_prenex", "decode_formula", "desugar", "encode_formula", "encode_term",
         "eval_nat", "eval_term", "euclid_div", "free_vars", "induction_instance",
         "numeral", "parse", "parse_term", "render", "substitute", "term_vars", "to_json"],
     "godel": [
-        "SYMBOL_CODES", "bounded_mu", "decode_formula", "decode_seq", "decode_set",
-        "desugar", "encode_formula", "encode_seq", "encode_set", "encode_term",
+        "bounded_mu", "decode_seq", "decode_set", "encode_seq", "encode_set",
         "is_seq_code", "nth_prime", "pair", "seq_at", "seq_concat", "seq_long", "unpair"],
     "ramsey": [
         "DEFAULT_ENUM_CAP", "FastGrowingBudget", "HomogReport", "Partition", "arrow",
@@ -561,8 +581,9 @@ def test_commands_load_only_their_layers(tmp_path):
     (tmp_path / "p.part").write_text("3 2 2\n0 1 : 0\n0 2 : 1\n1 2 : 0\n")
     src = os.path.dirname(os.path.dirname(peano_forge.__file__))
     base = {"peano_forge", "peano_forge.cli", "peano_forge.errors"}
-    formula = base | {"peano_forge.formula", "peano_forge.tree"}
-    godel = formula | {"peano_forge.godel"}
+    godel = base | {"peano_forge.godel"}
+    formula = godel | {"peano_forge.formula", "peano_forge.tree"}
+    recfun = base | {"peano_forge.tree", "peano_forge.recfun"}
     # ramsey imports godel only to code partitions
     ramsey = base | {"peano_forge.tree", "peano_forge.ramsey"}
     probe = ("import json, sys\n{}\n"
@@ -572,13 +593,13 @@ def test_commands_load_only_their_layers(tmp_path):
         ("import peano_forge", {"peano_forge"}),
         (run.format(["parse", "forall x1 (x1 < x0)"]), formula),
         (run.format(["parse", "--json", "0 = 1"]), formula),
-        (run.format(["pr-eval", "add.pr", "2", "3"]), formula | {"peano_forge.recfun"}),
+        (run.format(["pr-eval", "add.pr", "2", "3"]), recfun),
         (run.format(["pair", "1", "2"]), godel),
         (run.format(["unpair", "8"]), godel),
         (run.format(["encode", "seq", "1", "2"]), godel),
         (run.format(["decode", "set", "90"]), godel),
-        (run.format(["encode", "formula", "0 = 0"]), godel),
-        (run.format(["decode", "formula", "2430"]), godel),
+        (run.format(["encode", "formula", "0 = 0"]), formula),
+        (run.format(["decode", "formula", "2430"]), formula),
         (run.format(["ramsey", "--m", "5", "--k", "3", "--r", "2", "--n", "2"]), ramsey),
         (run.format(["ph", "--m", "8", "--k", "3", "--r", "2", "--n", "2"]), ramsey),
         (run.format(["check-homog", "p.part", "0", "1"]), ramsey),

@@ -131,7 +131,8 @@ def test_tokenizer_reads_a_long_whitespace_run_in_linear_time():
 
 
 def fm_tokenize(text):
-    from peano_forge.formula import _EXPECTED_TOKENS, _TOKEN_RE, _tokenize
+    from peano_forge.errors import _tokenize
+    from peano_forge.formula import _EXPECTED_TOKENS, _TOKEN_RE
     return _tokenize(text, _TOKEN_RE, _EXPECTED_TOKENS)
 
 
@@ -139,8 +140,7 @@ def test_parse_nesting_budget():
     # every kind of nesting level is accepted up to the budget without a
     # RecursionError, here deep inside pytest's own stack, and one level
     # more is a ParseError at the byte offset of the token that opens it
-    import peano_forge.formula as fm
-    n = fm._MAX_NESTING
+    from peano_forge.errors import _MAX_NESTING as n
     for nest, opened_at in (
         (lambda k: "(" * k + "0 = 0" + ")" * k, n),
         (lambda k: "(" * k + "x0" + ")" * k + " = 0", n),
@@ -232,8 +232,7 @@ def test_parse_matches_the_reference_parser():
         texts.append(_mutated(rng, render(random_formula(rng, rng.randint(0, 3)))))
         texts.append(_mutated(rng, render(random_term(rng, rng.randint(0, 3)))))
         texts.append(" ".join(rng.choice(_TOKENS) for _ in range(rng.randint(0, 12))))
-    import peano_forge.formula as fm
-    n = fm._MAX_NESTING
+    from peano_forge.errors import _MAX_NESTING as n
     for k in (n - 1, n, n + 1):
         for prefix in ("(", "!", "forall x0 ", "x0 = (", "(x0 + "):
             for tail in ("0 = 0", "x0", "x0) = 1", "", "0 = 0" + ")" * k, "x0" + ")" * k + " = 1"):
@@ -765,6 +764,16 @@ def test_eval_nat_budget_exceeded_is_not_an_answer():
     g = ForAll(0, Or(Eq(Var(0), Var(0)), Lt(Var(0), Zero())))
     with pytest.raises(BudgetExceeded):
         eval_nat(g, {}, 100)
+
+
+def test_eval_nat_budget_must_be_a_natural():
+    # a budget that is no natural is refused before any search, never
+    # reported as an inconclusive one
+    f = parse("exists x1 (x1 = x0)")
+    for budget in (-1, 1.5, None):
+        with pytest.raises(ValueError, match="^expected a natural number, got "):
+            eval_nat(f, {0: 0}, budget)
+    assert eval_nat(f, {0: 0}, 0) is True
 
 
 def test_eval_nat_unbounded_early_exit():

@@ -46,8 +46,8 @@ from peano_forge import (
     seq_long,
     unpair,
 )
-from peano_forge import godel
-from peano_forge.godel import SYMBOL_CODES
+from peano_forge import formula, godel
+from peano_forge.formula import SYMBOL_CODES
 from helpers import random_formula, sieve
 from oracles import (
     desugared,
@@ -230,7 +230,7 @@ def test_reader_matches_the_token_reader_on_every_short_code():
             return str(e)
     for n in range(5):
         for exps in map(list, itertools.product(range(1, 14), repeat=n)):
-            assert outcome(godel._parse, exps) == outcome(reference_read, exps), exps
+            assert outcome(formula._from_symbols, exps) == outcome(reference_read, exps), exps
 
 
 def test_none_inside_a_tree_is_named_like_any_non_node():

@@ -301,13 +301,13 @@ def test_commands_load_no_numpy(tmp_path):
     (tmp_path / "add.pr").write_text("(primrec (proj 1 1) (comp succ (proj 3 3)))\n")
     for args, out, unused in (
         (["-c", "import peano_forge"], "", ("formula", "godel", "ramsey", "recfun")),
-        (["-m", "peano_forge", "pair", "1", "2"], "8\n", ("ramsey", "recfun")),
+        (["-m", "peano_forge", "pair", "1", "2"], "8\n", ("formula", "tree", "ramsey", "recfun")),
         (["-m", "peano_forge", "ramsey", "--m", "6", "--k", "3", "--r", "2", "--n", "2"],
          "true\n", ("formula", "godel", "recfun")),
         (["-m", "peano_forge", "parse", "forall x1 (x1 < x0 -> exists x2 (x2 < x1 & x0 = x2))"],
          "ForAll(1, Implies(Lt(Var(1), Var(0)), Exists(2, And(Lt(Var(2), Var(1)), "
-         "Eq(Var(0), Var(2))))))\n", ("godel", "ramsey", "recfun")),
-        (["-m", "peano_forge", "pr-eval", "add.pr", "2", "3"], "5\n", ("godel", "ramsey")),
+         "Eq(Var(0), Var(2))))))\n", ("ramsey", "recfun")),
+        (["-m", "peano_forge", "pr-eval", "add.pr", "2", "3"], "5\n", ("formula", "godel", "ramsey")),
         (["-m", "peano_forge", "fastgrow", "2", "3"], "30\n", ("formula", "godel", "recfun")),
     ):
         proc = subprocess.run([sys.executable, "-X", "importtime", *args],
@@ -331,6 +331,9 @@ def test_search_space_cap():
         arrow(200, 3, 2, 2)
     assert ei.value.required == 2 ** 19900  # exact, though printed as a power of two
     assert "at least 2^19900 colorings" in str(ei.value)
+    for cap in (-1, 1.5, "100"):
+        with pytest.raises(ValueError, match="^the enumeration cap must be a natural number"):
+            arrow(6, 3, 2, 2, cap=cap)
 
 
 def test_min_witness():

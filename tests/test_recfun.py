@@ -183,6 +183,9 @@ def test_eval_rejects_non_naturals():
     for args in ([2, -1], [-3, 0], [1.0, 2]):
         with pytest.raises(ValueError):
             eval_def(ADD, args, FUEL)
+    for fuel in (-1, 1.5, None):
+        with pytest.raises(ValueError, match="^fuel must be a natural number, got "):
+            eval_def(ADD, [2, 3], fuel)
 
 
 def test_mu_total_when_zero_exists():
