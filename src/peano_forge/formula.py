@@ -2,6 +2,7 @@
 arithmetic: constants 0 and 1, binary + and *, relations = and <, the
 propositional connectives, and quantifiers over variables x0, x1, ...;
 and the Goedel codes of its terms and formulas, built on godel's number codes.
+A node is built only from the terms, formulas and indices its rule takes.
 """
 
 from __future__ import annotations
@@ -23,15 +24,21 @@ from .errors import (
     _tokenize,
 )
 from .godel import _contiguous_exponents, _naturals, _power_product
-from .tree import Node, _compiled, _folded, _plan, _printer
+from .tree import Node, _compiled, _folded, _of_kind, _plan, _printer, _subnodes
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
 # ---------------------------------------------------------------------------
 
 
-class Term(Node):
+class Syntax(Node):  # a term or a formula
     __slots__ = ()
+    _refusal = TypeError, "not an AST node"
+
+
+class Term(Syntax):
+    __slots__ = ()
+    _refusal = TypeError, "not a term"
 
 
 class Zero(Term):
@@ -44,50 +51,62 @@ class One(Term):
 
 class Var(Term):
     __slots__ = ("index",)
+    _kinds = (int,)
 
 
 class Add(Term):
     __slots__ = ("left", "right")
+    _kinds = (Term, Term)
 
 
 class Mul(Term):
     __slots__ = ("left", "right")
+    _kinds = (Term, Term)
 
 
-class Formula(Node):
+class Formula(Syntax):
     __slots__ = ()
+    _refusal = TypeError, "not a formula"
 
 
 class Eq(Formula):
     __slots__ = ("left", "right")
+    _kinds = (Term, Term)
 
 
 class Lt(Formula):
     __slots__ = ("left", "right")
+    _kinds = (Term, Term)
 
 
 class Not(Formula):
     __slots__ = ("body",)
+    _kinds = (Formula,)
 
 
 class And(Formula):
     __slots__ = ("left", "right")
+    _kinds = (Formula, Formula)
 
 
 class Or(Formula):
     __slots__ = ("left", "right")
+    _kinds = (Formula, Formula)
 
 
 class Implies(Formula):
     __slots__ = ("left", "right")
+    _kinds = (Formula, Formula)
 
 
 class ForAll(Formula):
     __slots__ = ("var", "body")
+    _kinds = (int, Formula)
 
 
 class Exists(Formula):
     __slots__ = ("var", "body")
+    _kinds = (int, Formula)
 
 
 class QuantClass(Node):
@@ -272,29 +291,13 @@ _RENDER = {
 }
 
 
-def _children(x):
-    # the fields of an AST node but a variable index (Var's and a
-    # quantifier's first field, when it is an int); none of any other object
-    if type(x) not in _RENDER:
-        return ()
-    values = x._values()
-    return values[1:] if type(x) in (Var, ForAll, Exists) and type(values[0]) is int else values
-
-
 def _fold(node, visit):
-    """Bottom-up fold: visit(x, args) runs once for every distinct node x,
-    children first, where args lists the fields of x in declaration order
-    with each child node replaced by its result (the variable index of Var
-    and of a quantifier passes through as an int)."""
-    def step(x, take):
-        tp = type(x)
-        if tp not in _RENDER:
-            raise TypeError(f"not an AST node: {x!r}")
-        values = x._values()
-        if (tp is Var or tp is ForAll or tp is Exists) and type(values[0]) is int:
-            return visit(x, [values[0], *map(take, values[1:])])
-        return visit(x, list(map(take, values)))
-    return _folded(node, _children, step)
+    """Bottom-up fold over a term or formula: visit(x, args) runs once for
+    every distinct node x, children first, where args lists the fields of x
+    in declaration order with each child node replaced by its result (a
+    variable index passes through)."""
+    return _folded(_of_kind(node, Syntax), _subnodes, lambda x, take: visit(
+        x, [v if type(v) is int else take(v) for v in x._values()]))
 
 
 @_printer
@@ -340,13 +343,11 @@ def _scope(node, kept):
                     stack += (x.right, x.left)
                 elif tp is Not:
                     stack.append(x.body)
-                elif tp is ForAll or tp is Exists:
+                else:  # a quantifier
                     binders.add(x.var)
                     outer.append((x, free, binders, seen, stack))
                     free, binders = kept.get(id(x)) or (set(), set())
                     seen, stack = set(), [] if id(x) in kept else [x.body]
-                else:
-                    raise TypeError(f"not an AST node: {x!r}")
         if not outer:
             return free, binders
         (q, free, binders, seen, stack), body = outer.pop(), (free, binders)
@@ -357,12 +358,12 @@ def _scope(node, kept):
 
 def term_vars(t):
     """All variable indices occurring in a term."""
-    return _scope(t, {})[0]
+    return _scope(_of_kind(t, Term), {})[0]
 
 
 def free_vars(f):
     """Variable indices with at least one free occurrence; empty iff sentence."""
-    return _scope(f, {})[0]
+    return _scope(_of_kind(f, Syntax), {})[0]
 
 
 def _fresh_index(used):
@@ -391,6 +392,7 @@ def substitute(f, v, t):
     force travel with the one pass (simultaneous substitution: Stoughton,
     "Substitution revisited", 1988), so no renamed body is walked again.
     """
+    _of_kind(f, Syntax), _of_kind(v, int), _of_kind(t, Term)
     scopes = {}  # id(quantifier) -> _scope of its body, walked when first needed
     # id(entry) -> (variable, body entry) of a quantifier that changes, and
     # (id(node), id(renamings)) -> the _Under entry of node under renamings
@@ -406,8 +408,6 @@ def substitute(f, v, t):
             if tp is not ForAll and tp is not Exists:
                 return () if tp is Var else _under(x._values(), renamings, kept)
         elif tp is not ForAll and tp is not Exists:
-            if tp not in _RENDER:
-                raise TypeError(f"not an AST node: {x!r}")
             return () if tp is Var else x._values()
         # decided when first met, so no body is substituted in vain: the
         # body takes the renamings in force of its free variables but var
@@ -492,16 +492,7 @@ def _bounded_parts(f):
     if (type(lt) is not Lt or type(lt.left) is not Var or lt.left.index != v
             or inclusive and lt.right != eq.right):
         return None
-    try:
-        return None if v in term_vars(lt.right) else (v, lt.right, inclusive, f.body.right)
-    except TypeError:  # a non-node in the bound: no guard, and compiling names it
-        return None
-
-
-def _check_matrix_node(x, args):
-    # bounded sugar is part of the matrix; any other quantifier is not
-    if (type(x) is ForAll or type(x) is Exists) and _bounded_parts(x) is None:
-        raise NotPrenex("unbounded quantifier occurs under a connective")
+    return None if v in term_vars(lt.right) else (v, lt.right, inclusive, f.body.right)
 
 
 def classify_prenex(f):
@@ -515,7 +506,10 @@ def classify_prenex(f):
         if not blocks or blocks[-1] != kind:
             blocks.append(kind)
         g = g.body
-    _fold(g, _check_matrix_node)
+    # bounded sugar is part of the matrix; any other quantifier is not
+    if any((type(x) is ForAll or type(x) is Exists) and _bounded_parts(x) is None
+           for x in _plan(g, _subnodes)[0]):
+        raise NotPrenex("unbounded quantifier occurs under a connective")
     if not blocks:
         return QuantClass("Sigma", 0)
     return QuantClass("Sigma" if blocks[0] == "E" else "Pi", len(blocks))
@@ -524,13 +518,6 @@ def classify_prenex(f):
 # ---------------------------------------------------------------------------
 # Evaluation over the standard model
 # ---------------------------------------------------------------------------
-
-
-def _of_kind(x, kind):
-    """x, when it is a Term or a Formula as kind asks; TypeError otherwise."""
-    if not isinstance(x, kind):
-        raise TypeError(f"not a {kind.__name__.lower()}: {x!r}")
-    return x
 
 
 def eval_term(t, env):
@@ -569,10 +556,7 @@ def _bounding_terms(f):
     compiled formula, or None when f holds a quantifier.  As + and * are
     monotone on the naturals, their values bound every term value in f,
     even next to a zero."""
-    order = _plan(f, _children)[0]
-    for x in order:
-        if type(x) not in _RENDER:  # a variable index that is no int
-            raise TypeError(f"not an AST node: {x!r}")
+    order = _plan(f, _subnodes)[0]
     if any(type(x) is ForAll or type(x) is Exists for x in order):
         return None
     return [_compiled(t, _compile) for x in order if type(x) in (Eq, Lt, Mul)
@@ -601,15 +585,15 @@ def _chunks(count):
 def _compile(x, take):
     """The evaluator of one node, built by _compiled: run(env) is the value
     of a term and run(env, budget) the truth value of a formula, as eval_nat
-    gives it; an unbound variable is a KeyError.  Each child's kind is checked
-    here, each guard matched and each quantifier's matrix scanned."""
+    gives it; an unbound variable is a KeyError.  Each guard is matched here,
+    and each quantifier's matrix scanned."""
     tp = type(x)
     if tp is Zero or tp is One:
         return (lambda env: 0) if tp is Zero else (lambda env: 1)
     if tp is Var:
         return itemgetter(x.index)
     if tp is Add or tp is Mul or tp is Eq or tp is Lt:
-        left, right = take(_of_kind(x.left, Term)), take(_of_kind(x.right, Term))
+        left, right = take(x.left), take(x.right)
         if tp is Add:
             return lambda env: left(env) + right(env)
         if tp is Mul:
@@ -618,10 +602,10 @@ def _compile(x, take):
             return lambda env, budget: left(env) == right(env)
         return lambda env, budget: left(env) < right(env)
     if tp is Not:
-        body = take(_of_kind(x.body, Formula))
+        body = take(x.body)
         return lambda env, budget: body(env, budget) ^ True
     if tp is And or tp is Or or tp is Implies:
-        left, right = take(_of_kind(x.left, Formula)), take(_of_kind(x.right, Formula))
+        left, right = take(x.left), take(x.right)
         if tp is And:
             return lambda env, budget: (False if (a := left(env, budget)) is False
                                         else a & right(env, budget))
@@ -630,13 +614,11 @@ def _compile(x, take):
                                         else a | right(env, budget))
         return lambda env, budget: (True if (a := left(env, budget)) is False
                                     else (a ^ True) | right(env, budget))
-    if tp is not ForAll and tp is not Exists:
-        raise TypeError(f"not a {'term' if isinstance(x, Term) else 'formula'}: {x!r}")
     universal = tp is ForAll
     v, bound, inclusive, matrix = _bounded_parts(x) or (x.var, None, False, x.body)
     if bound is not None:
-        bound = take(_of_kind(bound, Term))
-    body = take(_of_kind(matrix, Formula))
+        bound = take(bound)
+    body = take(matrix)
     terms = _bounding_terms(matrix)
 
     def run(env, budget):
@@ -701,32 +683,13 @@ SYMBOL_CODES = {
 
 
 class _Pending:
-    """A marker on the stack of _symbols or _from_symbols, apart from any
-    value in a tree and equal to no code: a code to write, or a quantifier's
-    index."""
+    """A quantifier's index on the stack of _from_symbols, apart from the
+    codes there."""
 
     __slots__ = ("value",)
 
     def __init__(self, value):
         self.value = value
-
-
-# codes ( ) = 1 + * ! -> to write, a < atom's placeholder -1 for x_k (no
-# code, not even a bad index's 0, can equal it), and the end of sides
-_PENDING = tuple(map(_Pending, (6, 7, 5, 2, 3, 4, 9, 8, -1, None)))
-
-
-def _var_code(i, bad):
-    # 11 + i for x_i.  Another index codes as 0 and goes to bad, which
-    # _symbols raises on once its walk is done, so a non-node is named first
-    if type(i) is int and i >= 0:
-        return 11 + i
-    try:
-        bad.append(f"x{i}")
-    except ValueError:  # an int past the interpreter's int-to-str digit limit
-        # is named by its size, as the printers name one
-        bad.append(f"x{'-' if i < 0 else ''}<an int of at least 2^{abs(i).bit_length() - 1}>")
-    return 0
 
 
 def _symbols(node, kind):
@@ -741,22 +704,22 @@ def _symbols(node, kind):
         a | b       (!a -> b)
         exists v a  !forall v !a
 
-    The walk runs on an explicit stack of nodes and _Pending markers, so
-    deep trees cost neither recursion nor list copies.  While the sides of an
-    atom are written only term nodes may occur, up to a marker of their end;
-    k is then read off the variable codes that the sides wrote."""
-    codes, bad, pending = [], [], _Pending
-    open_, close, eq, one, plus, times, neg, arrow, slot, end = _PENDING
+    The walk runs on an explicit stack of nodes, codes to write and None, the
+    end of an atom's sides (a tree holds no int or None where a node
+    belongs), so deep trees cost neither recursion nor list copies.  Once
+    the sides are written, k is read off the variable codes they wrote."""
+    codes = []
+    # codes ( ) = 1 + * ! -> and a < atom's placeholder -1 for x_k, which no code equals
+    open_, close, eq, one, plus, times, neg, arrow, slot = 6, 7, 5, 2, 3, 4, 9, 8, -1
     stack = [_of_kind(node, kind)]
     # None outside the sides of an atom; in them -1, or where a < atom's codes begin
     sides = -1 if kind is Term else None
     while stack:
         x = stack.pop()
         t = type(x)
-        if t is pending:
-            if x is not end:
-                codes.append(x.value)
-                continue
+        if t is int:
+            codes.append(x)
+        elif x is None:
             if sides >= 0:
                 k = 11 + _fresh_index({c - 11 for c in codes[sides:]})
                 codes[sides + 2] = codes[codes.index(-1, sides + 3)] = k
@@ -767,24 +730,22 @@ def _symbols(node, kind):
             elif t is One:
                 codes.append(2)
             elif t is Var:
-                codes.append(_var_code(x.index, bad))
-            elif t is Add or t is Mul:
+                codes.append(11 + x.index)
+            else:  # + or *
                 codes.append(6)  # (
                 stack += (close, x.right, plus if t is Add else times, x.left)
-            else:
-                raise TypeError(f"not a term: {x!r}")
         elif t is Eq:
-            stack += (end, x.right, eq, x.left)
+            stack += (None, x.right, eq, x.left)
             sides = -1
         elif t is Lt:
             sides = len(codes)
             codes += (9, 10, -1, 9, 6)  # ! forall x_k ! (
-            stack += (end, x.right, eq, close, close, one, plus, slot, open_, plus, x.left)
+            stack += (None, x.right, eq, close, close, one, plus, slot, open_, plus, x.left)
         elif t is Not:
             codes.append(9)
             stack.append(x.body)
         elif t is ForAll or t is Exists:
-            v = _var_code(x.var, bad)
+            v = 11 + x.var
             codes += (10, v) if t is ForAll else (9, 10, v, 9)
             stack.append(x.body)
         elif t is Implies:
@@ -793,16 +754,10 @@ def _symbols(node, kind):
         elif t is And:
             codes += (9, 6)
             stack += (close, x.right, neg, arrow, x.left)
-        elif t is Or:
+        else:  # |
             codes += (6, 9)
             stack += (close, x.right, arrow, x.left)
-        else:
-            raise TypeError(f"not a formula: {x!r}")
-    if bad:
-        raise ValueError(f"unknown symbol {bad[0]!r}")
     return codes
-
-
 
 
 def encode_formula(f):

@@ -58,6 +58,9 @@ class Partition(Node):
     __slots__ = ("m", "n", "r", "colors")
 
     def __init__(self, m, n, r, colors):
+        # an int only: lru_cache would take 3.0 for 3 in subsets_colex
+        if not all(type(x) is int for x in (m, n, r)):
+            raise ShapeMismatch(f"m, n and r must be ints, got {m!r}, {n!r}, {r!r}")
         if n < 1 or n > m:
             raise ShapeMismatch(f"need 1 <= n <= m, got n={n}, m={m}")
         if r < 1:
@@ -74,8 +77,8 @@ class Partition(Node):
                     f"expected {len(subs)} colors, got {len(colors)}"
                 )
         for c in colors:
-            if not 0 <= c < r:
-                raise ShapeMismatch(f"color {c} outside 0..{r - 1}")
+            if type(c) is not int or not 0 <= c < r:
+                raise ShapeMismatch(f"color {c!r} outside 0..{r - 1}")
         self._init(m, n, r, colors)
 
     @classmethod
@@ -275,13 +278,17 @@ def _validate_arrow_params(m, k, r, n):
         raise ValueError("need at least one color")
 
 
+def _check_cap(cap):
+    if cap is not None and (not isinstance(cap, int) or cap < 0):
+        raise ValueError(f"the enumeration cap must be a natural number, got {cap!r}")
+
+
 def find_counterexample(m, k, r, n, large=False, jobs=1, cap=DEFAULT_ENUM_CAP):
     """The first (in canonical enumeration order) coloring of [m]^n with r
     colors admitting no qualifying homogeneous set, or None when the arrow
     relation holds.  jobs is accepted without effect: the search is serial."""
     _validate_arrow_params(m, k, r, n)
-    if cap is not None and (not isinstance(cap, int) or cap < 0):
-        raise ValueError(f"the enumeration cap must be a natural number, got {cap!r}")
+    _check_cap(cap)
     N = math.comb(m, n)
     required = r ** N
     if cap is not None and required > cap:
@@ -307,6 +314,7 @@ def min_witness(k, r, n, relation="ramsey", max_m=32, jobs=1, cap=DEFAULT_ENUM_C
     """Least m <= max_m satisfying the chosen relation, else None."""
     if relation not in ("ramsey", "ph"):
         raise ValueError("relation must be 'ramsey' or 'ph'")
+    _check_cap(cap)  # also where max_m leaves no m to search
     rel = arrow if relation == "ramsey" else ph_arrow
     for m in range(max(k, n), max_m + 1):
         if rel(m, k, r, n, cap=cap):
@@ -398,8 +406,9 @@ class FastGrowingBudget(Node):
     __slots__ = ("max_result_bits", "max_iterations")
 
     def __init__(self, max_result_bits, max_iterations):
-        if max_result_bits < 1 or max_iterations < 1:
-            raise ValueError("budget fields must be positive")
+        if not all(type(x) is int and x >= 1 for x in (max_result_bits, max_iterations)):
+            raise ValueError("budget fields must be positive ints, got "
+                             f"{max_result_bits!r}, {max_iterations!r}")
         self._init(max_result_bits, max_iterations)
 
 
@@ -414,8 +423,8 @@ def fast_growing(n, x, budget=DEFAULT_FAST_BUDGET):
     definition unfolds to, so budgets are machine-independent; exceeding
     either budget raises BudgetExceeded carrying the partial count.
     """
-    if n < 0 or x < 0:
-        raise ValueError("fast_growing is defined on natural numbers")
+    if not (type(n) is int and type(x) is int and n >= 0 and x >= 0):
+        raise ValueError(f"fast_growing is defined on natural numbers, got {n!r}, {x!r}")
     steps = 0
     stack = []  # [level, applications left] of each f_level being unfolded
     level, v = n, x  # the pending application f_level(v)

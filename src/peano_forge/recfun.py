@@ -7,12 +7,15 @@ BudgetExhausted outcomes are machine-independent.  The evaluator never claims
 a function value is undefined; a search that does not finish within fuel is
 reported as BudgetExhausted.
 
+A combinator is built only from definitions, and Proj from natural ints;
+arities are checked when a tree compiles.
+
 Only exhaustion is observable: the outcome is a Value exactly when the total
 cost is at most the fuel.  So the evaluator charges a computation whose cost
 it knows in one step, and the least sufficient fuel is that of a walk node
 by node.  Each definition object is compiled once into closures, kept on the
-object; compiling checks well-formedness once per distinct node, and arity
-reads the compiled form.  Nodes whose value and cost are affine in their
+object; compiling checks arities once per distinct node, and arity reads
+the compiled form.  Nodes whose value and cost are affine in their
 arguments (ZeroFn, Succ, Proj and compositions of them) are computed by
 formula.  A PrimRec whose step adds a fixed amount to the accumulator at a
 fixed cost (add, mul) charges its loop at once, and one whose step ignores
@@ -31,7 +34,7 @@ from collections import namedtuple
 
 from .errors import (ArityMismatch, IllFormed, NotCoprime, ParseError, UnknownName,
                      _byte_offset, _check_nesting, _index, _tokenize)
-from .tree import Node, _compiled
+from .tree import Node, _compiled, _of_kind
 
 # ---------------------------------------------------------------------------
 # Definition trees
@@ -40,6 +43,7 @@ from .tree import Node, _compiled
 
 class PRDef(Node):
     __slots__ = ()
+    _refusal = IllFormed, "not a definition node"
 
 
 class ZeroFn(PRDef):
@@ -54,19 +58,19 @@ class Succ(PRDef):
 
 class Proj(PRDef):
     __slots__ = ("i", "n")
+    _kinds = (int, int)
 
 
 class Comp(PRDef):
     __slots__ = ("f", "gs")
-
-    def __init__(self, f, gs):
-        self._init(f, tuple(gs))
+    _kinds = (PRDef, (PRDef,))
 
 
 class PrimRec(PRDef):
     """h(xs, 0) = base(xs); h(xs, y+1) = step(xs, y, h(xs, y))."""
 
     __slots__ = ("base", "step")
+    _kinds = (PRDef, PRDef)
 
 
 class BoundedMu(PRDef):
@@ -74,17 +78,19 @@ class BoundedMu(PRDef):
     the bound itself when no witness exists."""
 
     __slots__ = ("g",)
+    _kinds = (PRDef,)
 
 
 class Mu(PRDef):
     """Unbounded least-zero search; the only source of partiality."""
 
     __slots__ = ("g",)
+    _kinds = (PRDef,)
 
 
 def arity(d):
     """The unique arity of a well-formed tree; IllFormed otherwise."""
-    return _compiled(d, _compile).arity
+    return _compiled(_of_kind(d, PRDef), _compile).arity
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +127,7 @@ def eval_def(d, args, fuel):
     Returns Value(v) when the result is found in time and BudgetExhausted
     otherwise; composition is strict in every argument.
     """
-    code = _compiled(d, _compile)
+    code = _compiled(_of_kind(d, PRDef), _compile)
     args = tuple(args)
     if len(args) != code.arity:
         raise ArityMismatch(f"definition takes {code.arity} arguments, got {len(args)}")
@@ -210,14 +216,12 @@ def _compile(d, take):
                 run = _forget(base.run, last, per_step)
                 return _Code(n + 1, run, None, base.loops)
         return _Code(n + 1, _primrec(base.run, step.run), None, True)
-    if tp is BoundedMu or tp is Mu:
-        g = take(d.g)
-        if tp is BoundedMu and g.arity < 2:
-            raise IllFormed("bounded search needs an argument to bound it")
-        if g.arity < 1:
-            raise IllFormed("search predicate needs the search variable")
-        return _Code(g.arity - 1, _search(g.run, tp is BoundedMu), None, True)
-    raise IllFormed(f"not a definition node: {d!r}")
+    g = take(d.g)  # BoundedMu or Mu
+    if tp is BoundedMu and g.arity < 2:
+        raise IllFormed("bounded search needs an argument to bound it")
+    if g.arity < 1:
+        raise IllFormed("search predicate needs the search variable")
+    return _Code(g.arity - 1, _search(g.run, tp is BoundedMu), None, True)
 
 
 def _unit(k, j):

@@ -1,6 +1,7 @@
 """The immutable node that every tree of the package is built from, and the
 one way such a tree is walked: a plan of its distinct nodes, children first,
-and loops over that plan."""
+and loops over that plan.  A node checks its fields when it is built, so
+once a public call has checked its root, nothing below it is checked again."""
 
 from functools import wraps
 
@@ -29,20 +30,33 @@ def _printer(text):
 class Node:
     """An immutable record whose fields are the names in the __slots__ of
     its class and its bases that do not start with "_" (those hold caches).
-    == and hash are structural at any depth and meet each distinct node, or
-    pair of nodes, once; a pickle or copy rebuilds the distinct nodes of a
-    node's plan from their fields, one after another."""
+    _kinds gives, field by field, a class the value must be an instance of,
+    (class,) for a tuple of them, or int for a natural int.  A class that
+    sets _refusal = (error type, text) is a kind, never built itself.  == and
+    hash are structural at any depth and meet each distinct node, or pair of
+    nodes, once; a pickle or copy rebuilds the distinct nodes of a node's
+    plan from their fields, one after another."""
 
     __slots__ = ("_hash", "_code")
-    _fields = ()
+    _fields = _kinds = ()
 
     def __init_subclass__(cls):
         cls._fields += tuple(n for n in vars(cls).get("__slots__", ()) if n[0] != "_")
-        # each class gets _init, which sets each field through its slot
-        # descriptor, and _values; _init is its __init__ unless it has one
-        names, ns = cls._fields, {}
+        # each class gets _init, which checks each field that has a kind and
+        # sets it through its slot descriptor, and _values; _init is its
+        # __init__ unless it has one.  A kind's _init refuses the kind itself
+        names, ns = cls._fields, {"_refuse": _refuse}
+        checks = "  _refuse(type(self), self)\n" if "_refusal" in vars(cls) else ""
+        for n, k in zip(names, cls._kinds):
+            v = n
+            if type(k) is tuple:  # the check runs on each item c
+                k, v = k[0], "c"
+                checks += f"  {n} = tuple({n})\n  for c in {n}:\n "
+            ns[f"K_{n}"] = k
+            checks += (f"  if type({v}) is not int or {v} < 0: _refuse(int, {v})\n" if k is int
+                       else f"  if not isinstance({v}, K_{n}): _refuse(K_{n}, {v})\n")
         exec(f"def make({', '.join('_' + n for n in names)}):\n"
-             f" def __init__(self, {', '.join(names)}):\n"
+             f" def __init__(self, {', '.join(names)}):\n{checks}"
              f"  pass; {'; '.join(f'_{n}(self, {n})' for n in names)}\n"
              f" def _values(self):\n"
              f"  return ({''.join(f'self.{n}, ' for n in names)})\n"
@@ -116,10 +130,29 @@ class Node:
         return _folded(self, _subnodes, visit)
 
 
+def _refuse(kind, x):
+    # raise the error for x where a value of kind belongs; an int of over
+    # 640 digits, which some int-to-str limit would not print, by its size
+    if kind is not int:
+        error, text = kind._refusal
+        raise error(f"{text}: {x!r}")
+    big = type(x) is int and abs(x) >= 10 ** 640
+    raise ValueError("not a natural number: " + (
+        f"{'-' * (x < 0)}<an int of at least 2^{abs(x).bit_length() - 1}>" if big else repr(x)))
+
+
+def _of_kind(x, kind):
+    """x, the root of a public call, when it is of kind (a class, or int for
+    a natural int); refused otherwise."""
+    if not (type(x) is int and x >= 0 if kind is int else isinstance(x, kind)):
+        _refuse(kind, x)
+    return x
+
+
 def _subnodes(x):
     """The nodes among the field values of x, a tuple's items included."""
     return [c for v in x._values() for c in (v if type(v) is tuple else (v,))
-            if isinstance(c, Node)] if isinstance(x, Node) else ()
+            if isinstance(c, Node)]
 
 
 def _swap(v, table):
@@ -176,23 +209,22 @@ def _folded(node, children, visit):
 def _compiled(node, compile):
     """The compiled form of node: compile(x, take) builds the form of x from
     the forms take(c) gives for its children c, once per distinct node at any
-    depth.  Each form is kept on its node with compile, and only compile
-    reads it back; an error is kept until a parent takes it, so errors
-    surface as a depth-first compile meets them."""
-    maker, code = getattr(node, "_code", (None, None))
-    if maker is compile:
+    depth.  Each form is kept on its node; a tree holds the nodes of one
+    layer only, so its forms are all compile's.  An error is kept until a
+    parent takes it, so errors surface as a depth-first compile meets them."""
+    code = getattr(node, "_code", None)
+    if code is not None:
         return code
     failed = {}
 
     def take(c):
         if id(c) in failed:
             raise failed[id(c)]
-        maker, code = getattr(c, "_code", (None, None))
-        return code if maker is compile else _compiled(c, compile)  # a non-node
+        return c._code
     for x in _plan(node, lambda x: [c for c in _subnodes(x)
-                                    if getattr(c, "_code", (None,))[0] is not compile])[0]:
+                                    if getattr(c, "_code", None) is None])[0]:
         try:
-            object.__setattr__(x, "_code", (compile, compile(x, take)))
+            object.__setattr__(x, "_code", compile(x, take))
         except Exception as exc:
             failed[id(x)] = exc
     return take(node)

@@ -13,7 +13,6 @@ from peano_forge import (
     Eq,
     Exists,
     ForAll,
-    Formula,
     Implies,
     Lt,
     Mu,
@@ -24,7 +23,6 @@ from peano_forge import (
     PrimRec,
     Proj,
     Succ,
-    Term,
     Var,
     Zero,
     ZeroFn,
@@ -67,27 +65,14 @@ def random_formula(rng, depth, max_var=3):
     return ctor(rng.randrange(max_var + 1), random_formula(rng, depth - 1, max_var))
 
 
-# non-nodes and ill-formed nodes that messy_formula puts in place of a term
-# or a formula: a None child, an int child, a bare base class, a string
-# index and unhashable indices
-_JUNK = {
-    "term": (lambda: None, lambda: 5, lambda: Term(), lambda: Var("a"), lambda: Var([1])),
-    "formula": (lambda: None, lambda: Formula(), lambda: Not(5),
-                lambda: ForAll([1], Eq(Var(0), Var(1))), lambda: Eq(Var(1), None)),
-}
-
-
-def messy_formula(rng, depth, max_var=4, junk=0.03):
+def messy_formula(rng, depth, max_var=4):
     """A random_formula over x0..x<max_var>, where about one node in seven
-    is a subtree made before it (so the result is a DAG, not a tree), and
-    each node is, with probability junk, a non-node or an ill-formed node."""
+    is a subtree made before it, so the result is a DAG, not a tree."""
     pool = {"term": [], "formula": []}
 
     def make(kind, depth):
         if pool[kind] and rng.random() < 0.15:
             return rng.choice(pool[kind])
-        if rng.random() < junk:
-            return rng.choice(_JUNK[kind])()
         if kind == "term":
             if depth <= 0 or rng.random() < 0.3:
                 x = rng.choice([Zero(), One(), Var(rng.randrange(max_var + 1))])
@@ -109,11 +94,11 @@ def messy_formula(rng, depth, max_var=4, junk=0.03):
     return make("formula", depth), make("term", 2)
 
 
-def capturing_formula(rng, v, t_vars, depth, max_var=4, junk=0.03):
+def capturing_formula(rng, v, t_vars, depth, max_var=4):
     """A messy_formula under depth quantifiers, each over a variable of t
     or another, with x_v free in every body, so that substituting a term
     with variables t_vars for x_v renames them in nested scopes."""
-    f, _ = messy_formula(rng, rng.randint(0, 3), max_var, junk)
+    f, _ = messy_formula(rng, rng.randint(0, 3), max_var)
     for _ in range(depth):
         w = rng.choice(sorted(t_vars) + [rng.randrange(max_var + 1)])
         atom = rng.choice([Eq, Lt])(Var(v), Var(rng.randrange(max_var + 1)))

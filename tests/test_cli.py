@@ -324,6 +324,10 @@ def test_negative_enum_cap_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("PEANO_FORGE_ENUM_CAP", "-5")
     assert run_cli(capsys, "ramsey", "--m", "3", "--k", "2", "--r", "2", "--n", "1") == (
         2, "", "usage error: the enumeration cap must be a natural number, got -5\n")
+    # also where --max-m leaves no m to search
+    assert run_cli(capsys, "ramsey", "--find-min", "--k", "3", "--r", "2", "--n", "2",
+                   "--max-m", "1") == (
+        2, "", "usage error: the enumeration cap must be a natural number, got -5\n")
     monkeypatch.setenv("PEANO_FORGE_ENUM_CAP", "0")
     code, out, err = run_cli(capsys, "ramsey", "--m", "3", "--k", "2", "--r", "2", "--n", "1")
     assert (code, out) == (1, "") and err.startswith("error: SearchSpaceTooLarge: ")

@@ -295,11 +295,13 @@ def test_printers_walk_deep_trees():
 
 
 def test_printers_reject_non_nodes():
-    # an int passes through only as the variable index of Var or a quantifier
-    for bad in (3, Term(), Add(One(), "1"), Add(One(), 3), Not(5)):
-        for printer in (render, ast_text, to_json, lambda f: substitute(f, 0, One())):
-            with pytest.raises(TypeError):
-                printer(bad)
+    # a node cannot hold a non-node where a term or a formula belongs (see
+    # test_nodes_check_their_fields_when_built), so only the root is checked
+    for bad in (3, None, "0", QuantClass("Pi", 1)):
+        for call in (render, ast_text, to_json, free_vars, lambda f: substitute(f, 0, One())):
+            with pytest.raises(TypeError) as info:
+                call(bad)
+            assert str(info.value) == f"not an AST node: {bad!r}"
 
 
 def test_printers_name_an_index_past_the_digit_limit():
@@ -416,16 +418,12 @@ def _outcome(call):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_substitute_matches_the_reference_on_messy_input(seed):
-    # DAGs, capture in nested scopes, and junk: a None child, Var("a"),
-    # unhashable indices, and terms that are no node, under a live
-    # quantifier and under none.  The value, or the exception's type and
-    # message, is the reference's, the walk that one scope walk replaced.
+    # DAGs and capture in nested scopes, under a live quantifier and under
+    # none.  The value, or the exception's type and message, is the
+    # reference's, the walk that one scope walk replaced.
     rng = random.Random(seed)
-    t_picks = [Var(1), Add(Var(1), One()), Add(Var(2), Var(3)), Zero(), None, 5]
-    cases = [(Eq(Var(0), Zero()), 0, None), (ForAll(1, Eq(Var(0), Var(1))), 0, None),
-             (Eq(Var([1]), Var(0)), 0, One()), (ForAll(2, Eq(Var([1]), Var(0))), 0, One()),
-             (ForAll([1], Eq(Var(0), Var(1))), 0, None),
-             (ForAll(1, Eq(Var(0), Zero())), [1], One())]
+    t_picks = [Var(1), Add(Var(1), One()), Add(Var(2), Var(3)), Zero()]
+    cases = []
     for i in range(300):
         v, t = rng.randrange(5), rng.choice(t_picks)
         if i % 2:
@@ -439,6 +437,21 @@ def test_substitute_matches_the_reference_on_messy_input(seed):
         params = [p for p in range(3) if p != v][:rng.randrange(3)]
         assert _outcome(lambda: induction_instance(f, v, params)) == _outcome(
             lambda: reference_induction_instance(f, v, params)), (f, v, params)
+
+
+def test_substitute_checks_its_term_where_the_variable_is_not_free():
+    # t is checked as a root, before the walk: a t that is no term is
+    # refused even where no x_v occurs free, and so never lands in the tree;
+    for f in (Eq(Var(0), Zero()), Eq(Zero(), Zero()), ForAll(0, Eq(Var(0), Zero()))):
+        for t in (None, 5, Eq(Zero(), Zero())):
+            with pytest.raises(TypeError) as info:
+                substitute(f, 0, t)
+            assert str(info.value) == f"not a term: {t!r}"
+    # so is a variable that is no natural int, which no tree can hold free
+    for v in ("0", -1, [1], True):
+        with pytest.raises(ValueError) as info:
+            substitute(ForAll(1, Eq(Var(0), Zero())), v, One())
+        assert str(info.value) == f"not a natural number: {v!r}"
 
 
 def test_substitute_and_induction_on_deep_trees():
@@ -696,8 +709,8 @@ def test_classify_long_chain_without_recursion():
 
 
 def test_classify_rejects_a_root_that_is_no_formula():
-    # the root is checked as eval_nat and desugar check it; a junk node
-    # inside the formula is named by the walk that visits it
+    # the root is checked as eval_nat and desugar check it; no node below
+    # it can be anything but a term or a formula
     for node, message in ((Var(0), "not a formula: Var(index=0)"),
                           (Add(One(), One()), "not a formula: Add(left=One(), right=One())"),
                           (None, "not a formula: None"),
@@ -705,8 +718,6 @@ def test_classify_rejects_a_root_that_is_no_formula():
         with pytest.raises(TypeError) as info:
             classify_prenex(node)
         assert str(info.value) == message
-    with pytest.raises(TypeError, match=r"^not an AST node: 5$"):
-        classify_prenex(Not(5))
 
 
 def test_classify_inclusive_guard_with_deep_bounds():
@@ -815,53 +826,137 @@ def test_guards_are_matched_once_per_quantifier_node(monkeypatch):
 
 
 def test_kind_errors_name_the_misplaced_node():
-    # a term where a formula belongs, or the reverse, or a non-node child, is
-    # a TypeError naming the node, from the evaluator as from the Goedel
-    # coder, before evaluation reaches it; d is a definition that has run
+    # a term where a formula belongs, or the reverse, or a non-node, is a
+    # TypeError naming the node when the node that would hold it is built;
+    # the root of a call is checked by the call, by the evaluator as by the
+    # Goedel coder; d is a definition that has run
     from peano_forge import Comp, Succ, ZeroFn, encode_formula, encode_term, eval_def
     zz, x0 = Eq(Zero(), Zero()), Var(0)
     d = Comp(Succ(), (ZeroFn(),))
     assert eval_def(d, [0], 10).value == 1
-    formulas = [
-        (x0, "not a formula: Var(index=0)"),
-        (Not(x0), "not a formula: Var(index=0)"),
-        (Eq(zz, Zero()), f"not a term: {zz!r}"),
-        (Lt(Zero(), Add(One(), zz)), f"not a term: {zz!r}"),
-        (Or(zz, x0), "not a formula: Var(index=0)"),
-        (Implies(x0, Lt(zz, Zero())), "not a formula: Var(index=0)"),
-        (Not(5), "not a formula: 5"),
-        (ForAll(0, Implies(Lt(x0, zz), Var(1))), f"not a term: {zz!r}"),
-        (Exists(1, And(Lt(Var(1), x0), One())), "not a formula: One()"),
-        (Exists(1, Var(1)), "not a formula: Var(index=1)"),
-        (d, f"not a formula: {d!r}"),
-        (And(zz, d), f"not a formula: {d!r}"),
-        (Lt(Add(5, Zero()), Zero()), "not a term: 5"),
-        (Not(Lt(Zero(), Mul(x0, 5))), "not a term: 5"),
-        (Eq(Add(One(), "1"), Zero()), "not a term: '1'"),
-        (ForAll(0, Implies(Lt(x0, Add(5, One())), zz)), "not a term: 5"),
-        (Formula(), "not a formula: Formula()"),
-        (Not(Formula()), "not a formula: Formula()"),
+    builds = [
+        (lambda: Not(x0), "not a formula: Var(index=0)"),
+        (lambda: Eq(zz, Zero()), f"not a term: {zz!r}"),
+        (lambda: Add(One(), zz), f"not a term: {zz!r}"),
+        (lambda: Or(zz, x0), "not a formula: Var(index=0)"),
+        (lambda: Implies(x0, Lt(Zero(), Zero())), "not a formula: Var(index=0)"),
+        (lambda: Not(5), "not a formula: 5"),
+        (lambda: Exists(1, One()), "not a formula: One()"),
+        (lambda: And(zz, d), f"not a formula: {d!r}"),
+        (lambda: Add(5, Zero()), "not a term: 5"),
+        (lambda: Mul(x0, 5), "not a term: 5"),
+        (lambda: Add(One(), "1"), "not a term: '1'"),
+        (lambda: Lt(x0, d), f"not a term: {d!r}"),
+        (lambda: Eq(zz, 5), f"not a term: {zz!r}"),  # fields in order
+        (lambda: Formula(), "not a formula: Formula()"),
+        (lambda: Term(), "not a term: Term()"),
     ]
-    terms = [(zz, f"not a term: {zz!r}"), (Add(x0, zz), f"not a term: {zz!r}"),
-             (d, f"not a term: {d!r}"), (Add(One(), "a"), "not a term: 'a'"),
-             (Term(), "not a term: Term()"), (Add(Term(), One()), "not a term: Term()")]
-    calls = [(f, m, call) for f, m in formulas
-             for call in (lambda f: eval_nat(f, {0: 1, 1: 2}, 1), encode_formula)]
-    calls += [(t, m, call) for t, m in terms
+    for build, message in builds:
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value) == message
+    roots = [(node, "formula", call) for node in (x0, Add(One(), One()), d, None, "1")
+             for call in (lambda f: eval_nat(f, {0: 1}, 1), encode_formula)]
+    roots += [(node, "term", call) for node in (zz, d, None, "1")
               for call in (lambda t: eval_term(t, {0: 1}), encode_term)]
-    for node, message, call in calls:
+    for node, kind, call in roots:
         with pytest.raises(TypeError) as info:
             call(node)
-        assert str(info.value) == message, node
+        assert str(info.value) == f"not a {kind}: {node!r}"
     assert eval_nat(Or(zz, Eq(x0, x0)), {0: 1}, 1) is True
 
 
-def test_a_variable_index_that_is_no_int_is_named_in_a_bounded_matrix():
-    # the matrix of a bounded quantifier is scanned for the terms that bound
-    # it when the quantifier compiles; an index such as "a" is named there
-    f = ForAll(0, Implies(Lt(Var(0), One()), Eq(Var("a"), Zero())))
-    with pytest.raises(TypeError, match=r"^not an AST node: 'a'$"):
-        eval_nat(f, {}, 10)
+def test_a_variable_index_is_checked_when_built():
+    # an index such as "a" never reaches a bounded matrix: the Var that
+    # would hold it is refused, as is a quantifier over it
+    for build in (lambda: Var("a"), lambda: ForAll("a", Eq(Zero(), Zero()))):
+        with pytest.raises(ValueError, match=r"^not a natural number: 'a'$"):
+            build()
+
+
+def test_junk_trees_are_refused_when_built():
+    # each is refused where the node at fault is built, with the error of
+    # the field's kind, before a walk or the coder could answer or misname it
+    from peano_forge import Proj, arity, encode_term
+    cases = [
+        (lambda: render(Var(Zero())), ValueError, "not a natural number: Zero()"),
+        (lambda: eval_term(Var(-1), {-1: 4}), ValueError, "not a natural number: -1"),
+        (lambda: encode_term(Var(-1)), ValueError, "not a natural number: -1"),
+        (lambda: free_vars(Eq(Var("a"), Zero())), ValueError, "not a natural number: 'a'"),
+        (lambda: substitute(Eq(Var(0), Zero()), 0, None), TypeError, "not a term: None"),
+        (lambda: arity(Proj("1", 2)), ValueError, "not a natural number: '1'"),
+        (lambda: arity(Proj(True, 1)), ValueError, "not a natural number: True"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
+
+
+def _field_refusal(rule, value):
+    # (error type, message) for value in a field of rule, or None when it fits
+    from peano_forge import IllFormed, PRDef
+    if rule == "index":
+        ok = type(value) is int and value >= 0
+        return None if ok else (ValueError, f"not a natural number: {value!r}")
+    kind, error, text = {"term": (Term, TypeError, "not a term"),
+                         "formula": (Formula, TypeError, "not a formula"),
+                         "def": (PRDef, IllFormed, "not a definition node")}[rule]
+    return None if isinstance(value, kind) else (error, f"{text}: {value!r}")
+
+
+def _formation_rules():
+    # each constructor with the rule of each field, written out here apart
+    # from the classes' own declarations; "defs" is a tuple of definitions
+    from peano_forge import BoundedMu, Comp, Mu, PrimRec, Proj, Succ, ZeroFn
+    binary = {cls: ("term", "term") for cls in (Add, Mul, Eq, Lt)}
+    binary.update({cls: ("formula", "formula") for cls in (And, Or, Implies)})
+    return {Zero: (), One: (), Var: ("index",), Not: ("formula",), ForAll: ("index", "formula"),
+            Exists: ("index", "formula"), **binary, ZeroFn: (), Succ: (),
+            Proj: ("index", "index"), Comp: ("def", "defs"), PrimRec: ("def", "def"),
+            BoundedMu: ("def",), Mu: ("def",)}
+
+
+def _field_values(rule):
+    # a value that fits rule about half the time, and any value otherwise:
+    # nodes of each kind, None, bools, strings, floats and ints of any sign
+    from peano_forge import Comp, Proj, Succ, ZeroFn
+    kinds = {"term": [Zero(), One(), Var(0), Var(7), Add(One(), Var(1))],
+             "formula": [Eq(Zero(), One()), Lt(Var(0), One()), Not(Eq(Var(1), Var(2))),
+                         ForAll(1, Eq(Var(1), Zero()))],
+             "def": [ZeroFn(), Succ(), Proj(1, 2), Comp(Succ(), (ZeroFn(),))]}
+    fits = st.integers(0, 12) if rule == "index" else st.sampled_from(kinds[rule])
+    junk = [None, True, False, "", "x1", "0", 1.0, -0.0, [1], QuantClass("Pi", 1)]
+    anything = st.sampled_from(sum(kinds.values(), junk)) | st.integers(-3, 12)
+    return fits | anything
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_every_constructor_refuses_or_builds_a_well_formed_node(data):
+    # random field values go to every constructor: the build is refused with
+    # the error of the first field (or tuple item) that does not fit its
+    # rule, or it gives a node that holds the values, and a term or formula
+    # that the parser reads back from its text
+    rules = _formation_rules()
+    cls = data.draw(st.sampled_from(sorted(rules, key=lambda c: c.__name__)))
+    values = [data.draw(st.lists(_field_values("def"), max_size=3) if rule == "defs"
+                        else _field_values(rule)) for rule in rules[cls]]
+    refusal = None
+    for rule, value in zip(rules[cls], values):
+        for item in value if rule == "defs" else [value]:
+            refusal = refusal or _field_refusal("def" if rule == "defs" else rule, item)
+    if refusal is not None:
+        with pytest.raises(Exception) as info:
+            cls(*values)
+        assert (type(info.value), str(info.value)) == refusal
+        return
+    x = cls(*values)
+    assert list(x._values()) == [tuple(v) if type(v) is list else v for v in values]
+    if isinstance(x, Formula):
+        assert parse(render(x)) == x
+    elif isinstance(x, Term):
+        assert parse_term(render(x)) == x
 
 
 _RECURSION_DEFECT = "ROADMAP item 3: a compiled form spends one frame per tree level"

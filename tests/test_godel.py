@@ -200,9 +200,13 @@ def test_deep_chains_round_trip():
 
 
 def test_encode_term_rejects_non_terms():
-    for bad in (Eq(Zero(), Zero()), 3, Add(One(), Eq(Zero(), Zero()))):
-        with pytest.raises(TypeError):
+    # a root that is no term is refused by the coder; a term that would hold
+    # a formula is refused when it is built
+    for bad in (Eq(Zero(), Zero()), 3):
+        with pytest.raises(TypeError, match=r"^not a term: "):
             encode_term(bad)
+    with pytest.raises(TypeError, match=r"^not a term: Eq\(left=Zero\(\), right=Zero\(\)\)$"):
+        Add(One(), Eq(Zero(), Zero()))
 
 
 @given(st.lists(st.integers(1, 14), max_size=12))
@@ -234,16 +238,20 @@ def test_reader_matches_the_token_reader_on_every_short_code():
 
 
 def test_none_inside_a_tree_is_named_like_any_non_node():
-    # the writer's end-of-atom marker is no bare None, so a None in a tree is
-    # not taken for one: it is named, as eval_nat names it
-    f = Eq(Var(0), Mul(Var(0), None))
+    # a None never gets into a tree, so the writer never meets one where its
+    # end-of-atom marker could be taken for it: the node that would hold it
+    # is refused, and a None root is named by the call
+    for build, message in ((lambda: Mul(Var(0), None), "not a term: None"),
+                           (lambda: Add(One(), None), "not a term: None"),
+                           (lambda: Not(None), "not a formula: None")):
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value) == message
     for call in (encode_formula, desugar, lambda f: eval_nat(f, {0: 1}, 1)):
-        with pytest.raises(TypeError, match=r"^not a term: None$"):
-            call(f)
+        with pytest.raises(TypeError, match=r"^not a formula: None$"):
+            call(None)
     with pytest.raises(TypeError, match=r"^not a term: None$"):
-        encode_term(Add(One(), None))
-    with pytest.raises(TypeError, match=r"^not a formula: None$"):
-        encode_formula(Not(None))
+        encode_term(None)
 
 
 def test_a_huge_variable_index_is_over_the_code_budget():
@@ -271,33 +279,34 @@ def test_a_huge_variable_index_is_over_the_code_budget():
 
 def test_a_variable_index_past_the_digit_limit_is_named_by_its_size():
     # the interpreter refuses to write an int of more than
-    # sys.get_int_max_str_digits() digits (4300 by default), so a bad index
-    # of more is named by its size; a natural one is coded, or refused as
-    # too large, without being written
+    # sys.get_int_max_str_digits() digits (4300 by default, 640 at least): a
+    # natural index is coded, or refused as too large, without being
+    # written, and a bad index of over 640 digits is named by its size when
+    # its node is built, on any interpreter
     with pytest.raises(BudgetExceeded, match=r"^a code of up to 2\^16611 bits is over "):
         encode_formula(Eq(Var(10 ** 5000), Zero()))
-    if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
-        pytest.skip("this interpreter writes ints of any length")
-    name = r"^unknown symbol 'x-<an int of at least 2\^16609>'$"
-    for f in (Eq(Var(-10 ** 5000), Zero()), Eq(Zero(), Var(-(2 ** 16609))),
-              ForAll(-10 ** 5000, Eq(Zero(), Zero()))):
+    name = r"^not a natural number: -<an int of at least 2\^16609>$"
+    for build in (lambda: Var(-10 ** 5000), lambda: Var(-(2 ** 16609)),
+                  lambda: ForAll(-10 ** 5000, Eq(Zero(), Zero()))):
         with pytest.raises(ValueError, match=name):
-            encode_formula(f)
+            build()
+    with pytest.raises(ValueError, match=r"^not a natural number: -<an int of at least 2\^2126>$"):
+        Var(-10 ** 640)
+    with pytest.raises(ValueError, match=rf"^not a natural number: -{10 ** 640 - 1}$"):
+        Var(1 - 10 ** 640)
 
 
 def test_a_variable_index_is_a_natural_int():
-    # Var("1") spells x1 but is no x1; a bad index is raised once the walk
-    # is done, so a non-node met later is still named first
-    bad = [(Var("1"), "x1"), (Var(-1), "x-1"), (Var(True), "xTrue"), (Var(1.0), "x1.0")]
-    for t, name in bad:
-        with pytest.raises(ValueError, match=f"^unknown symbol '{name}'$"):
-            encode_term(t)
-        with pytest.raises(ValueError, match=f"^unknown symbol '{name}'$"):
-            desugar(Lt(Var(0), Add(t, Var(2))))
-    with pytest.raises(ValueError, match="^unknown symbol 'x2'$"):
-        encode_formula(ForAll("2", Eq(Zero(), Zero())))
-    with pytest.raises(TypeError, match="^not a term: 3$"):
-        encode_formula(Eq(Var("1"), Add(One(), 3)))
+    # Var("1") spells x1 but is no x1: an index that is no natural int is
+    # refused when its node is built, so the coder only meets indices it
+    # can code; the fields of a node are checked in order
+    for index in ("1", -1, True, 1.0, None, Zero()):
+        for build in (lambda: Var(index), lambda: ForAll(index, Eq(Zero(), Zero()))):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == f"not a natural number: {index!r}"
+    with pytest.raises(ValueError, match="^not a natural number: '2'$"):
+        Exists("2", None)
 
 
 @settings(max_examples=300, deadline=None)

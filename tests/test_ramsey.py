@@ -68,6 +68,23 @@ def test_partition_validation():
     assert repr(P) == "Partition(m=4, n=2, r=2)"
 
 
+def test_partition_fields_are_ints():
+    # a colour, m, n or r that is no int is a ShapeMismatch, never a raw
+    # TypeError or a float taken for the int it equals (subsets_colex's
+    # cache holds 3.0 and 3 as one key)
+    for colors, bad in ((["a", 0, 1], "'a'"), ([1.0, 0, 1], "1.0"), ([0, None, 1], "None"),
+                        ([True, 0, 1], "True")):
+        with pytest.raises(ShapeMismatch) as info:
+            Partition(3, 2, 2, colors)
+        assert str(info.value) == f"color {bad} outside 0..1"
+    with pytest.raises(ShapeMismatch, match=r"^color 1\.0 outside 0\.\.1$"):
+        Partition(3, 2, 2, {(0, 1): 0, (0, 2): 1.0, (1, 2): 0})
+    for m, n, r in ((3.0, 2, 2), (3, 2.0, 2), (3, 2, "2"), (3, True, 2)):
+        with pytest.raises(ShapeMismatch) as info:
+            Partition(m, n, r, [0, 0, 0])
+        assert str(info.value) == f"m, n and r must be ints, got {m!r}, {n!r}, {r!r}"
+
+
 def test_partition_is_immutable():
     P = Partition(4, 2, 2, [0, 1, 0, 1, 0, 1])
     with pytest.raises(AttributeError):
@@ -343,6 +360,15 @@ def test_min_witness():
     assert min_witness(4, 2, 2, "ramsey", max_m=8) is None  # R(4,4) = 18
     with pytest.raises(SearchSpaceTooLarge):
         min_witness(4, 2, 2, "ramsey", max_m=10)  # m=9 needs 2^36 colorings
+
+
+def test_min_witness_checks_its_cap_before_any_search():
+    # max_m = 1 leaves no m to search, and the cap is still refused
+    for cap in (-5, 1.5, "100"):
+        for max_m in (1, 10):
+            with pytest.raises(ValueError, match="^the enumeration cap must be a natural number"):
+                min_witness(3, 2, 2, "ramsey", max_m=max_m, cap=cap)
+    assert min_witness(3, 2, 2, "ramsey", max_m=1, cap=None) is None
     with pytest.raises(ValueError):
         min_witness(3, 2, 2, "frobnicate", max_m=5)
     with pytest.raises(ValueError, match="^subset size n must be at least 1$"):
@@ -496,6 +522,21 @@ def test_fast_growing_budget():
     for n, x in ((-1, 3), (1, -5)):
         with pytest.raises(ValueError):
             fast_growing(n, x)
+
+
+def test_fast_growing_takes_natural_ints_only():
+    # a level or argument that is no natural int is refused (1.5 would run
+    # as a level), and a budget field that is no positive int gets the
+    # budget's own ValueError, not the TypeError of a comparison
+    for n, x in ((1.5, 3), (1, 3.0), ("1", 3), (True, 3), (1, None)):
+        with pytest.raises(ValueError) as info:
+            fast_growing(n, x)
+        assert str(info.value) == f"fast_growing is defined on natural numbers, got {n!r}, {x!r}"
+    for bits, iterations in (("a", 3), (3, 1.0), (0, 5), (8, None), (True, 5)):
+        with pytest.raises(ValueError) as info:
+            FastGrowingBudget(bits, iterations)
+        assert str(info.value) == ("budget fields must be positive ints, got "
+                                   f"{bits!r}, {iterations!r}")
 
 
 # --- partition coding ---

@@ -85,7 +85,6 @@ def test_arity_rejects_ill_formed():
         (PrimRec(ZeroFn(), Proj(1, 2)), "recursion step must take 3 arguments, takes 2"),
         (BoundedMu(Proj(1, 1)), "bounded search needs an argument to bound it"),
         (Mu(Mu(Comp(Succ(), (ZeroFn(),)))), "search predicate needs the search variable"),
-        (Comp(Succ(), ("zero",)), "not a definition node: 'zero'"),
         # two defects: the head is checked before the inner-function count,
         # and the count before the inner functions themselves
         (Comp(PrimRec(ZeroFn(), Proj(1, 2)), (Proj(4, 3),)),
@@ -95,6 +94,23 @@ def test_arity_rejects_ill_formed():
     ):
         with pytest.raises(IllFormed, match=re.escape(message)):
             arity(d)
+    # a part that is no definition is refused when its combinator is built,
+    # so arity meets only definitions; a root that is none is refused there
+    for build, message in ((lambda: Comp(Succ(), ("zero",)), "not a definition node: 'zero'"),
+                           (lambda: Comp(None, ()), "not a definition node: None"),
+                           (lambda: PrimRec(ZeroFn(), Zero()), "not a definition node: Zero()"),
+                           (lambda: Mu(Proj), f"not a definition node: {Proj!r}"),
+                           (lambda: BoundedMu(1), "not a definition node: 1"),
+                           (lambda: PRDef(), "not a definition node: PRDef()"),
+                           (lambda: arity("zero"), "not a definition node: 'zero'")):
+        with pytest.raises(IllFormed) as info:
+            build()
+        assert str(info.value) == message
+    for i, n, bad in (("1", 2, "'1'"), (True, 1, "True"), (1, -1, "-1"), (1.0, 1, "1.0"),
+                      (1, None, "None")):
+        with pytest.raises(ValueError) as info:
+            Proj(i, n)
+        assert str(info.value) == f"not a natural number: {bad}"
 
 
 def _doubling_dag(levels):
@@ -306,8 +322,8 @@ def test_memo_cap_keeps_fuel_exact(monkeypatch):
 
 def test_a_kept_form_is_read_only_by_its_compiler():
     # a formula that eval_nat has compiled fails as a definition exactly as
-    # a fresh one does, alone or inside a definition: its kept form belongs
-    # to the formula compiler
+    # a fresh one does, alone or inside a definition: a root is checked
+    # before its kept form is read, and a definition cannot hold a formula
     def outcomes(f):
         out = []
         for call in (lambda: eval_def(f, [], 10), lambda: arity(f),
@@ -341,8 +357,7 @@ def test_evaluated_definitions_still_pickle():
     assert clone == d and eval_def(clone, [3], FUEL) == Value(7)
     # one instance of every node class, compiled and hashed: a pickle or a
     # deep copy rebuilds it from its fields and carries neither cache
-    leaves = [cls() for cls in (Term, Formula, Zero, One, PRDef, ZeroFn, Succ,
-                                Undefined, BudgetExhausted)]
+    leaves = [cls() for cls in (Zero, One, ZeroFn, Succ, Undefined, BudgetExhausted)]
     zz = Eq(Zero(), Zero())
     nodes = leaves + [
         Var(0), Add(Var(0), One()), Mul(Var(1), Zero()), Eq(Var(0), Zero()),
@@ -354,9 +369,10 @@ def test_evaluated_definitions_still_pickle():
         FastGrowingBudget(max_result_bits=8, max_iterations=100),
         Partition(4, 2, 2, [0, 1, 0, 1, 0, 1]),
     ]
-    assert {type(x) for x in nodes} == _node_classes()
+    # a kind (Term, Formula, ...) is never built
+    assert {type(x) for x in nodes} == {c for c in _node_classes() if "_refusal" not in vars(c)}
     for x in nodes:
-        if isinstance(x, PRDef) and type(x) is not PRDef:
+        if isinstance(x, PRDef):
             arity(x)
         outcome = _evaluated(x)
         assert outcome is None or getattr(x, "_code", None) is not None
@@ -373,9 +389,9 @@ def _evaluated(x):
     which compiles it; None for any other node."""
     env = {0: 3, 1: 4, 2: 5}
     try:
-        if isinstance(x, Term) and type(x) is not Term:
+        if isinstance(x, Term):
             return eval_term(x, env)
-        if isinstance(x, Formula) and type(x) is not Formula:
+        if isinstance(x, Formula):
             return eval_nat(x, env, 10)
     except BudgetExceeded as exc:
         return str(exc)
