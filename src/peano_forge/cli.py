@@ -11,7 +11,6 @@ as decimal strings.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -171,6 +170,7 @@ def _cmd_decode(args):
     if args.kind == "seq":
         elements = godel.decode_seq(code)
         if args.json:
+            import json
             doc = {"code": str(code), "elements": elements}
             return 0, json.dumps(doc) + "\n"
         return 0, " ".join(str(x) for x in elements) + "\n"
@@ -213,6 +213,8 @@ def _cmd_arrow(args):
 
 
 def _cmd_check_homog(args):
+    import json
+
     from . import ramsey
     P = ramsey.read_partition(args.file)
     H = tuple(args.elements)

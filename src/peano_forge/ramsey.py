@@ -13,8 +13,15 @@ n-subset of a qualifying set share color c, c is struck from the last one,
 and a branch is abandoned as soon as some uncolored subset has no color
 left, so a completed leaf is a counterexample.  This cuts only branches that
 hold no counterexample, so the enumeration order, and with it the first
-counterexample, is that of the plain search.  The search runs in one
-process; the jobs argument is accepted without effect.
+counterexample, is that of the plain search.  For n other than 2 the
+qualifying sets are listed once into a table of these triggers.  Pairs
+(n = 2) are searched on graphs instead, a bitset of neighbours per color and
+vertex: coloring (a, b) with c strikes c from each pair (y, b), a < y < b,
+whose qualifying set is then c but for (y, b), found as a c-clique below a
+joined to a, y and b.  These are the same exclusions, so the node sequence
+and the first counterexample are those of the table, which is never built
+for pairs.  The search runs in one process; the jobs argument is accepted
+without effect.
 """
 
 from __future__ import annotations
@@ -269,6 +276,118 @@ def _scan(r, triggers, dead, N):
         trial = 0
 
 
+def _joined(cand, j, nb, want):
+    """The vertices of the mask want joined in nb to every vertex of some
+    j-clique of the mask cand."""
+    if not j:
+        return want
+    got = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
+        w = want & nb[v] & ~got
+        if w:  # cand now holds the vertices above v
+            got |= w if j == 1 else _joined(cand & nb[v], j - 1, nb, w)
+            if got == want:
+                break
+    return got
+
+
+def _pair_closers(nb, a, b, k, large):
+    """With nb[v] the mask of the vertices joined to v in color c by the
+    pairs ranked below (a, b), and (a, b) colored c, the vertices y in (a, b)
+    for which every pair but (y, b) of some qualifying set with third-largest
+    element a and largest b is colored c; k >= 3.  Such a set is
+    L + {a, y, b}, with L a clique below a whose vertices are all joined to
+    a, y and b."""
+    # the pairs ranked below (a, b) join a to vertices below b only, and b
+    # to vertices below a only
+    X = nb[a] >> a + 1 << a + 1
+    if not X:
+        return 0
+    T = nb[a] & nb[b]
+    if not large:
+        return _joined(T, k - 3, nb, X)
+    if k <= 3 and a <= 3:  # {a, y, b} qualifies
+        return X
+    # L = {s} + a (t - 1)-clique above s, where |L| = max(k, s) - 3 = t
+    got = 0
+    while T:
+        low = T & -T
+        T ^= low
+        s = low.bit_length() - 1
+        t = max(k, s) - 3
+        w = X & nb[s] & ~got
+        if t and w:
+            got |= w if t == 1 else _joined(T & nb[s], t - 1, nb, w)
+            if got == X:
+                break
+    return got
+
+
+def _scan_pairs(m, k, r, large):
+    """_scan for n = 2, in the same enumeration order, on graphs: nb[c][v] is
+    the mask of the vertices joined to v in color c.  Coloring (a, b) with c
+    excludes c from the pairs (y, b) that _pair_closers names, the contiguous
+    ranks from C(b, 2) on; these are the last ranks of the qualifying sets
+    that _build_triggers files under (a, b).  The bits of a pair are set when
+    it is colored and cleared when the search backtracks over it."""
+    if k == 2:  # the pair {0, 1} qualifies on its own
+        return None
+    pairs = subsets_colex(m, 2)
+    N = len(pairs)
+    colors = [0] * N
+    limits = [0] * N
+    exc_at = [None] * N
+    nb = [[0] * m for _ in range(r)]
+    exc = [0] * r
+    pos = trial = limit = 0
+    a, b = pairs[0]
+    while True:
+        if trial > limit:
+            pos -= 1
+            if pos < 0:
+                return None
+            a, b = pairs[pos]
+            trial = colors[pos]
+            nbc = nb[trial]
+            nbc[a] ^= 1 << b
+            nbc[b] ^= 1 << a
+            trial += 1
+            limit = limits[pos]
+            exc = exc_at[pos]
+            continue
+        excluded = exc[trial]
+        if excluded >> pos & 1:
+            trial += 1
+            continue
+        nbc = nb[trial]
+        new = _pair_closers(nbc, a, b, k, large) << b * (b - 1) // 2 & ~excluded
+        next_exc = exc
+        if new:
+            next_exc = exc.copy()
+            next_exc[trial] = excluded | new
+            for e in next_exc:
+                new &= e
+            if new:  # a newly excluded rank has no color left
+                trial += 1
+                continue
+        colors[pos] = trial
+        limits[pos] = limit
+        exc_at[pos] = exc
+        nbc[a] |= 1 << b
+        nbc[b] |= 1 << a
+        exc = next_exc
+        if trial == limit and limit < r - 1:
+            limit += 1
+        pos += 1
+        if pos == N:
+            return tuple(colors)
+        a, b = pairs[pos]
+        trial = 0
+
+
 def _validate_arrow_params(m, k, r, n):
     if n < 1:
         raise ValueError("subset size n must be at least 1")
@@ -293,7 +412,10 @@ def find_counterexample(m, k, r, n, large=False, jobs=1, cap=DEFAULT_ENUM_CAP):
     required = r ** N
     if cap is not None and required > cap:
         raise SearchSpaceTooLarge(required, cap)
-    colors = _scan(r, *_build_triggers(m, n, k, large), N)
+    if n == 2:
+        colors = _scan_pairs(m, k, r, large)
+    else:
+        colors = _scan(r, *_build_triggers(m, n, k, large), N)
     if colors is None:
         return None
     return Partition(m, n, r, colors)

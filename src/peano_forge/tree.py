@@ -31,7 +31,8 @@ class Node:
     """An immutable record whose fields are the names in the __slots__ of
     its class and its bases that do not start with "_" (those hold caches).
     _kinds gives, field by field, a class the value must be an instance of,
-    (class,) for a tuple of them, or int for a natural int.  A class that
+    (class,) for a tuple of them, built from any iterable and refused as a
+    bad item is when not iterable, or int for a natural int.  A class that
     sets _refusal = (error type, text) is a kind, never built itself.  == and
     hash are structural at any depth and meet each distinct node, or pair of
     nodes, once; a pickle or copy rebuilds the distinct nodes of a node's
@@ -45,13 +46,13 @@ class Node:
         # each class gets _init, which checks each field that has a kind and
         # sets it through its slot descriptor, and _values; _init is its
         # __init__ unless it has one.  A kind's _init refuses the kind itself
-        names, ns = cls._fields, {"_refuse": _refuse}
+        names, ns = cls._fields, {"_refuse": _refuse, "_items": _items}
         checks = "  _refuse(type(self), self)\n" if "_refusal" in vars(cls) else ""
         for n, k in zip(names, cls._kinds):
             v = n
             if type(k) is tuple:  # the check runs on each item c
                 k, v = k[0], "c"
-                checks += f"  {n} = tuple({n})\n  for c in {n}:\n "
+                checks += f"  {n} = _items({n}, K_{n})\n  for c in {n}:\n "
             ns[f"K_{n}"] = k
             checks += (f"  if type({v}) is not int or {v} < 0: _refuse(int, {v})\n" if k is int
                        else f"  if not isinstance({v}, K_{n}): _refuse(K_{n}, {v})\n")
@@ -139,6 +140,18 @@ def _refuse(kind, x):
     big = type(x) is int and abs(x) >= 10 ** 640
     raise ValueError("not a natural number: " + (
         f"{'-' * (x < 0)}<an int of at least 2^{abs(x).bit_length() - 1}>" if big else repr(x)))
+
+
+def _items(v, kind):
+    """The items of v, the value of a tuple field of kind, as a tuple; v is
+    refused as a value of kind when it is not iterable."""
+    try:
+        it = iter(v)
+    except TypeError:
+        pass
+    else:
+        return tuple(it)
+    _refuse(kind, v)
 
 
 def _of_kind(x, kind):

@@ -253,6 +253,56 @@ def test_first_hit_goldens():
         assert "".join(map(str, cex.colors)) == want, (m, k, r, n, large)
 
 
+def test_pair_closers_match_the_trigger_table():
+    # at every rank of seeded random pair colorings, and in every color, the
+    # ranks that the graph search excludes are those the trigger table
+    # excludes for the same monochromatic mask
+    from peano_forge.ramsey import _build_triggers, _pair_closers, subsets_colex
+    rng = random.Random(28)
+    checked = 0
+    for large in (False, True):
+        for k in range(3, 7):
+            for r in (1, 2, 3):
+                for m in (k + 1, 9, 12):
+                    triggers, _ = _build_triggers(m, 2, k, large)
+                    pairs = subsets_colex(m, 2)
+                    for _ in range(2):
+                        nb = [[0] * m for _ in range(r)]
+                        cls = [0] * r
+                        for pos, (a, b) in enumerate(pairs):
+                            for c in range(r):
+                                mono = cls[c] | 1 << pos
+                                want = 0
+                                for prefix, last in triggers[pos]:
+                                    if prefix & mono == prefix:
+                                        want |= last
+                                got = _pair_closers(nb[c], a, b, k, large) << math.comb(b, 2)
+                                assert got == want, (m, k, r, large, pos, c)
+                                checked += 1
+                            c = rng.randrange(r)
+                            cls[c] |= 1 << pos
+                            nb[c][a] |= 1 << b
+                            nb[c][b] |= 1 << a
+    assert checked > 10000
+
+
+def test_pair_search_matches_the_trigger_search():
+    # every instance with m <= 12 but three Ramsey ones that take seconds
+    from peano_forge.ramsey import _build_triggers, _scan, _scan_pairs
+    slow = {(12, 4, 2), (11, 3, 3), (12, 3, 3)}
+    checked = 0
+    for m in range(2, 13):
+        for k in range(2, m + 1):
+            for r in (1, 2, 3):
+                for large in (False, True):
+                    if not large and (m, k, r) in slow:
+                        continue
+                    want = _scan(r, *_build_triggers(m, 2, k, large), math.comb(m, 2))
+                    assert _scan_pairs(m, k, r, large) == want, (m, k, r, large)
+                    checked += 1
+    assert checked > 380
+
+
 def test_one_subset_qualifying_sets_and_one_color():
     # the oracle grid covers these cases only on small m; here m is beyond it
     # k = n makes every n-subset a qualifying set on its own, so no rank can
@@ -270,9 +320,9 @@ def test_one_subset_qualifying_sets_and_one_color():
 
 
 def test_a_one_subset_qualifying_set_ends_the_trigger_build(monkeypatch):
-    # ph_arrow(40, 2, 3, 2) has 63,246,062 minimal qualifying sets, which ran
-    # out of memory when listed in full; the first, {0, 1}, has one 2-subset
-    # and settles the relation, so nothing after it is read
+    # ph_arrow(40, 3, 3, 3) has 63,248,058 minimal qualifying sets, far too
+    # many to list; the first, {0, 1, 2}, has one 3-subset and settles the
+    # relation, so nothing after it is read
     from peano_forge import ramsey
     family = ramsey._qualifying_sets
     read = []
@@ -284,8 +334,16 @@ def test_a_one_subset_qualifying_set_ends_the_trigger_build(monkeypatch):
             yield s
 
     monkeypatch.setattr(ramsey, "_qualifying_sets", spy)
+    assert ph_arrow(40, 3, 3, 3, cap=None) is True
+    assert read == [(0, 1, 2)]
+
+    # pairs are searched on graphs and never list the family: k = 2 holds
+    # at once, as {0, 1} qualifies on its own
+    def unread(*args):
+        raise AssertionError("the pair search read the qualifying sets")
+
+    monkeypatch.setattr(ramsey, "_qualifying_sets", unread)
     assert ph_arrow(40, 2, 3, 2, cap=None) is True
-    assert read == [(0, 1)]
 
 
 def test_import_loads_no_process_pool():
@@ -308,7 +366,8 @@ def test_import_loads_no_process_pool():
 def test_commands_load_no_numpy(tmp_path):
     # numpy is imported only when a bounded range is vectorized, so neither
     # the package import nor these commands pay for it; nor do they load
-    # dataclasses, or a layer that they do not use
+    # dataclasses, json (only decode seq --json and check-homog print it),
+    # or a layer that they do not use
     import os
     import subprocess
     import sys
@@ -335,7 +394,7 @@ def test_commands_load_no_numpy(tmp_path):
         loaded = {m.split(".")[0] for m in modules}
         assert (proc.returncode, proc.stdout) == (0, out), args
         assert "peano_forge" in loaded and "numpy" not in loaded, args
-        assert "dataclasses" not in loaded, args
+        assert not loaded & {"dataclasses", "json"}, args
         assert not modules & {f"peano_forge.{m}" for m in unused}, args
 
 

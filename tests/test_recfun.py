@@ -98,6 +98,10 @@ def test_arity_rejects_ill_formed():
     # so arity meets only definitions; a root that is none is refused there
     for build, message in ((lambda: Comp(Succ(), ("zero",)), "not a definition node: 'zero'"),
                            (lambda: Comp(None, ()), "not a definition node: None"),
+                           # inner functions that are not iterable are refused
+                           # as one bad item, not by tuple()'s TypeError
+                           (lambda: Comp(Succ(), None), "not a definition node: None"),
+                           (lambda: Comp(Succ(), 5), "not a definition node: 5"),
                            (lambda: PrimRec(ZeroFn(), Zero()), "not a definition node: Zero()"),
                            (lambda: Mu(Proj), f"not a definition node: {Proj!r}"),
                            (lambda: BoundedMu(1), "not a definition node: 1"),
