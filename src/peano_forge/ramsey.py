@@ -4,6 +4,11 @@ canonical colorings, the reduction constructions (product, subset criterion,
 arity raising, combining), partition Goedel coding, and the fast-growing
 hierarchy.
 
+Ramsey point colorings (n = 1) are decided by pigeonhole, not by search:
+m -> (k)^1_r holds iff m > r(k - 1), and otherwise the first counterexample
+gives point i the color i // (k - 1), as the depth-first scan fills color 0,
+then 1, and so on without backtracking.
+
 Search strategy: colorings are enumerated depth first as base-r counters
 over the n-subsets in colexicographic order, restricted to canonical
 colorings (colors first appear in increasing order), which preserves the
@@ -13,15 +18,15 @@ n-subset of a qualifying set share color c, c is struck from the last one,
 and a branch is abandoned as soon as some uncolored subset has no color
 left, so a completed leaf is a counterexample.  This cuts only branches that
 hold no counterexample, so the enumeration order, and with it the first
-counterexample, is that of the plain search.  For n other than 2 the
-qualifying sets are listed once into a table of these triggers.  Pairs
-(n = 2) are searched on graphs instead, a bitset of neighbours per color and
-vertex: coloring (a, b) with c strikes c from each pair (y, b), a < y < b,
-whose qualifying set is then c but for (y, b), found as a c-clique below a
-joined to a, y and b.  These are the same exclusions, so the node sequence
-and the first counterexample are those of the table, which is never built
-for pairs.  The search runs in one process; the jobs argument is accepted
-without effect.
+counterexample, is that of the plain search.  For Paris-Harrington point
+colorings and for every n >= 3 the qualifying sets are listed once into a
+table of these triggers.  Pairs (n = 2) are searched on graphs instead, a
+bitset of neighbours per color and vertex: coloring (a, b) with c strikes c
+from each pair (y, b), a < y < b, whose qualifying set is then c but for
+(y, b), found as a c-clique below a joined to a, y and b.  These are the
+same exclusions, so the node sequence and the first counterexample are
+those of the table, which is never built for pairs.  The search runs in one
+process; the jobs argument is accepted without effect.
 """
 
 from __future__ import annotations
@@ -388,7 +393,16 @@ def _scan_pairs(m, k, r, large):
         trial = 0
 
 
+def _need_ints(**named):
+    # before any work: a float or a bool would run the search, or color
+    # points with floats
+    for name, x in named.items():
+        if type(x) is not int:
+            raise ValueError(f"{name} must be an int, got {x!r}")
+
+
 def _validate_arrow_params(m, k, r, n):
+    _need_ints(m=m, k=k, r=r, n=n)
     if n < 1:
         raise ValueError("subset size n must be at least 1")
     if not n <= k <= m:
@@ -412,7 +426,11 @@ def find_counterexample(m, k, r, n, large=False, jobs=1, cap=DEFAULT_ENUM_CAP):
     required = r ** N
     if cap is not None and required > cap:
         raise SearchSpaceTooLarge(required, cap)
-    if n == 2:
+    if n == 1 and not large:  # pigeonhole: r classes of k - 1 points at most
+        if m > r * (k - 1):
+            return None
+        colors = [i // (k - 1) for i in range(m)]
+    elif n == 2:
         colors = _scan_pairs(m, k, r, large)
     else:
         colors = _scan(r, *_build_triggers(m, n, k, large), N)
@@ -422,7 +440,8 @@ def find_counterexample(m, k, r, n, large=False, jobs=1, cap=DEFAULT_ENUM_CAP):
 
 
 def arrow(m, k, r, n, jobs=1, cap=DEFAULT_ENUM_CAP):
-    """The Ramsey relation m -> (k)^n_r, decided by full enumeration."""
+    """The Ramsey relation m -> (k)^n_r, decided by pigeonhole for n = 1 and
+    by full enumeration otherwise."""
     return find_counterexample(m, k, r, n, large=False, cap=cap) is None
 
 
@@ -436,6 +455,7 @@ def min_witness(k, r, n, relation="ramsey", max_m=32, jobs=1, cap=DEFAULT_ENUM_C
     """Least m <= max_m satisfying the chosen relation, else None."""
     if relation not in ("ramsey", "ph"):
         raise ValueError("relation must be 'ramsey' or 'ph'")
+    _need_ints(k=k, r=r, n=n, max_m=max_m)
     _check_cap(cap)  # also where max_m leaves no m to search
     rel = arrow if relation == "ramsey" else ph_arrow
     for m in range(max(k, n), max_m + 1):

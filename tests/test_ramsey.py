@@ -244,6 +244,7 @@ FIRST_HIT_GOLDENS = {
         "010101001100100111100001001110010101001010111011100100",
     (11, 4, 2, 2, False):
         "0000010011010000100011000000100000111100110101111010100",
+    (12, 3, 6, 1, False): "001122334455",
 }
 
 
@@ -301,6 +302,66 @@ def test_pair_search_matches_the_trigger_search():
                     assert _scan_pairs(m, k, r, large) == want, (m, k, r, large)
                     checked += 1
     assert checked > 380
+
+
+def test_point_colorings_match_the_trigger_search():
+    # Ramsey point colorings are decided by pigeonhole; the trigger search is
+    # the reference.  A relation that holds (m > r(k - 1)) over more than
+    # 2^40 colorings takes the scan too long and is skipped
+    from peano_forge.ramsey import _build_triggers, _scan
+    checked = 0
+    for m in range(1, 15):
+        for k in range(1, m + 1):
+            for r in range(1, 7):
+                if m > r * (k - 1) and r ** m > 2 ** 40:
+                    continue
+                want = _scan(r, *_build_triggers(m, 1, k, False), m)
+                cex = find_counterexample(m, k, r, 1, cap=None)
+                assert (None if cex is None else cex.colors) == want, (m, k, r)
+                checked += 1
+    assert checked > 600
+
+
+def test_point_colorings_past_the_reach_of_search():
+    # 30^61 colorings: no search reaches these, pigeonhole does
+    assert arrow(61, 3, 30, 1, cap=None) is True
+    cex = find_counterexample(60, 3, 30, 1, cap=None)
+    assert cex.colors == tuple(i // 2 for i in range(60))
+    assert min_witness(3, 30, 1, max_m=70, cap=None) == 61
+    # the cap still bounds the search space a relation names
+    with pytest.raises(SearchSpaceTooLarge) as ei:
+        arrow(13, 3, 6, 1)
+    assert ei.value.required == 6 ** 13
+
+
+def test_search_arguments_must_be_ints(monkeypatch):
+    # refused by name before any work: a float would reach range() or color
+    # points with floats, and a bool would run the whole search
+    from peano_forge import ramsey
+
+    def unreached(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(ramsey, "_build_triggers", unreached)
+    monkeypatch.setattr(ramsey, "_scan_pairs", unreached)
+    for args, message in (((5.0, 3, 2, 1), "m must be an int, got 5.0"),
+                          ((5, 3.0, 2, 1), "k must be an int, got 3.0"),
+                          ((5, 3, "2", 1), "r must be an int, got '2'"),
+                          ((4, 3, 2, True), "n must be an int, got True"),
+                          ((4, 3, 2, 2.0), "n must be an int, got 2.0"),
+                          ((True, 1, 1, 1), "m must be an int, got True")):
+        for fn in (find_counterexample, arrow, ph_arrow):
+            with pytest.raises(ValueError) as info:
+                fn(*args)
+            assert str(info.value) == message, (fn, args)
+    for args, kw, message in (((3, 2.0, 1), {}, "r must be an int, got 2.0"),
+                              ((3.0, 2, 1), {}, "k must be an int, got 3.0"),
+                              ((3, 2, True), {}, "n must be an int, got True"),
+                              ((3, 2, 1), {"max_m": 10.0}, "max_m must be an int, got 10.0"),
+                              ((3, 2, 1), {"max_m": "9"}, "max_m must be an int, got '9'")):
+        with pytest.raises(ValueError) as info:
+            min_witness(*args, **kw)
+        assert str(info.value) == message, (args, kw)
 
 
 def test_one_subset_qualifying_sets_and_one_color():
