@@ -1,12 +1,11 @@
-"""Domain error types shared across the package, and the helpers with which
-the two text readers, formula.parse and recfun.parse_def, build ParseErrors.
+"""Domain error types shared across the package, the natural-number check,
+and the helpers with which formula.parse and recfun.parse_def build ParseErrors.
 
 The CLI maps every :class:`DomainError` to exit code 1 and reports the
 error's :attr:`name`, so error names here are part of the tool's contract.
 The name is the class name, unless a class sets ``name`` itself, as
 :class:`ParseError` does.  This module imports nothing.
 """
-
 
 class DomainError(Exception):
     """Base class for failures that are part of an operation's contract."""
@@ -89,14 +88,23 @@ class EmptySet(DomainError):
 
 
 class SearchSpaceTooLarge(DomainError):
-    def __init__(self, required, cap):
-        # a space of thousands of digits is reported by its power of two
-        size = required if required < 2 ** 64 else f"at least 2^{required.bit_length() - 1}"
-        super().__init__(
-            f"search needs {size} colorings but the enumeration cap is {cap}"
-        )
-        self.required = required
-        self.cap = cap
+    """The r^N colorings of a search are more than the enumeration cap.
+    required, r^N itself, is built when read: it can have billions of
+    digits, and the message needs its size only."""
+
+    def __init__(self, r, N, cap):
+        # a space of 2^64 or more is named as at least 2^low, with low
+        # exact when r is a power of two or r^N has under 2^17 bits
+        low = N * (r.bit_length() - 1)
+        if low < 1 << 16:  # then r^N < 2^(low + N) <= 2^(2 low) is built
+            low = (r ** N).bit_length() - 1
+        size = r ** N if low < 64 else f"at least 2^{low}"
+        super().__init__(f"search needs {size} colorings but the enumeration cap is {_shown(cap)}")
+        self.r, self.N, self.cap = r, N, cap
+
+    @property
+    def required(self):
+        return self.r ** self.N
 
 
 class ShapeMismatch(DomainError):
@@ -105,6 +113,22 @@ class ShapeMismatch(DomainError):
 
 class InvalidPartitionFile(DomainError):
     pass
+
+
+def _shown(x):
+    """repr(x); an int of over 640 digits, which str may refuse, by its size."""
+    if type(x) is int and abs(x) >= 10 ** 640:
+        return f"{'-' * (x < 0)}<an int of at least 2^{abs(x).bit_length() - 1}>"
+    return repr(x)
+
+
+def _natural(x, name=None):
+    """x, when it is an int >= 0 and no bool; otherwise a ValueError in one
+    of two forms, as the call names its argument or not."""
+    if type(x) is int and x >= 0:
+        return x
+    raise ValueError(f"not a natural number: {_shown(x)}" if name is None
+                     else f"{name} must be a natural number, got {_shown(x)}")
 
 
 # Deepest nesting a reader accepts: each parenthesized formula or term,

@@ -21,9 +21,10 @@ from .errors import (
     _byte_offset,
     _check_nesting,
     _index,
+    _natural,
     _tokenize,
 )
-from .godel import _contiguous_exponents, _naturals, _power_product
+from .godel import _contiguous_exponents, _power_product
 from .tree import Node, _compiled, _folded, _of_kind, _plan, _printer, _subnodes
 
 # ---------------------------------------------------------------------------
@@ -392,7 +393,7 @@ def substitute(f, v, t):
     force travel with the one pass (simultaneous substitution: Stoughton,
     "Substitution revisited", 1988), so no renamed body is walked again.
     """
-    _of_kind(f, Syntax), _of_kind(v, int), _of_kind(t, Term)
+    _of_kind(f, Syntax), _natural(v), _of_kind(t, Term)
     scopes = {}  # id(quantifier) -> _scope of its body, walked when first needed
     # id(entry) -> (variable, body entry) of a quantifier that changes, and
     # (id(node), id(renamings)) -> the _Under entry of node under renamings
@@ -520,8 +521,15 @@ def classify_prenex(f):
 # ---------------------------------------------------------------------------
 
 
+def _check_env(env):
+    # a list would be indexed by variable, and None fail as no mapping
+    if not isinstance(env, dict):
+        raise TypeError(f"env must be a dict, got {type(env).__name__}")
+
+
 def eval_term(t, env):
-    """Value of a term under env (variable index -> natural)."""
+    """Value of a term under env, a dict (variable index -> natural)."""
+    _check_env(env)
     try:
         return _compiled(_of_kind(t, Term), _compile)(env)
     except KeyError as exc:
@@ -540,7 +548,8 @@ def eval_nat(f, env, budget):
     int64 array: the connectives then combine elementwise, and they stop
     early only when their left side is the bool that decides them.
     """
-    _naturals(budget)
+    _check_env(env)
+    _natural(budget, "budget")
     try:
         return _compiled(_of_kind(f, Formula), _compile)(env, budget)
     except KeyError as exc:
@@ -655,7 +664,7 @@ def _compile(x, take):
 def euclid_div(b, a):
     """The unique pair (s, r) with b == a*s + r and r < a, for naturals b and
     a; a must be nonzero."""
-    _naturals(b, a)
+    _natural(b), _natural(a)
     if a == 0:
         raise DivisionByZero("division by zero")
     return divmod(b, a)

@@ -19,14 +19,7 @@ from __future__ import annotations
 from itertools import compress
 from math import isqrt, log2
 
-from .errors import BudgetExceeded, IndexOutOfRange, NotACode, ZeroElement
-
-
-def _naturals(*xs):
-    """ValueError unless each of xs is a natural number, an int >= 0."""
-    for x in xs:
-        if not isinstance(x, int) or x < 0:
-            raise ValueError(f"expected a natural number, got {x!r}")
+from .errors import BudgetExceeded, IndexOutOfRange, NotACode, ZeroElement, _natural, _shown
 
 
 # ---------------------------------------------------------------------------
@@ -38,8 +31,8 @@ _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 def nth_prime(n):
     """The n-th prime, zero-indexed (p_0 = 2)."""
-    if not isinstance(n, int) or n < 0:  # tested inline: decoding calls this per prime
-        _naturals(n)
+    if type(n) is not int or n < 0:  # tested inline: decoding calls this per prime
+        _natural(n)
     while len(_PRIMES) <= n:
         _sieve_next_segment()
     return _PRIMES[n]
@@ -61,7 +54,7 @@ def _sieve_next_segment():
 
 def bounded_mu(g, bound):
     """Least y < bound with g(y) true; bound itself when there is none."""
-    _naturals(bound)
+    _natural(bound, "bound")
     for y in range(bound):
         if g(y):
             return y
@@ -75,14 +68,14 @@ def bounded_mu(g, bound):
 
 def pair(x, y):
     """The pairing bijection (x+y)(x+y+1)/2 + y."""
-    _naturals(x, y)
+    _natural(x), _natural(y)
     s = x + y
     return s * (s + 1) // 2 + y
 
 
 def unpair(z):
     """Inverse of pair, via triangular-number inversion."""
-    _naturals(z)
+    _natural(z)
     w = (isqrt(8 * z + 1) - 1) // 2
     y = z - w * (w + 1) // 2
     return w - y, y
@@ -303,6 +296,8 @@ def _contiguous_exponents(a):
     itself.  a is then divided by the block's prime powers at once; the
     first p that does not divide a ends the block.  Either step is followed
     by the one gap check."""
+    if type(a) is not int:  # an int below 1 is no code, anything else no natural
+        _natural(a)
     if a < 1:
         raise NotACode("codes are positive")
     exps = []
@@ -352,7 +347,7 @@ def _contiguous_exponents(a):
 def encode_seq(xs):
     """Code of a finite list: the empty list is 1, otherwise the product of
     p_i^(xs[i]+1)."""
-    if not all(isinstance(x, int) and x >= 0 for x in xs):
+    if not all(type(x) is int and x >= 0 for x in xs):  # _natural's test, with its own message
         raise ValueError("sequence elements must be naturals")
     return _power_product([x + 1 for x in xs])
 
@@ -385,13 +380,13 @@ def seq_long(a):
 
 def seq_at(a, x):
     """Element x of a sequence code: the exponent of p_x, minus one."""
-    if not isinstance(x, int):
-        raise ValueError(f"expected an integer index, got {x!r}")
+    if type(x) is not int:  # a negative int is out of range, anything else no natural
+        _natural(x)
     exps = _seq_exponents(a)
     if not exps:
-        raise IndexOutOfRange(f"{a} is not a nonempty sequence code")
+        raise IndexOutOfRange(f"{_shown(a)} is not a nonempty sequence code")
     if not 0 <= x < len(exps):
-        raise IndexOutOfRange(f"index {x} out of range for length {len(exps)}")
+        raise IndexOutOfRange(f"index {_shown(x)} out of range for length {len(exps)}")
     return exps[x] - 1
 
 
@@ -405,7 +400,7 @@ def seq_concat(a, b):
     la = seq_long(a)
     exps = _seq_exponents(b)
     if not exps:
-        raise IndexOutOfRange(f"{b} is not a nonempty sequence code")
+        raise IndexOutOfRange(f"{_shown(b)} is not a nonempty sequence code")
     return a * _power_product(exps, la + 1)
 
 
@@ -419,7 +414,7 @@ def encode_set(xs):
     Element 0 would vanish from the code and is rejected."""
     prev = 0
     for i, x in enumerate(xs):
-        if not isinstance(x, int) or x < 0:
+        if type(x) is not int or x < 0:  # _natural's test, with its own message
             raise ValueError("set elements must be naturals")
         if x == 0:
             raise ZeroElement("element 0 cannot be set-coded")

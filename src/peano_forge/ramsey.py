@@ -4,10 +4,12 @@ canonical colorings, the reduction constructions (product, subset criterion,
 arity raising, combining), partition Goedel coding, and the fast-growing
 hierarchy.
 
-Ramsey point colorings (n = 1) are decided by pigeonhole, not by search:
-m -> (k)^1_r holds iff m > r(k - 1), and otherwise the first counterexample
-gives point i the color i // (k - 1), as the depth-first scan fills color 0,
-then 1, and so on without backtracking.
+Two cases are decided without search.  When k = n, a qualifying set has a
+single n-subset, which is homogeneous in any coloring, so the relation holds
+for every m >= n, Ramsey and Paris-Harrington alike.  Ramsey point colorings
+(n = 1) are decided by pigeonhole: m -> (k)^1_r holds iff m > r(k - 1), and
+otherwise the first counterexample gives point i the color i // (k - 1), as
+the depth-first scan fills color 0, then 1, and so on without backtracking.
 
 Search strategy: colorings are enumerated depth first as base-r counters
 over the n-subsets in colexicographic order, restricted to canonical
@@ -43,6 +45,8 @@ from .errors import (
     NotACode,
     SearchSpaceTooLarge,
     ShapeMismatch,
+    _natural,
+    _shown,
 )
 from .tree import Node
 
@@ -151,11 +155,17 @@ def is_relatively_large(H):
 
 def find_homogeneous(P, k, require_large=False):
     """Some homogeneous H with |H| >= k (and relatively large when asked),
-    searching larger sets first; None when there is none."""
-    if k < P.n:
+    searching larger sets first; None when there is none.  BudgetExceeded
+    after DEFAULT_ENUM_CAP candidate sets without an answer."""
+    if _natural(k, "k") < P.n:
         raise BadSubset(f"need k >= n, got k={k}, n={P.n}")
+    tried = 0
     for size in range(P.m, k - 1, -1):
         for H in combinations(range(P.m), size):
+            if tried == DEFAULT_ENUM_CAP:
+                raise BudgetExceeded(f"searched {tried} candidate sets without an answer",
+                                     iterations=tried)
+            tried += 1
             if require_large and size < H[0]:
                 continue
             it = combinations(H, P.n)
@@ -184,7 +194,7 @@ def _qualifying_sets(m, n, k, large):
     order: all k-subsets for plain Ramsey; for the relatively-large variant,
     the sets {a} + rest with |set| = max(k, a), since any qualifying H
     contains one of these.  A generator: the family can be far too large to
-    hold, and a set with one n-subset settles the search on its own."""
+    hold."""
     if not large:
         yield from combinations(range(m), k)
         return
@@ -200,23 +210,19 @@ def _build_triggers(m, n, k, large):
     """Each qualifying set as the mask of its n-subsets' colex ranks, filed
     for forward checking: triggers[q] pairs the mask of every rank but the
     last, for the sets whose second-largest rank is q, with the mask of their
-    last ranks.  Also returns the mask of a rank that is a qualifying set's
-    only n-subset, which no color can take; the first such set ends the
-    build, since the search then has no leaf."""
+    last ranks.  k > n, so every qualifying set has two ranks or more."""
     bit = {s: 1 << i for i, s in enumerate(subsets_colex(m, n))}
     triggers = [{} for _ in bit]
     for cand in _qualifying_sets(m, n, k, large):
         mask = sum(map(bit.__getitem__, combinations(cand, n)))
         last = 1 << mask.bit_length() - 1
         prefix = mask ^ last
-        if not prefix:
-            return [], last
         filed = triggers[prefix.bit_length() - 1]
         filed[prefix] = filed.get(prefix, 0) | last
-    return [tuple(filed.items()) for filed in triggers], 0
+    return [tuple(filed.items()) for filed in triggers]
 
 
-def _scan(r, triggers, dead, N):
+def _scan(r, triggers, N):
     """Depth-first search for the first counterexample coloring in canonical
     enumeration order; None when every coloring is pruned.
 
@@ -227,8 +233,6 @@ def _scan(r, triggers, dead, N):
     and fails at once when some later rank is then excluded in every color.
     Each level keeps the state it started from, and backtracking restores
     that copy."""
-    if dead:
-        return None
     colors = [0] * N
     limits = [0] * N
     cls_at = [None] * N
@@ -337,9 +341,7 @@ def _scan_pairs(m, k, r, large):
     excludes c from the pairs (y, b) that _pair_closers names, the contiguous
     ranks from C(b, 2) on; these are the last ranks of the qualifying sets
     that _build_triggers files under (a, b).  The bits of a pair are set when
-    it is colored and cleared when the search backtracks over it."""
-    if k == 2:  # the pair {0, 1} qualifies on its own
-        return None
+    it is colored and cleared when the search backtracks over it; k >= 3."""
     pairs = subsets_colex(m, 2)
     N = len(pairs)
     colors = [0] * N
@@ -393,27 +395,16 @@ def _scan_pairs(m, k, r, large):
         trial = 0
 
 
-def _need_ints(**named):
+def _validate_arrow_params(m, k, r, n):
     # before any work: a float or a bool would run the search, or color
     # points with floats
-    for name, x in named.items():
-        if type(x) is not int:
-            raise ValueError(f"{name} must be an int, got {x!r}")
-
-
-def _validate_arrow_params(m, k, r, n):
-    _need_ints(m=m, k=k, r=r, n=n)
+    _natural(m, "m"), _natural(k, "k"), _natural(r, "r"), _natural(n, "n")
     if n < 1:
         raise ValueError("subset size n must be at least 1")
     if not n <= k <= m:
-        raise ValueError(f"need n <= k <= m, got n={n}, k={k}, m={m}")
+        raise ValueError(f"need n <= k <= m, got n={_shown(n)}, k={_shown(k)}, m={_shown(m)}")
     if r < 1:
         raise ValueError("need at least one color")
-
-
-def _check_cap(cap):
-    if cap is not None and (not isinstance(cap, int) or cap < 0):
-        raise ValueError(f"the enumeration cap must be a natural number, got {cap!r}")
 
 
 def find_counterexample(m, k, r, n, large=False, jobs=1, cap=DEFAULT_ENUM_CAP):
@@ -421,11 +412,15 @@ def find_counterexample(m, k, r, n, large=False, jobs=1, cap=DEFAULT_ENUM_CAP):
     colors admitting no qualifying homogeneous set, or None when the arrow
     relation holds.  jobs is accepted without effect: the search is serial."""
     _validate_arrow_params(m, k, r, n)
-    _check_cap(cap)
+    if cap is not None:
+        _natural(cap, "the enumeration cap")
     N = math.comb(m, n)
-    required = r ** N
-    if cap is not None and required > cap:
-        raise SearchSpaceTooLarge(required, cap)
+    # r^N >= 2^(N (bit length of r - 1)), over the cap once that power has
+    # more bits than the cap; short of it, r^N has under twice the cap's bits
+    if cap is not None and (N * (r.bit_length() - 1) >= cap.bit_length() or r ** N > cap):
+        raise SearchSpaceTooLarge(r, N, cap)
+    if k == n:  # a qualifying set is one n-subset, homogeneous in any coloring
+        return None
     if n == 1 and not large:  # pigeonhole: r classes of k - 1 points at most
         if m > r * (k - 1):
             return None
@@ -433,7 +428,7 @@ def find_counterexample(m, k, r, n, large=False, jobs=1, cap=DEFAULT_ENUM_CAP):
     elif n == 2:
         colors = _scan_pairs(m, k, r, large)
     else:
-        colors = _scan(r, *_build_triggers(m, n, k, large), N)
+        colors = _scan(r, _build_triggers(m, n, k, large), N)
     if colors is None:
         return None
     return Partition(m, n, r, colors)
@@ -455,8 +450,9 @@ def min_witness(k, r, n, relation="ramsey", max_m=32, jobs=1, cap=DEFAULT_ENUM_C
     """Least m <= max_m satisfying the chosen relation, else None."""
     if relation not in ("ramsey", "ph"):
         raise ValueError("relation must be 'ramsey' or 'ph'")
-    _need_ints(k=k, r=r, n=n, max_m=max_m)
-    _check_cap(cap)  # also where max_m leaves no m to search
+    _natural(k, "k"), _natural(r, "r"), _natural(n, "n"), _natural(max_m, "max_m")
+    if cap is not None:  # also where max_m leaves no m to search
+        _natural(cap, "the enumeration cap")
     rel = arrow if relation == "ramsey" else ph_arrow
     for m in range(max(k, n), max_m + 1):
         if rel(m, k, r, n, cap=cap):
@@ -565,8 +561,7 @@ def fast_growing(n, x, budget=DEFAULT_FAST_BUDGET):
     definition unfolds to, so budgets are machine-independent; exceeding
     either budget raises BudgetExceeded carrying the partial count.
     """
-    if not (type(n) is int and type(x) is int and n >= 0 and x >= 0):
-        raise ValueError(f"fast_growing is defined on natural numbers, got {n!r}, {x!r}")
+    _natural(n), _natural(x)
     steps = 0
     stack = []  # [level, applications left] of each f_level being unfolded
     level, v = n, x  # the pending application f_level(v)
@@ -611,6 +606,7 @@ def encode_partition(P):
 def decode_partition(code, m, n, r):
     """Exact inverse of encode_partition for a matching (m, n, r) header."""
     from .godel import decode_seq, unpair
+    _natural(m, "m"), _natural(n, "n"), _natural(r, "r")
     if n < 1 or n > m or r < 1:
         raise NotACode("impossible header")
     elems = decode_seq(code)

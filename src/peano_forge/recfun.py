@@ -33,7 +33,7 @@ import re
 from collections import namedtuple
 
 from .errors import (ArityMismatch, IllFormed, NotCoprime, ParseError, UnknownName,
-                     _byte_offset, _check_nesting, _index, _tokenize)
+                     _byte_offset, _check_nesting, _index, _natural, _shown, _tokenize)
 from .tree import Node, _compiled, _of_kind
 
 # ---------------------------------------------------------------------------
@@ -132,10 +132,8 @@ def eval_def(d, args, fuel):
     if len(args) != code.arity:
         raise ArityMismatch(f"definition takes {code.arity} arguments, got {len(args)}")
     for x in args:
-        if not isinstance(x, int) or x < 0:
-            raise ValueError(f"arguments must be naturals, got {list(args)}")
-    if not isinstance(fuel, int) or fuel < 0:
-        raise ValueError(f"fuel must be a natural number, got {fuel!r}")
+        _natural(x)
+    _natural(fuel, "fuel")
     call = [fuel, {}]  # fuel left, and the memo of this evaluation
     try:
         return Value(code.run(args, call))
@@ -548,6 +546,7 @@ def stdlib_names():
 
 def bezout_inverse(x, y):
     """The z < y with x*z = 1 (mod y) for coprime x, y >= 1 (0 when y = 1)."""
+    _natural(x), _natural(y)
     if x < 1 or y < 1 or math.gcd(x, y) != 1:
-        raise NotCoprime(f"{x} and {y} are not coprime naturals")
+        raise NotCoprime(f"{_shown(x)} and {_shown(y)} are not coprime naturals")
     return pow(x, -1, y)

@@ -5,7 +5,7 @@ once a public call has checked its root, nothing below it is checked again."""
 
 from functools import wraps
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, _natural, _shown
 
 
 def _printer(text):
@@ -32,11 +32,12 @@ class Node:
     its class and its bases that do not start with "_" (those hold caches).
     _kinds gives, field by field, a class the value must be an instance of,
     (class,) for a tuple of them, built from any iterable and refused as a
-    bad item is when not iterable, or int for a natural int.  A class that
-    sets _refusal = (error type, text) is a kind, never built itself.  == and
-    hash are structural at any depth and meet each distinct node, or pair of
-    nodes, once; a pickle or copy rebuilds the distinct nodes of a node's
-    plan from their fields, one after another."""
+    bad item is when not iterable, or int for a natural number, which
+    errors._natural checks.  A class that sets _refusal = (error type, text)
+    is a kind, never built itself.  == and hash are structural at any depth
+    and meet each distinct node, or pair of nodes, once; a pickle or copy
+    rebuilds the distinct nodes of a node's plan from their fields, one
+    after another."""
 
     __slots__ = ("_hash", "_code")
     _fields = _kinds = ()
@@ -46,7 +47,7 @@ class Node:
         # each class gets _init, which checks each field that has a kind and
         # sets it through its slot descriptor, and _values; _init is its
         # __init__ unless it has one.  A kind's _init refuses the kind itself
-        names, ns = cls._fields, {"_refuse": _refuse, "_items": _items}
+        names, ns = cls._fields, {"_refuse": _refuse, "_items": _items, "_natural": _natural}
         checks = "  _refuse(type(self), self)\n" if "_refusal" in vars(cls) else ""
         for n, k in zip(names, cls._kinds):
             v = n
@@ -54,7 +55,7 @@ class Node:
                 k, v = k[0], "c"
                 checks += f"  {n} = _items({n}, K_{n})\n  for c in {n}:\n "
             ns[f"K_{n}"] = k
-            checks += (f"  if type({v}) is not int or {v} < 0: _refuse(int, {v})\n" if k is int
+            checks += (f"  _natural({v})\n" if k is int
                        else f"  if not isinstance({v}, K_{n}): _refuse(K_{n}, {v})\n")
         exec(f"def make({', '.join('_' + n for n in names)}):\n"
              f" def __init__(self, {', '.join(names)}):\n{checks}"
@@ -132,14 +133,9 @@ class Node:
 
 
 def _refuse(kind, x):
-    # raise the error for x where a value of kind belongs; an int of over
-    # 640 digits, which some int-to-str limit would not print, by its size
-    if kind is not int:
-        error, text = kind._refusal
-        raise error(f"{text}: {x!r}")
-    big = type(x) is int and abs(x) >= 10 ** 640
-    raise ValueError("not a natural number: " + (
-        f"{'-' * (x < 0)}<an int of at least 2^{abs(x).bit_length() - 1}>" if big else repr(x)))
+    # raise the error for x where a value of kind, a class, belongs
+    error, text = kind._refusal
+    raise error(f"{text}: {_shown(x)}")
 
 
 def _items(v, kind):
@@ -155,9 +151,9 @@ def _items(v, kind):
 
 
 def _of_kind(x, kind):
-    """x, the root of a public call, when it is of kind (a class, or int for
-    a natural int); refused otherwise."""
-    if not (type(x) is int and x >= 0 if kind is int else isinstance(x, kind)):
+    """x, the root of a public call, when it is of kind, a class; refused
+    otherwise."""
+    if not isinstance(x, kind):
         _refuse(kind, x)
     return x
 

@@ -1,5 +1,6 @@
-"""Shared builders for the test suite: seeded random AST generators and the
-number-theory formulas used as evaluation subjects."""
+"""Shared builders for the test suite: seeded random AST generators, the
+number-theory formulas used as evaluation subjects, and the values that no
+natural-number argument takes."""
 
 import functools
 
@@ -197,3 +198,13 @@ def recursion_defect(reason):
             raise RecursionError(message)
         return pytest.mark.xfail(strict=True, raises=RecursionError, reason=reason)(run)
     return mark
+
+
+# a bool, a float, a str, None, a negative int, and one of 5000 digits, past
+# the interpreter's default limit on int-to-str conversions
+NOT_NATURALS = (True, 1.5, "1", None, -1, -10 ** 5000)
+
+
+def shown(x):
+    """x as a refusal names it: an int of over 640 digits by its size."""
+    return "-<an int of at least 2^16609>" if x == -10 ** 5000 else repr(x)

@@ -44,6 +44,7 @@ from peano_forge import (
     to_json,
 )
 from helpers import (
+    NOT_NATURALS,
     capturing_formula,
     le_guard,
     messy_formula,
@@ -51,6 +52,7 @@ from helpers import (
     random_formula,
     random_term,
     recursion_defect,
+    shown,
     sieve,
 )
 from oracles import (
@@ -781,10 +783,22 @@ def test_eval_nat_budget_must_be_a_natural():
     # a budget that is no natural is refused before any search, never
     # reported as an inconclusive one
     f = parse("exists x1 (x1 = x0)")
-    for budget in (-1, 1.5, None):
-        with pytest.raises(ValueError, match="^expected a natural number, got "):
+    for budget in NOT_NATURALS:
+        with pytest.raises(ValueError) as info:
             eval_nat(f, {0: 0}, budget)
+        assert str(info.value) == f"budget must be a natural number, got {shown(budget)}"
     assert eval_nat(f, {0: 0}, 0) is True
+
+
+def test_env_must_be_a_dict():
+    # a list was indexed by variable, and None failed inside the evaluator;
+    # the values are not checked, so an int64 array may stand for one
+    for env in ([5], (5,), None, 5):
+        for call in (lambda: eval_term(Var(0), env), lambda: eval_nat(Eq(Var(0), Zero()), env, 3)):
+            with pytest.raises(TypeError) as info:
+                call()
+            assert str(info.value) == f"env must be a dict, got {type(env).__name__}"
+    assert eval_term(Var(0), {0: 5}) == 5
 
 
 def test_eval_nat_unbounded_early_exit():
@@ -1261,7 +1275,12 @@ def test_euclid_rejects_non_naturals():
                       (1.0, 2, "1.0"), (4, "2", "'2'"), (None, 1, "None")):
         with pytest.raises(ValueError) as info:
             euclid_div(b, a)
-        assert str(info.value) == f"expected a natural number, got {bad}"
+        assert str(info.value) == f"not a natural number: {bad}"
+    for bad in NOT_NATURALS:
+        for b, a in ((bad, 2), (5, bad)):
+            with pytest.raises(ValueError) as info:
+                euclid_div(b, a)
+            assert str(info.value) == f"not a natural number: {shown(bad)}"
     with pytest.raises(DivisionByZero, match="^division by zero$"):
         euclid_div(0, 0)
 

@@ -48,7 +48,7 @@ from peano_forge import (
 )
 from peano_forge import formula, godel
 from peano_forge.formula import SYMBOL_CODES
-from helpers import random_formula, sieve
+from helpers import NOT_NATURALS, random_formula, shown, sieve
 from oracles import (
     desugared,
     factorial_mu_prime_chain,
@@ -540,7 +540,8 @@ def test_encode_seq_values():
 def test_encode_seq_rejects_non_naturals_before_computing():
     # each element is checked before x + 1 is formed, so a str or a None is
     # named like a float or a negative, not by the operator it would break
-    for xs in (["a"], [None], [0.5], [-1], [2, "3"], [1, None, 2], [[1]]):
+    for xs in (["a"], [None], [0.5], [-1], [2, "3"], [1, None, 2], [[1]], [True],
+               [-10 ** 5000]):
         with pytest.raises(ValueError, match="^sequence elements must be naturals$"):
             encode_seq(xs)
 
@@ -621,7 +622,7 @@ def test_encode_set_values():
 
 def test_encode_set_rejects_negative_elements():
     # a negative element would be a negative exponent, and the code a float
-    for xs in ([-1], [-1, 2], [-2, 3], [2, -1]):
+    for xs in ([-1], [-1, 2], [-2, 3], [2, -1], [True], [1, -10 ** 5000]):
         with pytest.raises(ValueError, match="^set elements must be naturals$"):
             encode_set(xs)
     with pytest.raises(ZeroElement):
@@ -641,6 +642,67 @@ def test_bad_arguments_raise_rather_than_answer():
         with pytest.raises(ValueError):
             call()
     assert bounded_mu(lambda y: False, 0) == 0
+
+
+def test_every_entry_point_refuses_what_is_no_natural():
+    # one rule for every public call: a bool, float, str, None or negative
+    # int is refused with a ValueError, "not a natural number: x" or "name
+    # must be a natural number, got x", and an int of 5000 digits is named
+    # by its size, never by the interpreter's int-to-str limit.  A code, or
+    # a sequence index, may be any int: one below 1, or below 0, meets the
+    # call's own failure.  euclid_div, eval_nat, eval_def, fast_growing and
+    # the arrow relations have tests of their own
+    from peano_forge import (NotCoprime, Partition, Proj, bezout_inverse, decode_partition,
+                             encode_partition, find_homogeneous, substitute)
+    P = Partition.from_function(4, 1, 2, lambda s: s[0] % 2)
+    f = Eq(Var(0), Zero())
+    calls = [  # (call, the argument's name, the outcome for a negative int)
+        (nth_prime, None, ValueError),
+        (lambda x: bounded_mu(lambda y: True, x), "bound", ValueError),
+        (lambda x: pair(x, 1), None, ValueError),
+        (lambda x: pair(1, x), None, ValueError),
+        (unpair, None, ValueError),
+        (Var, None, ValueError),
+        (lambda x: ForAll(x, f), None, ValueError),
+        (lambda x: Exists(x, f), None, ValueError),
+        (lambda x: substitute(f, x, One()), None, ValueError),
+        (lambda x: Proj(x, 2), None, ValueError),
+        (lambda x: Proj(1, x), None, ValueError),
+        (lambda x: bezout_inverse(x, 3), None, ValueError),
+        (lambda x: bezout_inverse(3, x), None, ValueError),
+        (lambda x: find_homogeneous(P, x), "k", ValueError),
+        (lambda x: decode_partition(encode_partition(P), x, 1, 2), "m", ValueError),
+        (lambda x: decode_partition(encode_partition(P), 4, x, 2), "n", ValueError),
+        (lambda x: decode_partition(encode_partition(P), 4, 1, x), "r", ValueError),
+        (decode_seq, None, NotACode),
+        (decode_set, None, NotACode),
+        (decode_formula, None, NotACode),
+        (lambda x: decode_partition(x, 4, 1, 2), None, NotACode),
+        (lambda x: seq_at(x, 0), None, IndexOutOfRange),
+        (lambda x: seq_at(144, x), None, IndexOutOfRange),
+        (is_seq_code, None, False),
+        (seq_long, None, 0),
+    ]
+    for call, name, negative in calls:
+        for bad in NOT_NATURALS:
+            if type(bad) is int and negative is not ValueError:
+                if type(negative) is type:
+                    with pytest.raises(negative) as info:
+                        call(bad)
+                    assert "Exceeds the limit" not in str(info.value)
+                else:
+                    assert call(bad) == negative
+                continue
+            with pytest.raises(ValueError) as info:
+                call(bad)
+            assert type(info.value) is ValueError and str(info.value) == (
+                f"not a natural number: {shown(bad)}" if name is None
+                else f"{name} must be a natural number, got {shown(bad)}"), (call, bad)
+    # 0 is a natural: each of these refuses it with its own failure
+    for call, error in ((lambda: bezout_inverse(0, 3), NotCoprime), (lambda: decode_seq(0), NotACode),
+                        (lambda: decode_partition(encode_partition(P), 0, 1, 2), NotACode)):
+        with pytest.raises(error):
+            call()
 
 
 def test_codes_over_the_size_budget_are_refused(monkeypatch):

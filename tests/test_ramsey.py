@@ -33,6 +33,7 @@ from peano_forge import (
     product_partition,
     raise_arity,
 )
+from helpers import NOT_NATURALS, shown
 from oracles import naive_arrow, naive_first_canonical, naive_min_witness
 
 CYCLE5 = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
@@ -147,6 +148,25 @@ def test_find_homogeneous():
     assert find_homogeneous(P, 2) == HomogReport((5, 6, 7), 4, 3, False)
     assert find_homogeneous(P, 2, require_large=True) == HomogReport((1, 2), 1, 2, True)
     assert find_homogeneous(P, 3, require_large=True) is None
+
+
+def test_find_homogeneous_stops_after_the_enumeration_cap(monkeypatch):
+    # the 60-point, 30-color counterexample has no homogeneous triple among
+    # its 2^60 candidate sets, which ran past 10 minutes; the search stops
+    # after DEFAULT_ENUM_CAP candidates and names the count
+    from peano_forge import ramsey
+    cex = find_counterexample(60, 3, 30, 1, cap=None)
+    monkeypatch.setattr(ramsey, "DEFAULT_ENUM_CAP", 1000)
+    with pytest.raises(BudgetExceeded,
+                       match="^searched 1000 candidate sets without an answer$") as info:
+        find_homogeneous(cex, 3)
+    assert info.value.iterations == 1000
+    # the pentagon's 16 candidates of 3 to 5 points answer within a cap of 16
+    monkeypatch.setattr(ramsey, "DEFAULT_ENUM_CAP", 16)
+    assert find_homogeneous(pentagon(), 3) is None
+    monkeypatch.setattr(ramsey, "DEFAULT_ENUM_CAP", 15)
+    with pytest.raises(BudgetExceeded, match="^searched 15 candidate sets"):
+        find_homogeneous(pentagon(), 3)
 
 
 # --- the arrow relations against the dumb oracle ---
@@ -265,7 +285,7 @@ def test_pair_closers_match_the_trigger_table():
         for k in range(3, 7):
             for r in (1, 2, 3):
                 for m in (k + 1, 9, 12):
-                    triggers, _ = _build_triggers(m, 2, k, large)
+                    triggers = _build_triggers(m, 2, k, large)
                     pairs = subsets_colex(m, 2)
                     for _ in range(2):
                         nb = [[0] * m for _ in range(r)]
@@ -288,7 +308,8 @@ def test_pair_closers_match_the_trigger_table():
 
 
 def test_pair_search_matches_the_trigger_search():
-    # every instance with m <= 12 but three Ramsey ones that take seconds
+    # every instance with m <= 12 but three Ramsey ones that take seconds;
+    # k = 2 holds before either search runs
     from peano_forge.ramsey import _build_triggers, _scan, _scan_pairs
     slow = {(12, 4, 2), (11, 3, 3), (12, 3, 3)}
     checked = 0
@@ -298,8 +319,11 @@ def test_pair_search_matches_the_trigger_search():
                 for large in (False, True):
                     if not large and (m, k, r) in slow:
                         continue
-                    want = _scan(r, *_build_triggers(m, 2, k, large), math.comb(m, 2))
-                    assert _scan_pairs(m, k, r, large) == want, (m, k, r, large)
+                    if k == 2:
+                        assert find_counterexample(m, k, r, 2, large, cap=None) is None
+                    else:
+                        want = _scan(r, _build_triggers(m, 2, k, large), math.comb(m, 2))
+                        assert _scan_pairs(m, k, r, large) == want, (m, k, r, large)
                     checked += 1
     assert checked > 380
 
@@ -307,7 +331,8 @@ def test_pair_search_matches_the_trigger_search():
 def test_point_colorings_match_the_trigger_search():
     # Ramsey point colorings are decided by pigeonhole; the trigger search is
     # the reference.  A relation that holds (m > r(k - 1)) over more than
-    # 2^40 colorings takes the scan too long and is skipped
+    # 2^40 colorings takes the scan too long and is skipped; k = 1 holds
+    # before either runs
     from peano_forge.ramsey import _build_triggers, _scan
     checked = 0
     for m in range(1, 15):
@@ -315,7 +340,7 @@ def test_point_colorings_match_the_trigger_search():
             for r in range(1, 7):
                 if m > r * (k - 1) and r ** m > 2 ** 40:
                     continue
-                want = _scan(r, *_build_triggers(m, 1, k, False), m)
+                want = None if k == 1 else _scan(r, _build_triggers(m, 1, k, False), m)
                 cex = find_counterexample(m, k, r, 1, cap=None)
                 assert (None if cex is None else cex.colors) == want, (m, k, r)
                 checked += 1
@@ -336,7 +361,8 @@ def test_point_colorings_past_the_reach_of_search():
 
 def test_search_arguments_must_be_ints(monkeypatch):
     # refused by name before any work: a float would reach range() or color
-    # points with floats, and a bool would run the whole search
+    # points with floats, a bool would run the whole search, and an int of
+    # 5000 digits is named by its size
     from peano_forge import ramsey
 
     def unreached(*args):
@@ -344,24 +370,26 @@ def test_search_arguments_must_be_ints(monkeypatch):
 
     monkeypatch.setattr(ramsey, "_build_triggers", unreached)
     monkeypatch.setattr(ramsey, "_scan_pairs", unreached)
-    for args, message in (((5.0, 3, 2, 1), "m must be an int, got 5.0"),
-                          ((5, 3.0, 2, 1), "k must be an int, got 3.0"),
-                          ((5, 3, "2", 1), "r must be an int, got '2'"),
-                          ((4, 3, 2, True), "n must be an int, got True"),
-                          ((4, 3, 2, 2.0), "n must be an int, got 2.0"),
-                          ((True, 1, 1, 1), "m must be an int, got True")):
-        for fn in (find_counterexample, arrow, ph_arrow):
+    good = {"m": 5, "k": 3, "r": 2, "n": 2}
+    for name in good:
+        for bad in NOT_NATURALS:
+            args = {**good, name: bad}
+            for fn in (find_counterexample, arrow, ph_arrow):
+                with pytest.raises(ValueError) as info:
+                    fn(**args)
+                assert str(info.value) == f"{name} must be a natural number, got {shown(bad)}"
+    good = {"k": 3, "r": 2, "n": 1, "max_m": 10}
+    for name in good:
+        for bad in NOT_NATURALS:
             with pytest.raises(ValueError) as info:
-                fn(*args)
-            assert str(info.value) == message, (fn, args)
-    for args, kw, message in (((3, 2.0, 1), {}, "r must be an int, got 2.0"),
-                              ((3.0, 2, 1), {}, "k must be an int, got 3.0"),
-                              ((3, 2, True), {}, "n must be an int, got True"),
-                              ((3, 2, 1), {"max_m": 10.0}, "max_m must be an int, got 10.0"),
-                              ((3, 2, 1), {"max_m": "9"}, "max_m must be an int, got '9'")):
+                min_witness(**{**good, name: bad})
+            assert str(info.value) == f"{name} must be a natural number, got {shown(bad)}"
+    for cap in NOT_NATURALS:
+        if cap is None:  # no cap
+            continue
         with pytest.raises(ValueError) as info:
-            min_witness(*args, **kw)
-        assert str(info.value) == message, (args, kw)
+            arrow(6, 3, 2, 2, cap=cap)
+        assert str(info.value) == f"the enumeration cap must be a natural number, got {shown(cap)}"
 
 
 def test_one_subset_qualifying_sets_and_one_color():
@@ -382,28 +410,15 @@ def test_one_subset_qualifying_sets_and_one_color():
 
 def test_a_one_subset_qualifying_set_ends_the_trigger_build(monkeypatch):
     # ph_arrow(40, 3, 3, 3) has 63,248,058 minimal qualifying sets, far too
-    # many to list; the first, {0, 1, 2}, has one 3-subset and settles the
-    # relation, so nothing after it is read
+    # many to list; with k = n the first, {0, 1, 2}, is one 3-subset and
+    # settles the relation, so the family is never read, nor for k = n = 2
     from peano_forge import ramsey
-    family = ramsey._qualifying_sets
-    read = []
 
-    def spy(*args):
-        for s in family(*args):
-            read.append(s)
-            assert len(read) < 1000
-            yield s
-
-    monkeypatch.setattr(ramsey, "_qualifying_sets", spy)
-    assert ph_arrow(40, 3, 3, 3, cap=None) is True
-    assert read == [(0, 1, 2)]
-
-    # pairs are searched on graphs and never list the family: k = 2 holds
-    # at once, as {0, 1} qualifies on its own
     def unread(*args):
-        raise AssertionError("the pair search read the qualifying sets")
+        raise AssertionError("the qualifying sets were read")
 
     monkeypatch.setattr(ramsey, "_qualifying_sets", unread)
+    assert ph_arrow(40, 3, 3, 3, cap=None) is True
     assert ph_arrow(40, 2, 3, 2, cap=None) is True
 
 
@@ -648,10 +663,11 @@ def test_fast_growing_takes_natural_ints_only():
     # a level or argument that is no natural int is refused (1.5 would run
     # as a level), and a budget field that is no positive int gets the
     # budget's own ValueError, not the TypeError of a comparison
-    for n, x in ((1.5, 3), (1, 3.0), ("1", 3), (True, 3), (1, None)):
-        with pytest.raises(ValueError) as info:
-            fast_growing(n, x)
-        assert str(info.value) == f"fast_growing is defined on natural numbers, got {n!r}, {x!r}"
+    for bad in NOT_NATURALS:
+        for n, x in ((bad, 3), (1, bad)):
+            with pytest.raises(ValueError) as info:
+                fast_growing(n, x)
+            assert str(info.value) == f"not a natural number: {shown(bad)}"
     for bits, iterations in (("a", 3), (3, 1.0), (0, 5), (8, None), (True, 5)):
         with pytest.raises(ValueError) as info:
             FastGrowingBudget(bits, iterations)

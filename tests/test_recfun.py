@@ -57,7 +57,7 @@ from peano_forge import (
     stdlib_names,
 )
 from peano_forge.formula import Node, numeral
-from helpers import random_prdef, random_valid_prdef, recursion_defect, sieve
+from helpers import NOT_NATURALS, random_prdef, random_valid_prdef, recursion_defect, shown, sieve
 from oracles import pr_fuel_eval, reference_parse_def
 
 ADD = PrimRec(Proj(1, 1), Comp(Succ(), (Proj(3, 3),)))
@@ -200,12 +200,14 @@ def test_eval_arity_mismatch():
 
 
 def test_eval_rejects_non_naturals():
-    for args in ([2, -1], [-3, 0], [1.0, 2]):
-        with pytest.raises(ValueError):
-            eval_def(ADD, args, FUEL)
-    for fuel in (-1, 1.5, None):
-        with pytest.raises(ValueError, match="^fuel must be a natural number, got "):
-            eval_def(ADD, [2, 3], fuel)
+    for bad in NOT_NATURALS:
+        for args in ([2, bad], [bad, 0]):
+            with pytest.raises(ValueError) as info:
+                eval_def(ADD, args, FUEL)
+            assert str(info.value) == f"not a natural number: {shown(bad)}"
+        with pytest.raises(ValueError) as info:
+            eval_def(ADD, [2, 3], bad)
+        assert str(info.value) == f"fuel must be a natural number, got {shown(bad)}"
 
 
 def test_mu_total_when_zero_exists():
