@@ -392,16 +392,17 @@ def seq_at(a, x):
 
 def seq_concat(a, b):
     """Concatenation code a*b = a times prod p_(Long(a)+x+1)^((b)_x+1); the
-    empty code 1 is an identity on both sides so * stays total."""
-    if a == 1:
-        return b
+    empty code 1 is an identity on both sides.  Any other b must be a
+    nonempty sequence code, even when a = 1."""
+    _natural(a), _natural(b)
     if b == 1:
         return a
-    la = seq_long(a)
     exps = _seq_exponents(b)
     if not exps:
         raise IndexOutOfRange(f"{_shown(b)} is not a nonempty sequence code")
-    return a * _power_product(exps, la + 1)
+    if a == 1:
+        return b
+    return a * _power_product(exps, seq_long(a) + 1)
 
 
 # ---------------------------------------------------------------------------

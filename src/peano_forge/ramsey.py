@@ -27,8 +27,22 @@ bitset of neighbours per color and vertex: coloring (a, b) with c strikes c
 from each pair (y, b), a < y < b, whose qualifying set is then c but for
 (y, b), found as a c-clique below a joined to a, y and b.  These are the
 same exclusions, so the node sequence and the first counterexample are
-those of the table, which is never built for pairs.  The search runs in one
-process; the jobs argument is accepted without effect.
+those of the table, which is never built for pairs.
+
+Both searches also break vertex symmetry by the lex-leader rule (Crawford,
+Ginsberg, Luks & Roy, 1996) on adjacent swaps, the cheap form Codish, Miller,
+Prosser & Stuckey (2019) use for Ramsey graphs.  Let x be the first
+counterexample and p a permutation of the vertices that maps qualifying sets
+to qualifying sets: any one for Ramsey, and for Paris-Harrington any one
+that moves only vertices of {0..k}, since a set with min H <= k qualifies
+iff |H| >= k.  Then p(x) is a counterexample too, and recoloring it
+canonically lowers it at most, so x <= p(x).  The swap of t and t + 1
+exchanges the colors of each subset holding t + 1 but not t and its
+partner, the same subset with t in place of t + 1, which ranks lower.  So
+while the couples of a swap met so far agree, a subset it moves takes no
+color below its partner's.  This cuts only colorings above one of their
+images, never the first counterexample.  The search runs in one process;
+the jobs argument is accepted without effect.
 """
 
 from __future__ import annotations
@@ -222,7 +236,20 @@ def _build_triggers(m, n, k, large):
     return [tuple(filed.items()) for filed in triggers]
 
 
-def _scan(r, triggers, N):
+def _couples(m, n, k, large):
+    """The vertex swaps of the lex-leader cut, filed by rank: for each
+    n-subset S, one (1 << t, partner rank) per swap t <-> t + 1 that moves S,
+    that is, per element t + 1 of S with t not in S; the partner is S with
+    t + 1 replaced by t, ranked C(t, i) lower for t + 1 the i-th element.
+    Every swap keeps the Ramsey qualifying sets; a Paris-Harrington one
+    keeps them only inside {0..k}, where min H <= k bounds |H| by k."""
+    top = k if large else m - 1
+    return [tuple((1 << e - 1, pos - math.comb(e - 1, i)) for i, e in enumerate(S)
+                  if 0 < e <= top and (i == 0 or S[i - 1] != e - 1))
+            for pos, S in enumerate(subsets_colex(m, n))]
+
+
+def _scan(r, triggers, couples):
     """Depth-first search for the first counterexample coloring in canonical
     enumeration order; None when every coloring is pruned.
 
@@ -231,14 +258,19 @@ def _scan(r, triggers, N):
     monochromatic qualifying set.  Coloring rank pos with c adds to exc[c]
     the last ranks of the sets filed under pos whose other ranks are all c,
     and fails at once when some later rank is then excluded in every color.
-    Each level keeps the state it started from, and backtracking restores
-    that copy."""
+    The mask eq holds the swaps of couples under which the colors so far are
+    unchanged: a rank that such a swap moves takes no color below its
+    partner's, and a larger one unties the swap.  Each level keeps the state
+    it started from, and backtracking restores that copy."""
+    N = len(triggers)
     colors = [0] * N
     limits = [0] * N
     cls_at = [None] * N
     exc_at = [None] * N
+    eq_at = [0] * N
     cls = [0] * r
     exc = [0] * r
+    eq = -1  # every swap tied
     pos = trial = limit = 0
     while True:
         if trial > limit:
@@ -249,6 +281,7 @@ def _scan(r, triggers, N):
             limit = limits[pos]
             cls = cls_at[pos]
             exc = exc_at[pos]
+            eq = eq_at[pos]
             continue
         excluded = exc[trial]
         if excluded >> pos & 1:
@@ -273,6 +306,10 @@ def _scan(r, triggers, N):
         limits[pos] = limit
         cls_at[pos] = cls
         exc_at[pos] = exc
+        eq_at[pos] = eq
+        for bit, partner in couples[pos]:
+            if eq & bit and trial > colors[partner]:
+                eq ^= bit
         cls = cls.copy()
         cls[trial] = mono
         exc = next_exc
@@ -282,7 +319,10 @@ def _scan(r, triggers, N):
         pos += 1
         if pos == N:
             return tuple(colors)
-        trial = 0
+        trial = 0  # lex-leader: no color below a tied partner's
+        for bit, partner in couples[pos]:
+            if eq & bit and colors[partner] > trial:
+                trial = colors[partner]
 
 
 def _joined(cand, j, nb, want):
@@ -341,14 +381,19 @@ def _scan_pairs(m, k, r, large):
     excludes c from the pairs (y, b) that _pair_closers names, the contiguous
     ranks from C(b, 2) on; these are the last ranks of the qualifying sets
     that _build_triggers files under (a, b).  The bits of a pair are set when
-    it is colored and cleared when the search backtracks over it; k >= 3."""
+    it is colored and cleared when the search backtracks over it; k >= 3.
+    The couples of (a, b) are worked out in place: swap b - 1 moves it when
+    a < b - 1, partner (a, b - 1) at rank pos - (b - 1), and swap a - 1 when
+    a >= 1, partner (a - 1, b) at rank pos - 1."""
     pairs = subsets_colex(m, 2)
     N = len(pairs)
     colors = [0] * N
     limits = [0] * N
     exc_at = [None] * N
+    eq_at = [0] * N
     nb = [[0] * m for _ in range(r)]
     exc = [0] * r
+    eq = (1 << (k if large else m - 1)) - 1  # the swaps of _couples, all tied
     pos = trial = limit = 0
     a, b = pairs[0]
     while True:
@@ -364,6 +409,7 @@ def _scan_pairs(m, k, r, large):
             trial += 1
             limit = limits[pos]
             exc = exc_at[pos]
+            eq = eq_at[pos]
             continue
         excluded = exc[trial]
         if excluded >> pos & 1:
@@ -383,6 +429,12 @@ def _scan_pairs(m, k, r, large):
         colors[pos] = trial
         limits[pos] = limit
         exc_at[pos] = exc
+        eq_at[pos] = eq
+        if eq:
+            if a < b - 1 and eq >> b - 1 & 1 and trial > colors[pos - b + 1]:
+                eq ^= 1 << b - 1
+            if a and eq >> a - 1 & 1 and trial > colors[pos - 1]:
+                eq ^= 1 << a - 1
         nbc[a] |= 1 << b
         nbc[b] |= 1 << a
         exc = next_exc
@@ -393,6 +445,11 @@ def _scan_pairs(m, k, r, large):
             return tuple(colors)
         a, b = pairs[pos]
         trial = 0
+        if eq:  # lex-leader: no color below a tied partner's
+            if a < b - 1 and eq >> b - 1 & 1:
+                trial = colors[pos - b + 1]
+            if a and eq >> a - 1 & 1 and colors[pos - 1] > trial:
+                trial = colors[pos - 1]
 
 
 def _validate_arrow_params(m, k, r, n):
@@ -428,7 +485,7 @@ def find_counterexample(m, k, r, n, large=False, jobs=1, cap=DEFAULT_ENUM_CAP):
     elif n == 2:
         colors = _scan_pairs(m, k, r, large)
     else:
-        colors = _scan(r, _build_triggers(m, n, k, large), N)
+        colors = _scan(r, _build_triggers(m, n, k, large), _couples(m, n, k, large))
     if colors is None:
         return None
     return Partition(m, n, r, colors)

@@ -576,8 +576,9 @@ def test_seq_concat():
     assert seq_concat(10, 144) == 10 * 3 ** 4 * 5 ** 2
     assert seq_concat(0, 144) == 0
     for not_seq in (10, 0):
-        with pytest.raises(IndexOutOfRange, match=f"^{not_seq} is not a nonempty"):
-            seq_concat(144, not_seq)
+        for a in (144, 1):  # the empty code on the left is no shortcut
+            with pytest.raises(IndexOutOfRange, match=f"^{not_seq} is not a nonempty"):
+                seq_concat(a, not_seq)
     rng = random.Random(5)
     for _ in range(200):
         xs = [rng.randrange(20) for _ in range(rng.randrange(5))]
@@ -585,6 +586,16 @@ def test_seq_concat():
         code = seq_concat(encode_seq(xs), encode_seq(ys))
         assert code == encode_seq(xs + ys)
         assert decode_seq(code) == xs + ys
+
+
+def test_seq_concat_takes_natural_ints_only():
+    # checked before the empty code 1 is taken for an identity, which once
+    # returned the other argument as it was
+    assert seq_concat(1, 1) == 1
+    assert seq_concat(10, 1) == 10
+    for a, b in ((1, 2.5), (True, 5), (1, -3), (2.5, 1), (144, True), (-3, 144)):
+        with pytest.raises(ValueError, match="^not a natural number: "):
+            seq_concat(a, b)
 
 
 def test_seq_concat_associative_at_list_level():

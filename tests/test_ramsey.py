@@ -265,6 +265,13 @@ FIRST_HIT_GOLDENS = {
     (11, 4, 2, 2, False):
         "0000010011010000100011000000100000111100110101111010100",
     (12, 3, 6, 1, False): "001122334455",
+    # both from the search without the vertex symmetry cut: the Ramsey one
+    # is deep in the order (1.3 million nodes there), and the PH one would
+    # change if the cut swapped vertices above k, which PH does not allow
+    (12, 4, 2, 2, False):
+        "000001001101000010001100000110000101110000110110011001011110100100",
+    (12, 4, 3, 2, True):
+        "000001001100112001122001211100121112002111111002111111200222111111",
 }
 
 
@@ -272,6 +279,17 @@ def test_first_hit_goldens():
     for (m, k, r, n, large), want in FIRST_HIT_GOLDENS.items():
         cex = find_counterexample(m, k, r, n, large=large, cap=None)
         assert "".join(map(str, cex.colors)) == want, (m, k, r, n, large)
+
+
+def test_three_color_triangle_free_pairs_on_twelve_points():
+    # R(3, 3, 3) = 17, so a counterexample exists; the search without the
+    # vertex symmetry cut does not reach it in 20 s, so these colors are
+    # those of the search with the cut, checked for validity but with no
+    # older reference to compare against
+    cex = find_counterexample(12, 3, 3, 2, cap=None)
+    assert find_homogeneous(cex, 3) is None
+    assert "".join(map(str, cex.colors)) == (
+        "001012021110000100012121102020010122200202111212022100022201120001")
 
 
 def test_pair_closers_match_the_trigger_table():
@@ -308,39 +326,55 @@ def test_pair_closers_match_the_trigger_table():
 
 
 def test_pair_search_matches_the_trigger_search():
-    # every instance with m <= 12 but three Ramsey ones that take seconds;
-    # k = 2 holds before either search runs
-    from peano_forge.ramsey import _build_triggers, _scan, _scan_pairs
-    slow = {(12, 4, 2), (11, 3, 3), (12, 3, 3)}
+    # every instance with m <= 12, both searches with the vertex symmetry
+    # cut; k = 2 holds before either search runs
+    from peano_forge.ramsey import _build_triggers, _couples, _scan, _scan_pairs
     checked = 0
     for m in range(2, 13):
         for k in range(2, m + 1):
             for r in (1, 2, 3):
                 for large in (False, True):
-                    if not large and (m, k, r) in slow:
-                        continue
                     if k == 2:
                         assert find_counterexample(m, k, r, 2, large, cap=None) is None
                     else:
-                        want = _scan(r, _build_triggers(m, 2, k, large), math.comb(m, 2))
+                        want = _scan(r, _build_triggers(m, 2, k, large), _couples(m, 2, k, large))
                         assert _scan_pairs(m, k, r, large) == want, (m, k, r, large)
                     checked += 1
-    assert checked > 380
+    assert checked > 390
+
+
+def test_symmetry_cut_keeps_the_first_counterexample():
+    # the search with the lex-leader cut against the trigger search with no
+    # couples, which is the plain canonical search: pairs with m <= 12 and
+    # r <= 3, PH pairs with r = 3 up to m = 14 (where swapping vertices above
+    # k would change the first hit), and triples up to m = 10.  Ramsey
+    # (12, 4, 2) and (12, 3, 3) take the plain search seconds or more; the
+    # goldens above cover them
+    from peano_forge.ramsey import _build_triggers, _scan
+    instances = [(m, k, r, 2, large) for m in range(3, 13) for k in range(3, m + 1)
+                 for r in (1, 2, 3) for large in (False, True)
+                 if large or (m, k, r) not in {(12, 4, 2), (12, 3, 3)}]
+    instances += [(m, k, 3, 2, True) for m in (13, 14) for k in range(3, m + 1)]
+    instances += [(m, k, r, 3, large) for m in range(4, 11) for k in range(4, m + 1)
+                  for r in (1, 2, 3) for large in (False, True)]
+    for m, k, r, n, large in instances:
+        want = _scan(r, _build_triggers(m, n, k, large), [()] * math.comb(m, n))
+        cex = find_counterexample(m, k, r, n, large, cap=None)
+        assert (None if cex is None else cex.colors) == want, (m, k, r, n, large)
+    assert len(instances) > 500
 
 
 def test_point_colorings_match_the_trigger_search():
-    # Ramsey point colorings are decided by pigeonhole; the trigger search is
-    # the reference.  A relation that holds (m > r(k - 1)) over more than
-    # 2^40 colorings takes the scan too long and is skipped; k = 1 holds
-    # before either runs
-    from peano_forge.ramsey import _build_triggers, _scan
+    # Ramsey point colorings are decided by pigeonhole; the trigger search,
+    # with the vertex symmetry cut, is the reference; k = 1 holds before
+    # either runs
+    from peano_forge.ramsey import _build_triggers, _couples, _scan
     checked = 0
     for m in range(1, 15):
         for k in range(1, m + 1):
             for r in range(1, 7):
-                if m > r * (k - 1) and r ** m > 2 ** 40:
-                    continue
-                want = None if k == 1 else _scan(r, _build_triggers(m, 1, k, False), m)
+                want = None if k == 1 else _scan(r, _build_triggers(m, 1, k, False),
+                                                 _couples(m, 1, k, False))
                 cex = find_counterexample(m, k, r, 1, cap=None)
                 assert (None if cex is None else cex.colors) == want, (m, k, r)
                 checked += 1
