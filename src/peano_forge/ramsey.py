@@ -1,8 +1,8 @@
 """Finite partition calculus: homogeneous and relatively large sets, the
-Ramsey and Paris-Harrington arrow relations decided by exhaustive search over
-canonical colorings, the reduction constructions (product, subset criterion,
-arity raising, combining), partition Goedel coding, and the fast-growing
-hierarchy.
+largest found by one branch and bound for every n, the Ramsey and
+Paris-Harrington arrow relations decided by exhaustive search over canonical
+colorings, the reduction constructions (product, subset criterion, arity
+raising, combining), partition Goedel coding, and the fast-growing hierarchy.
 
 Two cases are decided without search.  When k = n, a qualifying set has a
 single n-subset, which is homogeneous in any coloring, so the relation holds
@@ -64,7 +64,7 @@ from .errors import (
 )
 from .tree import Node
 
-DEFAULT_ENUM_CAP = 2 ** 30
+DEFAULT_ENUM_CAP = 2 ** 30  # the most colorings, r^C(m, n), an arrow search may face
 
 
 @lru_cache(maxsize=None)
@@ -168,25 +168,41 @@ def is_relatively_large(H):
 
 
 def find_homogeneous(P, k, require_large=False):
-    """Some homogeneous H with |H| >= k (and relatively large when asked),
-    searching larger sets first; None when there is none.  BudgetExceeded
-    after DEFAULT_ENUM_CAP candidate sets without an answer."""
+    """The first set in combinations order among the largest homogeneous H
+    with |H| >= k (and |H| >= min H when require_large); None when there is
+    none.  A depth-first branch and bound (Carraghan & Pardalos, 1990)
+    grows H in lexicographic order over the mask cand of the vertices above
+    its last that keep it homogeneous, in its color once |H| = n.  It drops
+    a branch that cannot beat the best size so far and records a set only
+    when it does, so the set kept is the first of the final size."""
     if _natural(k, "k") < P.n:
         raise BadSubset(f"need k >= n, got k={k}, n={P.n}")
-    tried = 0
-    for size in range(P.m, k - 1, -1):
-        for H in combinations(range(P.m), size):
-            if tried == DEFAULT_ENUM_CAP:
-                raise BudgetExceeded(f"searched {tried} candidate sets without an answer",
-                                     iterations=tried)
-            tried += 1
-            if require_large and size < H[0]:
-                continue
-            it = combinations(H, P.n)
-            first = P.color(next(it))
-            if all(P.color(s) == first for s in it):
-                return HomogReport(H, first, size, size >= H[0])
-    return None
+    n, colors = P.n, P.colors
+    top = [math.comb(u, n) for u in range(P.m)]  # T + {u} ranks T's share + top[u]
+    best, found = k - 1, None
+    H, stack, cand = [], [], (1 << P.m) - 1
+    while True:
+        if not cand or len(H) + cand.bit_count() <= best:
+            if not H:
+                return found
+            H.pop()
+            cand = stack.pop()
+            continue
+        H.append((cand & -cand).bit_length() - 1)
+        cand &= cand - 1
+        stack.append(cand)
+        if len(H) == n:
+            color = colors[sum(map(math.comb, H, range(1, n + 1)))]
+            subs = combinations(H, n - 1)
+        else:  # past n, the only n-subsets T + {u} not yet checked hold the new vertex
+            subs = (T + (H[-1],) for T in combinations(H[:-1], n - 2)) if len(H) > n > 1 else ()
+        for T in subs:
+            base = sum(map(math.comb, T, range(1, n)))
+            for u, bit in enumerate(bin(cand)[:1:-1]):  # the bits of cand, lowest first
+                if bit == "1" and colors[base + top[u]] != color:
+                    cand ^= 1 << u
+        if len(H) > best and (not require_large or H[0] <= len(H)):
+            best, found = len(H), HomogReport(tuple(H), color, len(H), len(H) >= H[0])
 
 
 def check_subset_criterion(P, H):
@@ -668,9 +684,8 @@ def decode_partition(code, m, n, r):
         raise NotACode("impossible header")
     elems = decode_seq(code)
     if len(elems) != math.comb(m, n):  # checked before any subsets materialize
-        raise NotACode(
-            f"code lists {len(elems)} subsets, header demands {math.comb(m, n)}"
-        )
+        raise NotACode(f"code lists {len(elems)} subsets, "
+                       f"header demands {_shown(math.comb(m, n))}")
     subs = subsets_colex(m, n)
     colors = []
     for expected, item in zip(subs, elems):
@@ -732,9 +747,8 @@ def partition_from_text(text):
     # the subsets are distinct, ascending and inside 0..m-1, so C(m, n) of
     # them are all the n-subsets
     if len(seen) != math.comb(m, n):
-        raise InvalidPartitionFile(
-            f"{len(seen)} subsets listed, {math.comb(m, n)} required"
-        )
+        raise InvalidPartitionFile(f"{len(seen)} subsets listed, "
+                                   f"{_shown(math.comb(m, n))} required")
     return Partition(m, n, r, [seen[s] for s in subsets_colex(m, n)])
 
 

@@ -68,6 +68,46 @@ def has_qualifying_set(m, n, k, large, color_of):
     return False
 
 
+def first_homogeneous(P, k, large):
+    """The fields (set, color, size, relatively large) of the first
+    homogeneous set in combinations order among the largest of size >= k
+    (with |H| >= min H when large); None when there is none.  Every subset
+    is listed, from size m down."""
+    color_of = P.as_dict()
+    for size in range(P.m, k - 1, -1):
+        for H in combinations(range(P.m), size):
+            if large and size < H[0]:
+                continue
+            colors = {color_of[s] for s in combinations(H, P.n)}
+            if len(colors) == 1:
+                return H, colors.pop(), size, size >= H[0]
+    return None
+
+
+def largest_monochromatic_clique(P):
+    """The size of the largest set whose pairs all share one color, for a
+    pair coloring P: a plain recursive branch and bound on vertex sets, one
+    graph per color."""
+    def grow(joined, cand, size):
+        best = size
+        for v in sorted(cand):
+            if size + len(cand) <= best:
+                break
+            cand = cand - {v}
+            best = max(best, grow(joined, cand & joined[v], size + 1))
+        return best
+
+    best = 0
+    for c in range(P.r):
+        joined = {v: set() for v in range(P.m)}
+        for (a, b), color in P.items():
+            if color == c:
+                joined[a].add(b)
+                joined[b].add(a)
+        best = max(best, grow(joined, set(range(P.m)), 0))
+    return best
+
+
 def naive_counterexample(m, k, r, n, large=False):
     """First coloring (in plain base-r product order) with no qualifying
     homogeneous set; None if the arrow relation holds."""

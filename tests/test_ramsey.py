@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -34,7 +34,13 @@ from peano_forge import (
     raise_arity,
 )
 from helpers import NOT_NATURALS, shown
-from oracles import naive_arrow, naive_first_canonical, naive_min_witness
+from oracles import (
+    first_homogeneous,
+    largest_monochromatic_clique,
+    naive_arrow,
+    naive_first_canonical,
+    naive_min_witness,
+)
 
 CYCLE5 = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
 
@@ -150,23 +156,48 @@ def test_find_homogeneous():
     assert find_homogeneous(P, 3, require_large=True) is None
 
 
-def test_find_homogeneous_stops_after_the_enumeration_cap(monkeypatch):
-    # the 60-point, 30-color counterexample has no homogeneous triple among
-    # its 2^60 candidate sets, which ran past 10 minutes; the search stops
-    # after DEFAULT_ENUM_CAP candidates and names the count
-    from peano_forge import ramsey
+def test_find_homogeneous_matches_the_subset_listing_oracle():
+    # a seeded grid of random colorings and of two-block ones, which have
+    # many large homogeneous sets: every k from n to m + 1, both values of
+    # require_large, report for report
+    rng = random.Random(32)
+    checked = 0
+    for n, top in ((1, 10), (2, 10), (3, 9), (4, 9)):
+        for m in range(n, top + 1):
+            for r, block, _ in product((1, 2, 3), (False, True), range(6)):
+                cut = rng.randint(0, m)
+
+                def color(s):
+                    if block and (s[-1] < cut or s[0] >= cut):
+                        return int(s[0] >= cut) % r
+                    return rng.randrange(r)
+
+                P = Partition.from_function(m, n, r, color)
+                for k in range(n, m + 2):
+                    for large in (False, True):
+                        want = first_homogeneous(P, k, large)
+                        want = None if want is None else HomogReport(*want)
+                        assert find_homogeneous(P, k, require_large=large) == want, \
+                            (P.colors, k, large)
+                        checked += 1
+    assert checked > 13000
+
+
+def test_find_homogeneous_answers_where_listing_subsets_cannot():
+    # listing subsets from size m down, as the search once did, tries about
+    # 2^60 candidate sets on the 60-point counterexample (past 10 minutes)
+    # and about 2^40 on 40 random points
     cex = find_counterexample(60, 3, 30, 1, cap=None)
-    monkeypatch.setattr(ramsey, "DEFAULT_ENUM_CAP", 1000)
-    with pytest.raises(BudgetExceeded,
-                       match="^searched 1000 candidate sets without an answer$") as info:
-        find_homogeneous(cex, 3)
-    assert info.value.iterations == 1000
-    # the pentagon's 16 candidates of 3 to 5 points answer within a cap of 16
-    monkeypatch.setattr(ramsey, "DEFAULT_ENUM_CAP", 16)
+    assert find_homogeneous(cex, 3) is None
     assert find_homogeneous(pentagon(), 3) is None
-    monkeypatch.setattr(ramsey, "DEFAULT_ENUM_CAP", 15)
-    with pytest.raises(BudgetExceeded, match="^searched 15 candidate sets"):
-        find_homogeneous(pentagon(), 3)
+    P = random_partition(random.Random(40), 40, 2, 2)
+    rep = find_homogeneous(P, 2)
+    assert is_homogeneous(P, rep.set)
+    assert rep.size == len(rep.set) == largest_monochromatic_clique(P)
+    assert find_homogeneous(P, rep.size + 1) is None
+    # 5000 levels deep, on an explicit stack
+    const = Partition(5000, 1, 1, [0] * 5000)
+    assert find_homogeneous(const, 1) == HomogReport(tuple(range(5000)), 0, 5000, True)
 
 
 # --- the arrow relations against the dumb oracle ---
@@ -279,6 +310,7 @@ def test_first_hit_goldens():
     for (m, k, r, n, large), want in FIRST_HIT_GOLDENS.items():
         cex = find_counterexample(m, k, r, n, large=large, cap=None)
         assert "".join(map(str, cex.colors)) == want, (m, k, r, n, large)
+        assert find_homogeneous(cex, k, require_large=large) is None, (m, k, r, n, large)
 
 
 def test_three_color_triangle_free_pairs_on_twelve_points():
@@ -746,6 +778,10 @@ def test_partition_codec_header_mismatch():
         decode_partition(code, 5, 1, 2)  # wrong subset count
     with pytest.raises(NotACode):
         decode_partition(code, 4, 1, 0)
+    # C(20000, 10000) has 6019 digits, past what str() of an int allows
+    with pytest.raises(NotACode, match=r"^code lists 4 subsets, "
+                                       r"header demands <an int of at least 2\^19992>$"):
+        decode_partition(code, 20000, 10000, 2)
 
 
 def test_partition_codec_tamper_never_silently_reshapes():
@@ -817,6 +853,7 @@ def test_partition_file_rejects_garbage():
         ("3 2 2\n0 1 : 2\n", "color 2 outside 0..1"),
         ("3 2 2\n0 1 : 0\n0 2 : 1\n", "2 subsets listed, 3 required"),
         ("3 2 2\n0 1 : 0\n0 1 : 1\n", "duplicate subset (0, 1)"),
+        ("20000 10000 2\n", "0 subsets listed, <an int of at least 2^19992> required"),
     ):
         with pytest.raises(InvalidPartitionFile) as ei:
             partition_from_text(text)
