@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import (
     BadSubset,
@@ -73,15 +74,18 @@ def subsets_colex(m, n):
     return tuple(sorted(combinations(range(m), n), key=lambda s: s[::-1]))
 
 
-@lru_cache(maxsize=None)
-def _rank_map(m, n):
-    return {s: i for i, s in enumerate(subsets_colex(m, n))}
+def _rank(S):
+    """The colex rank of the ascending tuple S, its index in
+    subsets_colex(m, len(S)) for any m above its elements."""
+    return sum(map(math.comb, S, range(1, len(S) + 1)))
 
 
 class Partition(Node):
-    """Total r-coloring of the n-element subsets of {0..m-1}.
+    """Total r-coloring of the n-element subsets of {0..m-1}, whose points
+    are ints.
 
-    Colors are stored as a tuple indexed by colex rank; a mapping from
+    Colors are stored as a tuple indexed by colex rank, the order of
+    subsets_colex, and a subset's color is read at its rank; a mapping from
     subsets to colors is accepted too.  Instances are immutable.
     """
 
@@ -95,16 +99,16 @@ class Partition(Node):
             raise ShapeMismatch(f"need 1 <= n <= m, got n={n}, m={m}")
         if r < 1:
             raise ShapeMismatch("need at least one color")
-        subs = subsets_colex(m, n)
         if isinstance(colors, dict):
+            subs = subsets_colex(m, n)
             if set(colors) != set(subs):
                 raise ShapeMismatch("coloring must cover exactly the n-subsets")
             colors = tuple(colors[s] for s in subs)
         else:
             colors = tuple(colors)
-            if len(colors) != len(subs):
+            if len(colors) != math.comb(m, n):
                 raise ShapeMismatch(
-                    f"expected {len(subs)} colors, got {len(colors)}"
+                    f"expected {_shown(math.comb(m, n))} colors, got {len(colors)}"
                 )
         for c in colors:
             if type(c) is not int or not 0 <= c < r:
@@ -116,10 +120,10 @@ class Partition(Node):
         return cls(m, n, r, [fn(s) for s in subsets_colex(m, n)])
 
     def color(self, subset):
-        try:
-            return self.colors[_rank_map(self.m, self.n)[tuple(subset)]]
-        except KeyError:
-            raise BadSubset(f"{tuple(subset)} is not an n-subset of the ground set") from None
+        S = _check_subset(subset, self.m)
+        if len(S) != self.n:
+            raise BadSubset(f"{S} is not an n-subset of the ground set")
+        return self.colors[_rank(S)]
 
     def items(self):
         return zip(subsets_colex(self.m, self.n), self.colors)
@@ -140,28 +144,42 @@ class HomogReport(Node):
 # ---------------------------------------------------------------------------
 
 
-def _check_subset(P, H):
-    H = tuple(H)
+def _points(H):
+    """H as a tuple of ints; otherwise BadSubset, which names what is wrong."""
+    try:
+        H = tuple(H)
+    except TypeError:
+        raise BadSubset(f"a set must be an iterable of ints, got {_shown(H)}") from None
+    for x in H:
+        if type(x) is not int:
+            raise BadSubset(f"set elements must be ints, got {x!r}")
+    return H
+
+
+def _check_subset(H, m):
+    """H as a tuple of ints, ascending and in 0..m-1; otherwise BadSubset."""
+    H = _points(H)
     if any(H[i] >= H[i + 1] for i in range(len(H) - 1)):
         raise BadSubset("set must be sorted and duplicate-free")
-    if H and (H[0] < 0 or H[-1] >= P.m):
-        raise BadSubset(f"elements must lie in 0..{P.m - 1}")
+    if H and (H[0] < 0 or H[-1] >= m):
+        raise BadSubset(f"elements must lie in 0..{m - 1}")
     return H
 
 
 def is_homogeneous(P, H):
     """True iff all n-subsets of H receive one color; needs |H| >= n."""
-    H = _check_subset(P, H)
+    H = _check_subset(H, P.m)
     if len(H) < P.n:
         raise BadSubset(f"set of size {len(H)} has no {P.n}-subsets")
-    it = combinations(H, P.n)
-    first = P.color(next(it))
-    return all(P.color(s) == first for s in it)
+    colors, it = P.colors, combinations(H, P.n)
+    first = colors[_rank(next(it))]
+    return all(colors[_rank(s)] == first for s in it)
 
 
 def is_relatively_large(H):
-    """card(H) >= min(H); the empty set has no minimum."""
-    H = tuple(H)
+    """card(H) >= min(H), H read as a set of ints in any order; the empty set
+    has no minimum."""
+    H = set(_points(H))
     if not H:
         raise EmptySet("relative largeness needs a nonempty set")
     return len(H) >= min(H)
@@ -172,13 +190,18 @@ def find_homogeneous(P, k, require_large=False):
     with |H| >= k (and |H| >= min H when require_large); None when there is
     none.  A depth-first branch and bound (Carraghan & Pardalos, 1990)
     grows H in lexicographic order over the mask cand of the vertices above
-    its last that keep it homogeneous, in its color once |H| = n.  It drops
-    a branch that cannot beat the best size so far and records a set only
-    when it does, so the set kept is the first of the final size."""
+    its last that keep it homogeneous, in its color once |H| = n.  Each
+    (n-1)-subset T of H met with color c strikes from cand the vertices u
+    outside the mask of the u above T with T + {u} colored c, one mask per
+    (T, c) built on first use and kept for the call.  It drops a branch that
+    cannot beat the best size so far and records a set only when it does,
+    so the set kept is the first of the final size."""
     if _natural(k, "k") < P.n:
         raise BadSubset(f"need k >= n, got k={k}, n={P.n}")
     n, colors = P.n, P.colors
-    top = [math.comb(u, n) for u in range(P.m)]  # T + {u} ranks T's share + top[u]
+    top = [math.comb(u, n) for u in range(P.m)]  # T + {u} ranks _rank(T) + top[u]
+    rows = {}  # (c, _rank(T)) -> the mask of the u above T with T + {u} colored c
+    binary = bytes.maketrans(b"\0\1", b"01")
     best, found = k - 1, None
     H, stack, cand = [], [], (1 << P.m) - 1
     while True:
@@ -192,15 +215,20 @@ def find_homogeneous(P, k, require_large=False):
         cand &= cand - 1
         stack.append(cand)
         if len(H) == n:
-            color = colors[sum(map(math.comb, H, range(1, n + 1)))]
+            color = colors[_rank(H)]
             subs = combinations(H, n - 1)
         else:  # past n, the only n-subsets T + {u} not yet checked hold the new vertex
             subs = (T + (H[-1],) for T in combinations(H[:-1], n - 2)) if len(H) > n > 1 else ()
-        for T in subs:
-            base = sum(map(math.comb, T, range(1, n)))
-            for u, bit in enumerate(bin(cand)[:1:-1]):  # the bits of cand, lowest first
-                if bit == "1" and colors[base + top[u]] != color:
-                    cand ^= 1 << u
+        for T in subs if cand else ():  # cand holds a u above H, so T + {u} is ranked
+            key = color, _rank(T)
+            row = rows.get(key)
+            if row is None:  # a digit per u from lo up, "1" where T + {u} is colored c
+                lo, base = (T[-1] + 1 if T else 0), key[1]
+                # a first read at index 0 keeps itemgetter's result a tuple
+                got = itemgetter(0, *map(base.__add__, top[lo:]))(colors)
+                digits = bytes(map(color.__eq__, got)).translate(binary)
+                row = rows[key] = int(digits[::-1], 2) >> 1 << lo
+            cand &= row
         if len(H) > best and (not require_large or H[0] <= len(H)):
             best, found = len(H), HomogReport(tuple(H), color, len(H), len(H) >= H[0])
 
@@ -208,7 +236,7 @@ def find_homogeneous(P, k, require_large=False):
 def check_subset_criterion(P, H):
     """True iff every (n+1)-subset of H is homogeneous; agrees with
     is_homogeneous whenever |H| >= n+1."""
-    H = _check_subset(P, H)
+    H = _check_subset(H, P.m)
     if len(H) < P.n + 1:
         raise BadSubset(f"need at least {P.n + 1} elements, got {len(H)}")
     return all(is_homogeneous(P, S) for S in combinations(H, P.n + 1))
@@ -569,12 +597,12 @@ def raise_arity(P):
     s = ceil_sqrt(r)
     colors = []
     for b in subsets_colex(m, e + 1):
-        sub_colors = [P.color(a) for a in combinations(b, e)]
+        sub_colors = [P.colors[_rank(a)] for a in combinations(b, e)]
         if all(c == sub_colors[0] for c in sub_colors):
             colors.append(0)
             continue
         quots = [c // s for c in sub_colors]
-        bp_color = P.color(b[:e])
+        bp_color = P.colors[_rank(b[:e])]
         if all(q == quots[0] for q in quots):
             colors.append(1 + bp_color % s)
         else:
@@ -741,15 +769,16 @@ def partition_from_text(text):
         c = int(color_text)
         if c >= r:
             raise InvalidPartitionFile(f"color {c} outside 0..{r - 1}")
-        if sub in seen:
+        rank = _rank(sub)
+        if rank in seen:
             raise InvalidPartitionFile(f"duplicate subset {sub}")
-        seen[sub] = c
+        seen[rank] = c
     # the subsets are distinct, ascending and inside 0..m-1, so C(m, n) of
-    # them are all the n-subsets
+    # them are all the n-subsets, ranked 0..C(m, n) - 1
     if len(seen) != math.comb(m, n):
         raise InvalidPartitionFile(f"{len(seen)} subsets listed, "
                                    f"{_shown(math.comb(m, n))} required")
-    return Partition(m, n, r, [seen[s] for s in subsets_colex(m, n)])
+    return Partition(m, n, r, [seen[i] for i in range(len(seen))])
 
 
 def read_partition(path):

@@ -135,6 +135,77 @@ def test_is_relatively_large():
     assert is_relatively_large((4, 5, 6)) is False
     with pytest.raises(EmptySet):
         is_relatively_large(())
+    # H is read as a set: (3, 3, 3) is {3}, one element, not three, and
+    # the order of the elements does not matter
+    assert is_relatively_large((3, 3, 3)) is False
+    assert is_relatively_large((3, 3, 3, 0)) is True
+    assert is_relatively_large((8, 1)) is is_relatively_large({1, 8}) is True
+    assert is_relatively_large([5, 3]) is False
+
+
+def test_rank_inverts_subsets_colex():
+    from peano_forge.ramsey import _rank, subsets_colex
+    for m in range(13):
+        for n in range(m + 1):
+            for i, s in enumerate(subsets_colex(m, n)):
+                assert _rank(s) == i, (m, n, s)
+
+
+def test_color_reads_the_subset_at_its_rank():
+    rng = random.Random(33)
+    for n, m, r in product((1, 2, 3, 4), (4, 6, 8), (1, 3, 300)):
+        P = random_partition(rng, m, n, r)
+        for s, c in P.as_dict().items():
+            assert P.color(s) == P.color(list(s)) == c
+
+
+def test_points_must_be_ints():
+    # a bool, a float, a string or None is no point, and a set must be an
+    # iterable: each is a BadSubset naming it, never a raw TypeError or a
+    # float read as the int it equals
+    P = pentagon()
+    bad = (((False, True), "set elements must be ints, got False"),
+           ((0.0, 1.0, 2.0), "set elements must be ints, got 0.0"),
+           ((0, 1.0), "set elements must be ints, got 1.0"),
+           (("a", "b"), "set elements must be ints, got 'a'"),
+           ("ab", "set elements must be ints, got 'a'"),
+           ((None, 1), "set elements must be ints, got None"),
+           ((0, 1, None), "set elements must be ints, got None"),
+           (5, "a set must be an iterable of ints, got 5"),
+           (None, "a set must be an iterable of ints, got None"),
+           (10 ** 700, "a set must be an iterable of ints, got <an int of at least 2^2325>"))
+    for H, message in bad:
+        for check in (P.color, lambda H: is_homogeneous(P, H),
+                      lambda H: check_subset_criterion(P, H), is_relatively_large):
+            with pytest.raises(BadSubset) as info:
+                check(H)
+            assert str(info.value) == message, (H, check)
+    for H, message in (((0, 1, 2), "(0, 1, 2) is not an n-subset of the ground set"),
+                       ((3,), "(3,) is not an n-subset of the ground set"),
+                       ((1, 0), "set must be sorted and duplicate-free"),
+                       ((0, 5), "elements must lie in 0..4")):
+        with pytest.raises(BadSubset) as info:
+            P.color(H)
+        assert str(info.value) == message
+
+
+def test_color_reads_list_no_subsets():
+    # reading colors by rank lists no subsets: on an (m, n) met nowhere
+    # else, these leave the cache of subsets_colex empty
+    from peano_forge.ramsey import subsets_colex
+    rng = random.Random(34)
+    colors = [rng.randrange(2) for _ in range(math.comb(11, 3))]
+    text = "11 3 2\n" + "".join(f"{a} {b} {c} : {colors[i]}\n" for i, (a, b, c) in
+                                enumerate(sorted(combinations(range(11), 3), key=lambda s: s[::-1])))
+    subsets_colex.cache_clear()
+    P = Partition(11, 3, 2, colors)
+    assert P.color((2, 5, 9)) == colors[math.comb(2, 1) + math.comb(5, 2) + math.comb(9, 3)]
+    assert is_homogeneous(P, (0, 1, 2)) is True
+    assert is_homogeneous(P, tuple(range(11))) is False
+    assert check_subset_criterion(P, tuple(range(11))) is False
+    assert partition_from_text(text) == P
+    find_homogeneous(P, 3, require_large=True)
+    assert subsets_colex.cache_info().currsize == 0
 
 
 def test_find_homogeneous():
@@ -181,6 +252,23 @@ def test_find_homogeneous_matches_the_subset_listing_oracle():
                             (P.colors, k, large)
                         checked += 1
     assert checked > 13000
+
+
+def test_find_homogeneous_reads_colors_of_any_size():
+    # the rows compare colors as ints of any size: renaming the colors
+    # injectively, past a byte and past a machine word, the reports keep
+    # their sets
+    rng = random.Random(35)
+    for n, m, r in product((1, 2, 3), (3, 5, 7), (1, 2, 3)):
+        P = random_partition(rng, m, n, r)
+        for names, q in (((255, 0, 128), 256), ((257, 2 ** 70, 0), 2 ** 70 + 1)):
+            Q = Partition(m, n, q, [names[c] for c in P.colors])
+            for k, large in product(range(n, m + 1), (False, True)):
+                want = find_homogeneous(P, k, require_large=large)
+                if want is not None:
+                    want = HomogReport(want.set, names[want.color], want.size,
+                                       want.relatively_large)
+                assert find_homogeneous(Q, k, require_large=large) == want, (Q.colors, k)
 
 
 def test_find_homogeneous_answers_where_listing_subsets_cannot():
