@@ -591,11 +591,34 @@ def _chunks(count):
         lo, size = hi, min(2 * size, _VECTOR_CHUNK)
 
 
+def _product_parts(v, matrix):
+    """(A, T, A first) when matrix is A * x_v = T up to the order of the
+    factors and of the sides, with x_v in neither A nor T; A first tells
+    whether the evaluator reaches A before T.  None for any other matrix."""
+    if type(matrix) is not Eq:
+        return None
+    for prod, other in ((matrix.left, matrix.right), (matrix.right, matrix.left)):
+        if type(prod) is Mul:
+            for var, factor in ((prod.left, prod.right), (prod.right, prod.left)):
+                if (type(var) is Var and var.index == v
+                        and v not in term_vars(factor) | term_vars(other)):
+                    return factor, other, prod is matrix.left
+    return None
+
+
 def _compile(x, take):
     """The evaluator of one node, built by _compiled: run(env) is the value
     of a term and run(env, budget) the truth value of a formula, as eval_nat
     gives it; an unbound variable is a KeyError.  Each guard is matched here,
-    and each quantifier's matrix scanned."""
+    and each quantifier's matrix scanned.
+
+    A bounded quantifier over A * x_v = T (either factor order, either side),
+    with x_v in neither A nor T, is decided by one divmod of the int values
+    T and A.  It reads the bound first, then A and T only when the range is
+    not empty, in the order a scan reads them at x_v = 0, so an unbound
+    variable is named as the scan names it.  Every other range, and one
+    where a value is not an int, is checked one value at a time, or by numpy
+    in int64 chunks above 32 values when the matrix holds no quantifier."""
     tp = type(x)
     if tp is Zero or tp is One:
         return (lambda env: 0) if tp is Zero else (lambda env: 1)
@@ -629,6 +652,30 @@ def _compile(x, take):
         bound = take(bound)
     body = take(matrix)
     terms = _bounding_terms(matrix)
+    parts = None if bound is None else _product_parts(v, matrix)
+    if parts is not None:
+        factor, other, factor_first = take(parts[0]), take(parts[1]), parts[2]
+        first, second = (factor, other) if factor_first else (other, factor)
+
+        def solve(env, budget):
+            # x_v in 0..count-1 with a * x_v = t: none when count <= 0, else
+            # for all of them iff t = 0 and (a = 0 or x_v takes 0 alone),
+            # for some iff a = 0 = t or a divides t with quotient in range
+            count = bound(env) + inclusive
+            if type(count) is int:
+                if count <= 0:
+                    return universal
+                u = first(env)
+                w = type(u) is int and second(env)  # False when u is no int
+                if type(w) is int:
+                    a, t = (u, w) if factor_first else (w, u)
+                    if universal:
+                        return t == 0 and (count == 1 or a == 0)
+                    if a == 0:
+                        return t == 0
+                    q, r = divmod(t, a)
+                    return r == 0 and 0 <= q < count
+            return run(env, budget)
 
     def run(env, budget):
         global np
@@ -658,7 +705,7 @@ def _compile(x, take):
             raise BudgetExceeded(f"quantifier search over x{v} inconclusive "
                                  f"within budget {budget}")
         return universal
-    return run
+    return run if parts is None else solve
 
 
 def euclid_div(b, a):

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from operator import itemgetter
 
 from .errors import (
@@ -739,19 +739,43 @@ def partition_to_text(P):
     return "\n".join(lines) + "\n"
 
 
+# partition_from_text splits its text into lines about _BLOCK characters at
+# a time, so its lines are never all held at once
+_BLOCK = 1 << 20
+
+
+def _blocks(text):
+    """text in slices of about _BLOCK characters, each ending at a newline
+    or at the end, so str.splitlines splits the slices as it splits text."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def partition_from_text(text):
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
+    return _partition_from_lines(_blocks(text))
+
+
+def _partition_from_lines(blocks):
+    # the stripped non-blank lines of blocks, strings that each end at a
+    # line boundary (slices of a text, or the lines of a file), one at a time
+    lines = filter(None, map(str.strip, chain.from_iterable(map(str.splitlines, blocks))))
+    first = next(lines, None)
+    if first is None:
         raise InvalidPartitionFile("empty partition file")
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 3 or not all(w.isdecimal() for w in header):
-        raise InvalidPartitionFile(f"bad header line: {lines[0]!r}")
+        raise InvalidPartitionFile(f"bad header line: {first!r}")
     m, n, r = (int(w) for w in header)
     if n < 1 or n > m or r < 1:
         raise InvalidPartitionFile(f"impossible header m={m} n={n} r={r}")
-    seen = {}
-    for ln in lines[1:]:
+    # the colors of ranks 0, 1, ... as far as they are all read, and those
+    # read ahead of a missing rank: lines in colex order, as partition_to_text
+    # writes them, leave ahead empty
+    colors, ahead = [], {}
+    for ln in lines:
         left, sep, right = ln.partition(":")
         if not sep:
             raise InvalidPartitionFile(f"missing ':' in line {ln!r}")
@@ -770,20 +794,26 @@ def partition_from_text(text):
         if c >= r:
             raise InvalidPartitionFile(f"color {c} outside 0..{r - 1}")
         rank = _rank(sub)
-        if rank in seen:
-            raise InvalidPartitionFile(f"duplicate subset {sub}")
-        seen[rank] = c
+        if rank != len(colors):
+            if rank < len(colors) or rank in ahead:
+                raise InvalidPartitionFile(f"duplicate subset {sub}")
+            ahead[rank] = c
+            continue
+        colors.append(c)
+        while len(colors) in ahead:
+            colors.append(ahead.pop(len(colors)))
     # the subsets are distinct, ascending and inside 0..m-1, so C(m, n) of
     # them are all the n-subsets, ranked 0..C(m, n) - 1
-    if len(seen) != math.comb(m, n):
-        raise InvalidPartitionFile(f"{len(seen)} subsets listed, "
+    listed = len(colors) + len(ahead)
+    if listed != math.comb(m, n):
+        raise InvalidPartitionFile(f"{listed} subsets listed, "
                                    f"{_shown(math.comb(m, n))} required")
-    return Partition(m, n, r, [seen[i] for i in range(len(seen))])
+    return Partition(m, n, r, colors)
 
 
 def read_partition(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return partition_from_text(fh.read())
+        return _partition_from_lines(fh)
 
 
 def write_partition(P, path):

@@ -829,7 +829,12 @@ def test_guards_are_matched_once_per_quantifier_node(monkeypatch):
     monkeypatch.setattr(fm, "_bounding_terms", lambda f: scanned.append(f) or bounding_terms(f))
     monkeypatch.setattr(fm, "_compile",
                         lambda x, take: compiled.append(x) or compile_node(x, take))
-    f, flags = prim_formula(), sieve(11)
+    # x0 is a sum of two squares: the inner product x2 * x2 has x2 in both
+    # factors, so neither range is decided by one divmod
+    f = parse("exists x1 ((x1 < x0 | x1 = x0) & "
+              "exists x2 ((x2 < x0 | x2 = x0) & x1 * x1 + x2 * x2 = x0))")
+    flags = [any(a * a + b * b == x for a in range(x + 1) for b in range(x + 1))
+             for x in range(12)]
     assert [eval_nat(f, {0: x}, 10) for x in range(2, 12)] == flags[2:]
     assert len(matched) == 2 and len({id(q) for q in matched}) == 2
     assert len(scanned) == 2 and len({id(m) for m in scanned}) == 2
@@ -1126,8 +1131,10 @@ def test_unbounded_quantifiers_agree_across_paths(monkeypatch):
 
 
 def test_numpy_is_imported_by_the_first_vectorized_range():
-    # in a fresh process, Prim at x = 31 bounds each range by 32 values and
-    # stays scalar; at x = 97 its divisor search runs on numpy
+    # in a fresh process, Prim at x = 97 answers with no numpy: its divisor
+    # search is decided by one divmod and its outer range holds a quantifier.
+    # The square test at x = 31 bounds its range by 32 values and stays
+    # scalar; at x = 100 the range x2 * x2 = x0 runs on numpy
     import os
     import subprocess
     import sys
@@ -1136,12 +1143,14 @@ def test_numpy_is_imported_by_the_first_vectorized_range():
     path = [os.path.dirname(os.path.dirname(peano_forge.__file__)),
             os.path.dirname(__file__)]
     probe = ("import sys; from helpers import prim_formula; "
-             "from peano_forge import eval_nat; "
-             "print([(eval_nat(prim_formula(), {0: x}, 10), 'numpy' in sys.modules) "
-             "for x in (31, 97)])")
+             "from peano_forge import eval_nat, parse; "
+             "square = parse('exists x2 ((x2 < x0 | x2 = x0) & x2 * x2 = x0)'); "
+             "print([(eval_nat(f, {0: x}, 10), 'numpy' in sys.modules) "
+             "for f, x in ((prim_formula(), 97), (square, 31), (square, 100))])")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
-    assert (proc.returncode, proc.stdout) == (0, "[(True, False), (True, True)]\n")
+    assert (proc.returncode, proc.stdout) == (
+        0, "[(True, False), (False, False), (True, True)]\n")
 
 
 def test_numpy_chunks_double_up_to_the_chunk_size(monkeypatch):
@@ -1236,6 +1245,73 @@ def test_eval_nat_matches_the_plain_oracle(seed):
         assert outcome(eval_nat, f, env, budget) == expected
     finally:
         fm._VECTORIZE_MIN = vectorize_min
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_divmod_ranges_match_the_plain_oracle(seed):
+    # a bounded range over A * x_v = T is decided by one divmod, and gives
+    # the oracle's value, or its exception type and message, in all four
+    # orientations: A, T and the bound read variables that may be unbound,
+    # and a quarter of the cases each leave x4 unbound in A, x5 in T, or
+    # both, so the message names the side the evaluator reads first.  A may
+    # be 0, T may be 0 or put the witness exactly at the bound (0, 1, 2 or
+    # a small term), under both guards in all three spellings.  The
+    # range may sit under ! and inside an outer bounded or unbounded
+    # quantifier.  Variables outside the bound may hold values near 2^31,
+    # or -6, which eval_nat does not refuse.
+    import peano_forge.formula as fm
+    rng = random.Random(seed)
+    v = rng.randrange(4)
+    others = [w for w in range(4) if w != v]
+
+    def term(depth):
+        if depth == 0 or rng.random() < 0.4:
+            return rng.choice([Zero(), One(), numeral(2), Var(rng.choice(others))])
+        return rng.choice([Add, Mul])(term(depth - 1), term(depth - 1))
+
+    bound = rng.choice([numeral(0), numeral(1), numeral(2), Var(rng.choice(others)), term(1)])
+    a = Zero() if rng.random() < 0.2 else term(2)
+    t = rng.choice([Zero(), term(2), Mul(a, bound), Add(Mul(bound, a), One())])
+    hide = rng.randrange(4)
+    if hide & 1:
+        a = Add(a, Var(4))
+    if hide & 2:
+        t = Add(Var(5), t)
+    x = Var(v)
+    product = rng.choice([Mul(a, x), Mul(x, a)])
+    matrix = rng.choice([Eq(product, t), Eq(t, product)])
+    assert fm._product_parts(v, matrix) is not None
+    guard = rng.choice([Lt(x, bound), Or(Lt(x, bound), Eq(x, bound)),
+                        Or(Eq(x, bound), Lt(x, bound))])
+    quant = rng.choice((ForAll, Exists))
+    f = quant(v, (Implies if quant is ForAll else And)(guard, matrix))
+    if rng.random() < 0.3:
+        f = Not(f)
+    budget = rng.randint(0, 8)
+    if rng.random() < 0.4:  # inside an outer quantifier
+        u, outer = rng.randrange(4), rng.choice((ForAll, Exists))
+        if rng.random() < 0.5:
+            f = outer(u, f)
+        else:
+            guard = rng.choice([Lt(Var(u), numeral(rng.randint(0, 6))),
+                                Or(Lt(Var(u), numeral(3)), Eq(Var(u), numeral(3)))])
+            f = outer(u, (Implies if outer is ForAll else And)(guard, f))
+    small = term_vars(bound)  # the oracle scans the range the bound gives
+    values = (0, 1, 2, 6, -6, 2 ** 31 + rng.randint(-1, 1))
+    env = {w: rng.choice((0, 1, 2, 3) if w in small else values)
+           for w in range(4) if rng.random() < 0.85}
+    assert outcome(eval_nat, f, env, budget) == outcome(eval_formula, f, env, budget)
+
+
+def test_divmod_ranges_scan_values_that_are_no_int():
+    # eval_nat does not refuse a float in env, and a float range is scanned:
+    # 0.1 * 3 is the witness, though divmod(0.1 * 3, 0.1) leaves a remainder
+    f = parse("exists x2 ((x2 < x0 | x2 = x0) & x1 * x2 = x3)")
+    env = {0: 5, 1: 0.1, 3: 0.1 * 3}
+    assert divmod(env[3], env[1])[1] != 0
+    assert eval_nat(f, env, 0) is True
+    assert eval_formula(f, env, 0) is True
 
 
 def test_eval_nat_big_values_fall_back_exactly(monkeypatch):

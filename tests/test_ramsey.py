@@ -942,7 +942,42 @@ def test_partition_file_rejects_garbage():
         ("3 2 2\n0 1 : 0\n0 2 : 1\n", "2 subsets listed, 3 required"),
         ("3 2 2\n0 1 : 0\n0 1 : 1\n", "duplicate subset (0, 1)"),
         ("20000 10000 2\n", "0 subsets listed, <an int of at least 2^19992> required"),
+        # lines out of colex order, read ahead of a missing rank
+        ("3 2 2\n0 2 : 1\n0 1 : 0\n0 2 : 0\n", "duplicate subset (0, 2)"),
+        ("3 2 2\n1 2 : 0\n0 2 : 1\n0 2 : 1\n", "duplicate subset (0, 2)"),
+        ("3 2 2\n1 2 : 0\n0 2 : 1\n", "2 subsets listed, 3 required"),
     ):
         with pytest.raises(InvalidPartitionFile) as ei:
             partition_from_text(text)
         assert str(ei.value) == message, text
+
+
+def test_partition_file_is_read_a_block_at_a_time(monkeypatch, tmp_path):
+    # a text is split into lines a block at a time, a file a line at a time,
+    # and lines in colex order go straight to the colors: reading the
+    # constant pair partition of 150 points (11175 lines; 4 KB blocks of
+    # text) peaks below 3 times what the result keeps, where holding every
+    # line at once peaked at 23 times.  The lines split at any line
+    # boundary, as str.splitlines splits them.
+    import tracemalloc
+
+    import peano_forge.ramsey as ramsey
+    from peano_forge import read_partition, write_partition
+    monkeypatch.setattr(ramsey, "_BLOCK", 1 << 12)
+    P = Partition(150, 2, 2, [0] * math.comb(150, 2))
+    text = partition_to_text(P)
+    path = tmp_path / "constant.part"
+    write_partition(P, path)
+    for read in (lambda: partition_from_text(text), lambda: read_partition(path)):
+        tracemalloc.start()
+        try:
+            Q = read()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert Q == P
+        assert peak < 3 * kept, (peak, kept)
+    lines = text.splitlines()
+    mixed = "\r\n".join(lines[:3000]).replace("\n1 ", "\x0c1 ")
+    mixed += "\r\n" + "\u2028".join(lines[3000:])
+    assert partition_from_text(mixed) == P
