@@ -561,15 +561,15 @@ _INT64_LIMIT = 2 ** 62
 
 
 def _bounding_terms(f):
-    """The compiled forms of the atom sides and product factors of f, a
-    compiled formula, or None when f holds a quantifier.  As + and * are
-    monotone on the naturals, their values bound every term value in f,
-    even next to a zero."""
+    """The compiled forms of the variables, atom sides and product factors
+    of f, a compiled formula, or None when f holds a quantifier.  As + and *
+    are monotone on the naturals, once every variable is a natural their
+    values bound every term value in f, even next to a zero."""
     order = _plan(f, _subnodes)[0]
     if any(type(x) is ForAll or type(x) is Exists for x in order):
         return None
-    return [_compiled(t, _compile) for x in order if type(x) in (Eq, Lt, Mul)
-            for t in (x.left, x.right)]
+    sides = [t for x in order if type(x) in (Eq, Lt, Mul) for t in (x.left, x.right)]
+    return [_compiled(t, _compile) for t in sides + [x for x in order if type(x) is Var]]
 
 
 # numpy, imported by a quantifier the first time it vectorizes a range: the
@@ -680,14 +680,15 @@ def _compile(x, take):
     def run(env, budget):
         global np
         # exact check over v in 0..count-1, one value or, where each of terms
-        # is below 2^62 with v at its largest value, one int64 chunk at a
+        # is in 0..2^62-1 with v at its largest value, one int64 chunk at a
         # time: body then returns an array, or a bool where the value does
         # not depend on v
         count = budget + 1 if bound is None else bound(env) + inclusive
         env2 = {**env, v: count - 1}
         values = range(count)
         try:
-            fits = count > _VECTORIZE_MIN and terms and all(t(env2) < _INT64_LIMIT for t in terms)
+            fits = (count > _VECTORIZE_MIN and terms
+                    and all(0 <= t(env2) < _INT64_LIMIT for t in terms))
         except KeyError:  # an unbound variable, which the loop names
             fits = False
         if fits:

@@ -20,9 +20,9 @@ arguments (ZeroFn, Succ, Proj and compositions of them) are computed by
 formula.  A PrimRec whose step adds a fixed amount to the accumulator at a
 fixed cost (add, mul) charges its loop at once, and one whose step ignores
 the accumulator at a fixed cost (pred, sg) returns its last step directly.
-The looping functions a composition applies are memoized for the rest of
-the call with the cost they were charged, at most _MEMO_CAP entries at a
-time.
+Every function a composition applies that has no affine summary is memoized
+for the rest of the call with the cost it was charged, at most _MEMO_CAP
+entries at a time.
 """
 
 from __future__ import annotations
@@ -144,9 +144,9 @@ def eval_def(d, args, fuel):
 # The compiled form of a node: its arity; run(args, call), which returns the
 # value and charges the node's cost to call[0]; summary, None or the pair
 # (value, cost) of coefficient tuples (c0, c1, ..., ck), each standing for
-# c0 + c1*x1 + ... + ck*xk over the naturals x1..xk; and loops, whether run
-# can iterate, so that remembering its results can pay.
-_Code = namedtuple("_Code", "arity run summary loops")
+# c0 + c1*x1 + ... + ck*xk over the naturals x1..xk.  A composition remembers
+# the results of a head that has no summary.
+_Code = namedtuple("_Code", "arity run summary")
 
 
 def _compile(d, take):
@@ -183,9 +183,8 @@ def _compile(d, take):
                                _plus(cost, _unit(k, 0)))
         # the head sees the values of the gs, which recur across the
         # iterations of an enclosing loop where its own arguments do not
-        head = _memoized(f.run) if f.loops else f.run
-        run = _comp(head, [g.run for g in gs])
-        return _Code(k, run, None, f.loops or any(g.loops for g in gs))
+        head = f.run if f.summary else _memoized(f.run)
+        return _Code(k, _comp(head, [g.run for g in gs]), None)
     if tp is PrimRec:
         base = take(d.base)
         step = take(d.step)
@@ -206,20 +205,18 @@ def _compile(d, take):
                     bv, bc = base.summary
                     return _summarized(n + 1, bv + (gain[0],),
                                        (bc[0] + 1,) + bc[1:] + (per_step[0],))
-                run = _accumulate(base.run, gain, per_step)
-                return _Code(n + 1, run, None, base.loops)
+                return _Code(n + 1, _accumulate(base.run, gain, per_step), None)
             if sv[n + 2] == 0:
                 # forgetting: h(xs, y) = step(xs, y-1, .) once y > 0
                 last = (sv[0] - sv[n + 1],) + sv[1:n + 2]
-                run = _forget(base.run, last, per_step)
-                return _Code(n + 1, run, None, base.loops)
-        return _Code(n + 1, _primrec(base.run, step.run), None, True)
+                return _Code(n + 1, _forget(base.run, last, per_step), None)
+        return _Code(n + 1, _primrec(base.run, step.run), None)
     g = take(d.g)  # BoundedMu or Mu
     if tp is BoundedMu and g.arity < 2:
         raise IllFormed("bounded search needs an argument to bound it")
     if g.arity < 1:
         raise IllFormed("search predicate needs the search variable")
-    return _Code(g.arity - 1, _search(g.run, tp is BoundedMu), None, True)
+    return _Code(g.arity - 1, _search(g.run, tp is BoundedMu), None)
 
 
 def _unit(k, j):
@@ -272,7 +269,7 @@ def _summarized(k, value, cost):
             if call[0] < 0:
                 raise _OutOfFuel
             return val(a)
-    return _Code(k, run, (value, cost), False)
+    return _Code(k, run, (value, cost))
 
 
 def _memoized(run):

@@ -1219,11 +1219,14 @@ def test_eval_nat_matches_the_plain_oracle(seed):
     # three guard spellings) or unbounded ones (budgets 5-100), each over a
     # variable the formula reads where it has one.  At most two ranges are
     # nested, so each case stays small.  Env values near 2^31 have products
-    # on both sides of the int64 guard 2^62, and some variables stay unbound.
+    # on both sides of the int64 guard 2^62, negative ones, which eval_nat
+    # does not refuse, make products that int64 would wrap, and some
+    # variables stay unbound.
     import peano_forge.formula as fm
     rng = random.Random(seed)
     f = random_formula(rng, rng.randint(0, 4), max_var=3)
-    env = {v: rng.choice((rng.randint(0, 6), 2 ** 31 - 1 + rng.randint(0, 2)))
+    env = {v: rng.choice((rng.randint(0, 6), 2 ** 31 - 1 + rng.randint(0, 2),
+                          -rng.randint(1, 6), -2 ** 31 - rng.randint(0, 2)))
            for v in range(4) if rng.random() < 0.9}
     budget = rng.randint(5, 100)
     for _ in range(min(rng.randint(1, 2), 2 - range_depth(f))):
@@ -1333,6 +1336,36 @@ def test_eval_nat_big_values_fall_back_exactly(monkeypatch):
     assert eval_nat(ForAll(1, Implies(guard, Not(eq))), {0: 2 ** 62}, 5) is True
     assert eval_nat(Exists(1, And(guard, eq)), {0: 2 ** 62}, 5) is False
     assert vector == []
+
+
+def test_negative_env_values_stay_off_the_numpy_path(monkeypatch):
+    # the gate bounds each term by its value at the top of the range, which
+    # holds only where every variable is a natural.  With x2 = -1, x3 = -51
+    # the product is negative at x1 = 39 but 2^50 * 17 * 16 * 34 > 2^63 at
+    # x1 = 17, which int64 would wrap to a positive value.
+    vector = spy_numpy_path(monkeypatch)
+    f = parse("forall x1 (x1 < x0 -> x5 * (x1 * (x1 + x2) * (x1 + x3)) < x4)")
+    env = {0: 40, 2: -1, 3: -51, 5: 2 ** 50, 4: 1}
+    assert eval_formula(f, env, 0) is True
+    assert eval_nat(f, env, 0) is True
+    # an env value below -2^63 is no int64 at all
+    f = parse("exists x1 (x1 < x3 & x1 * x1 + x0 = x2)")
+    env = {0: -2 ** 70, 2: -2 ** 70 + 1600, 3: 50}
+    assert eval_formula(f, env, 0) is True
+    assert eval_nat(f, env, 0) is True
+    assert vector == []
+
+
+def test_natural_unbounded_ranges_take_the_numpy_path(monkeypatch):
+    # the unbounded ranges of the benchmark's calculus mix read naturals
+    # only, so each of them still runs on int64 chunks
+    odd_even = Exists(1, Eq(Add(Var(1), Var(1)), Add(Add(Var(0), Var(0)), One())))
+    square = Exists(1, Eq(Mul(Var(1), Var(1)), Var(0)))
+    vector = spy_numpy_path(monkeypatch)
+    with pytest.raises(BudgetExceeded):
+        eval_nat(odd_even, {0: 99}, 2499)
+    assert eval_nat(square, {0: 399 * 399}, 500) is True
+    assert vector == [2500, 501]
 
 
 # --- Euclid division ---

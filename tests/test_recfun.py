@@ -292,15 +292,23 @@ def test_closed_form_fuel_of_add_and_mul():
     _least_fuel(mul, [big, big], 2 + big * (5 + 3 * big), big * big)
 
 
+# h(x, y) = pred(x) once y > 0: every step applies pred, whose closed form
+# has no affine summary, to the same argument
+PRED = "(comp (primrec zero (proj 2 3)) (proj 1 1) (proj 1 1))"
+PRED_LOOP = f"(primrec (proj 1 1) (comp {PRED} (proj 1 3)))"
+
+
 def test_exhausts_at_every_fuel_below_the_least():
     # the outcome is exact at every fuel, not only at the least and one
-    # less: these calls run out inside compositions, accumulating loops and
-    # general loops, each at the first node whose charge passes the fuel
+    # less: these calls run out inside compositions, accumulating loops,
+    # general loops and memo hits, each at the first node whose charge
+    # passes the fuel
     calls = [("mul", [3, 4]), ("pred", [5]), ("factorial", [3]), ("is_prime", [7]),
              ("max", [2, 5])]
-    cases = [(stdlib(name), args) for name, args in calls]
+    fixed = [(stdlib(name), args) for name, args in calls] + [(parse_def(PRED_LOOP), [5, 20])]
+    cases = list(fixed)
     rng = random.Random(4242)
-    while len(cases) < len(calls) + 20:
+    while len(cases) < len(fixed) + 20:
         d = random_valid_prdef(rng, depth=rng.randint(1, 4))
         args = [rng.randrange(6) for _ in range(arity(d))]
         if pr_fuel_eval(d, args, 2000) is not None:
@@ -324,6 +332,31 @@ def test_memo_cap_keeps_fuel_exact(monkeypatch):
     for n in range(5):
         _matches_oracle(stdlib("nth_prime"), [n], 10 ** 6)
     _matches_oracle(loop, [2, 40], 10 ** 6)
+
+
+def test_a_head_without_a_summary_runs_once_per_argument(monkeypatch):
+    # a composition remembers each head that has no affine summary: pred's
+    # closed form runs once for h(5, 1000), not once per step, and a hit
+    # charges what the first run cost, so the least fuel stays that of a
+    # walk node by node
+    import peano_forge.recfun as rf
+    runs = []
+    real = rf._forget
+
+    def counted(*parts):
+        run = real(*parts)
+
+        def counted_run(a, call):
+            runs.append(a)
+            return run(a, call)
+        return counted_run
+
+    monkeypatch.setattr(rf, "_forget", counted)
+    h = parse_def(PRED_LOOP)
+    assert eval_def(h, [5, 1000], 12002) == Value(4)
+    assert runs == [(5, 5)]
+    assert eval_def(h, [5, 1000], 12001) == BudgetExhausted()
+    _matches_oracle(h, [5, 1000], 10 ** 5)
 
 
 def test_a_kept_form_is_read_only_by_its_compiler():
